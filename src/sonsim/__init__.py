@@ -10,16 +10,14 @@ __version__ = "0.1.0"
 
 from .config import Config, ConfigError, substream
 from .model import (
-    DomainAdvertisement,
     Expertise,
     ExpertiseElement,
     Query,
     capacity,
     is_relevant,
     oracle_relevant_peers,
-    sim,
 )
-from .netgen import Network, Peer, SuperPeer, build_son, sp_departure, trust
+from .netgen import Network, Peer, SuperPeer, build_son, trust
 from .baseline import (
     LogRecord,
     QueryLog,
@@ -38,7 +36,6 @@ from .dtree import (
     classify,
     entropy,
     gain_ratio,
-    relevant_sps,
     render_tree,
 )
 from .ksp import KspGroup, KspOverlay, form_groups, refresh_knowledge, route_kb, train_indices

@@ -3,8 +3,9 @@
 Local search is always exhaustive over the origin community. Global search
 evaluates each friend super-peer's expertise against the query and forwards
 to the qualifying ones, breadth-first, each super-peer processing a given
-query at most once. Every capacity evaluation is metered, and the forwarding
-tree is kept so response time can later be costed along its critical path.
+query at most once. `mapping_ops` counts the members and friends probed, one
+mapping each, and the forwarding tree is kept so response time can later be
+costed along its critical path.
 """
 
 from __future__ import annotations
@@ -13,7 +14,15 @@ from collections import deque
 from dataclasses import dataclass
 from random import Random
 
-from .model import ExpertiseElement, PeerId, Query, SuperPeerId, capacity, parse_element
+from .model import (
+    ExpertiseElement,
+    PeerId,
+    Query,
+    SuperPeerId,
+    capacity,
+    parse_element,
+    relevant_peers_indexed,
+)
 from .netgen import Network, Peer
 
 
@@ -126,6 +135,7 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId, eps_acc: float,
     if max_hops is not None and max_hops < 0:
         raise ValueError("max_hops must be >= 0 or None for unbounded")
 
+    relevant = relevant_peers_indexed(net, query, eps_acc)
     answering_peers: set[PeerId] = set()
     answering_sps: set[SuperPeerId] = set()
     mapping_ops = 0
@@ -139,12 +149,10 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId, eps_acc: float,
         spid, depth = queue.popleft()
         segment = segments[spid]
 
-        local_hits = [
-            pid for pid, expertise in net.members_index[spid]
-            if capacity(expertise, query) >= eps_acc
-        ]
-        segment.maps += len(net.members_index[spid])
-        mapping_ops += len(net.members_index[spid])
+        members = net.super_peers[spid].members
+        local_hits = relevant & members
+        segment.maps += len(members)
+        mapping_ops += len(members)
         if local_hits:
             answering_peers.update(local_hits)
             answering_sps.add(spid)

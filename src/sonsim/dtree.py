@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
-from .model import Query, SuperPeerId
+from .model import SuperPeerId
 
 ATTRIBUTE_PREFIX = "composanteW"
 CLASS_ATTRIBUTE = "class"
@@ -175,13 +175,6 @@ def predict(tree: DecisionTree, attributes: Sequence[str]) -> SuperPeerId:
     distribution = classify(tree, attributes)
     best = max(distribution.probabilities.values())
     return min(label for label, p in distribution.probabilities.items() if p == best)
-
-
-def relevant_sps(tree: DecisionTree, query: Query) -> set[SuperPeerId]:
-    """Super-peers with nonzero probability of answering the query."""
-    attributes = tuple(c.render() for c in query.components)
-    distribution = classify(tree, attributes)
-    return {label for label, p in distribution.probabilities.items() if p > 0}
 
 
 def training_accuracy(tree: DecisionTree, instances: Sequence[Instance]) -> float:

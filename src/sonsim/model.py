@@ -1,4 +1,10 @@
-"""Expertise vocabulary, queries and the relevance predicates shared by every routing strategy.
+"""Expertise vocabulary, queries and the relevance kernel shared by every routing strategy.
+
+Relevance is decided here and nowhere else: `capacity` and `is_relevant`
+score one expertise, `relevant_peers_indexed` finds every relevant peer of a
+network through its inverted element index (the kernel both routers and the
+engine's oracle read), and `oracle_relevant_peers` is the plain exhaustive
+scan the tests hold the kernel to.
 
 Everything here is an immutable value; the operations are pure functions, so
 they can be evaluated concurrently and give the same answer under replay.
@@ -50,33 +56,6 @@ class Query:
     components: tuple[ExpertiseElement, ...]
 
 
-@dataclass(frozen=True)
-class DomainAdvertisement:
-    """What a joining peer sends to its super-peer: identity, expertise, topic,
-    acceptance threshold and a hop budget."""
-
-    pid: PeerId
-    expertise: Expertise
-    theme: str
-    eps_acc: float
-    ttl: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.eps_acc <= 1.0:
-            raise ValueError(f"eps_acc must lie in [0, 1], got {self.eps_acc}")
-        if self.ttl < 0:
-            raise ValueError(f"ttl must be >= 0, got {self.ttl}")
-
-
-def sim(e1: ExpertiseElement, e2: ExpertiseElement) -> float:
-    """Similarity between two expertise elements: 1.0 if equal, else 0.0.
-
-    Symbolic couples are compared exactly; the graded-threshold machinery
-    lives at the capacity level instead.
-    """
-    return 1.0 if e1 == e2 else 0.0
-
-
 def capacity(expertise: AbstractSet[ExpertiseElement], query: Query) -> float:
     """Fraction of the query's components covered by an expertise.
 
@@ -113,3 +92,22 @@ def oracle_relevant_peers(net: "Network", query: Query, eps_acc: float) -> set[P
         for pid, peer in net.peers.items()
         if is_relevant(peer.expertise, query, eps_acc)
     }
+
+
+def relevant_peers_indexed(net: "Network", query: Query, eps_acc: float) -> set[PeerId]:
+    """Oracle-equivalent relevance via the network's inverted element index.
+
+    Per-peer hit counts are compared exactly as capacity() compares, so the
+    result matches oracle_relevant_peers on every input.
+    """
+    comps = query.components
+    if not comps:
+        raise ValueError("empty query")
+    if eps_acc <= 0.0:
+        return set(net.peers)
+    counts: dict[int, int] = {}
+    for comp in comps:
+        for pid in net.element_index.get(comp, ()):
+            counts[pid] = counts.get(pid, 0) + 1
+    n = len(comps)
+    return {pid for pid, hits in counts.items() if hits / n >= eps_acc}

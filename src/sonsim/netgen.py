@@ -63,11 +63,6 @@ class CorrespondenceMatrix:
     def entry(self, i: SuperPeerId, j: SuperPeerId) -> int:
         return self._entries.get((min(i, j), max(i, j)), 0)
 
-    def without(self, sp_id: SuperPeerId) -> "CorrespondenceMatrix":
-        return CorrespondenceMatrix(
-            {pair: c for pair, c in self._entries.items() if sp_id not in pair}
-        )
-
     def pairs(self):
         """Nonzero entries as sorted ((i, j), count) tuples."""
         return sorted(self._entries.items())
@@ -90,27 +85,18 @@ class Network:
     cormat: CorrespondenceMatrix
     config: Config
     seed: int
-    # Derived lookup tables for the routers; rebuilt on construction.
-    members_index: dict[SuperPeerId, tuple[tuple[PeerId, Expertise], ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    # Inverted index element -> holding peers (ascending ids) for the
+    # relevance kernel, model.relevant_peers_indexed; rebuilt on construction.
     element_index: dict[ExpertiseElement, tuple[PeerId, ...]] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        members_index = {}
-        for spid in sorted(self.super_peers):
-            sp = self.super_peers[spid]
-            members_index[spid] = tuple(
-                (pid, self.peers[pid].expertise) for pid in sorted(sp.members)
-            )
         holders: dict[ExpertiseElement, list[PeerId]] = {}
         for pid in sorted(self.peers):
             for element in self.peers[pid].expertise:
                 holders.setdefault(element, []).append(pid)
         element_index = {element: tuple(pids) for element, pids in holders.items()}
-        object.__setattr__(self, "members_index", members_index)
         object.__setattr__(self, "element_index", element_index)
 
 
@@ -254,33 +240,6 @@ def trust(net: Network, i: SuperPeerId, j: SuperPeerId) -> int:
         if spid not in net.super_peers:
             raise ValueError(f"unknown super-peer {spid}")
     return net.cormat.entry(i, j)
-
-
-def sp_departure(net: Network, leaving: SuperPeerId) -> Network:
-    """Remove a super-peer; its members re-attach to the remaining super-peer
-    it trusts most (ties broken by lowest id)."""
-    if leaving not in net.super_peers:
-        raise ValueError(f"unknown super-peer {leaving}")
-    if len(net.super_peers) < 2:
-        raise ValueError("the last remaining super-peer cannot depart")
-
-    remaining = sorted(spid for spid in net.super_peers if spid != leaving)
-    target = min(remaining, key=lambda j: (-net.cormat.entry(leaving, j), j))
-
-    orphans = net.super_peers[leaving].members
-    peers = {
-        pid: dataclasses.replace(p, super_peer=target) if pid in orphans else p
-        for pid, p in net.peers.items()
-    }
-    sps = {}
-    for spid in remaining:
-        sp = net.super_peers[spid]
-        new_members = sp.members | orphans if spid == target else sp.members
-        sps[spid] = dataclasses.replace(
-            sp, friends=sp.friends - {leaving}, members=new_members
-        )
-    return Network(peers=peers, super_peers=sps, cormat=net.cormat.without(leaving),
-                   config=net.config, seed=net.seed)
 
 
 def serialize_network(net: Network) -> str:

@@ -25,12 +25,10 @@ from sonsim.dtree import (
     gain_ratio,
     information_gain,
     predict,
-    relevant_sps,
     render_tree,
     split_information,
     training_accuracy,
 )
-from sonsim.model import ExpertiseElement, Query
 
 
 # 14-row weather-style fixture; classes: 1 = positive, 0 = negative.
@@ -187,20 +185,23 @@ class TestClassify:
 
 
 class TestRelevantSps:
+    """The candidate super-peers a knowledge node names: the labels that
+    classify() gives nonzero probability."""
+
     def test_leaf_support_only(self):
-        tree = Leaf({0: 5})
-        q = Query("q", 0, (ExpertiseElement("a", "b"),))
-        assert relevant_sps(tree, q) == {0}
+        assert set(classify(Leaf({0: 5}), ("a.b",)).probabilities) == {0}
+
+    def test_zero_counts_are_not_candidates(self):
+        assert set(classify(Leaf({0: 5, 1: 0}), ("a.b",)).probabilities) == {0}
 
     def test_fallback_distribution_support(self):
         tree = Node(0, {"seen": Leaf({1: 2})}, {0: 3, 2: 1})
-        q = Query("q", 0, (ExpertiseElement("zz", "zz"),))
-        assert relevant_sps(tree, q) == {0, 2}
+        assert set(classify(tree, ("zz.zz",)).probabilities) == {0, 2}
 
     def test_never_empty(self):
         tree = build_tree(FIXTURE, min_leaf=1)
-        q = Query("q", 0, tuple(ExpertiseElement("n", str(i)) for i in range(4)))
-        assert relevant_sps(tree, q)
+        unseen = tuple(f"n.{i}" for i in range(4))
+        assert classify(tree, unseen).probabilities
 
 
 class TestRenderTree:

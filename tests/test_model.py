@@ -1,17 +1,15 @@
-"""Similarity, capacity, relevance and the exhaustive oracle."""
+"""Capacity, relevance and the exhaustive oracle."""
 
 import pytest
 
 from sonsim.config import Config, substream
 from sonsim.model import (
-    DomainAdvertisement,
     ExpertiseElement,
     Query,
     capacity,
     is_relevant,
     oracle_relevant_peers,
     parse_element,
-    sim,
 )
 from sonsim.netgen import build_son
 
@@ -38,23 +36,6 @@ class TestElements:
     def test_equality_is_coordinatewise(self):
         assert E("a", "b") == E("a", "b")
         assert E("a", "b") != E("b", "a")
-
-
-class TestSim:
-    def test_identity_case(self):
-        assert sim(E("a", "b"), E("a", "b")) == 1.0
-
-    def test_distinct_coordinate_case(self):
-        assert sim(E("a", "b"), E("a", "c")) == 0.0
-
-    def test_order_matters(self):
-        assert sim(E("a", "b"), E("b", "a")) == 0.0
-
-    def test_symmetric_and_two_valued(self):
-        pairs = [(E("a", "b"), E("a", "b")), (E("a", "b"), E("c", "d"))]
-        for e1, e2 in pairs:
-            assert sim(e1, e2) == sim(e2, e1)
-            assert sim(e1, e2) in (0.0, 1.0)
 
 
 class TestCapacity:
@@ -104,19 +85,6 @@ class TestIsRelevant:
     def test_threshold_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             is_relevant(frozenset(), Q(E("a", "b")), 1.5)
-
-
-class TestDomainAdvertisement:
-    def test_valid_advertisement(self):
-        da = DomainAdvertisement(pid=3, expertise=frozenset({E("a", "b")}),
-                                 theme="qq", eps_acc=0.5, ttl=4)
-        assert da.pid == 3
-
-    def test_rejects_bad_threshold_and_ttl(self):
-        with pytest.raises(ValueError):
-            DomainAdvertisement(1, frozenset(), "qq", 1.5, 0)
-        with pytest.raises(ValueError):
-            DomainAdvertisement(1, frozenset(), "qq", 0.5, -1)
 
 
 def _relevant_by_counting(net, query, eps_acc):

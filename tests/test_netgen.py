@@ -1,4 +1,4 @@
-"""Network synthesis: domains, expertise, friend links, peers, trust, churn."""
+"""Network synthesis: domains, expertise, friend links, peers, trust."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from sonsim.netgen import (
     generate_sp_expertise,
     link_friends_and_duplicate,
     serialize_network,
-    sp_departure,
     trust,
 )
 
@@ -209,47 +208,3 @@ class TestTrust:
                                min_peer_expertise=1, seed=5))
         with pytest.raises(ValueError):
             trust(net, 1, 1)
-
-
-class TestSpDeparture:
-    def _forced_trust_net(self):
-        net = build_son(Config(np=30, nsp=3, friends_per_sp=1, dup_count=1,
-                               seed=13))
-        return net
-
-    def test_members_follow_highest_trust(self):
-        net = self._forced_trust_net()
-        trusts = {j: trust(net, 0, j) for j in (1, 2)}
-        target = min((j for j in (1, 2)), key=lambda j: (-trusts[j], j))
-        moved = sp_departure(net, 0)
-        orphans = net.super_peers[0].members
-        assert orphans <= moved.super_peers[target].members
-        for pid in orphans:
-            assert moved.peers[pid].super_peer == target
-
-    def test_tie_breaks_to_lowest_id(self):
-        net = build_son(Config(np=30, nsp=3, friends_per_sp=0, dup_count=1,
-                               seed=13))
-        # No links at all: every trust is 0, so ties resolve to the lowest id.
-        moved = sp_departure(net, 1)
-        for pid in net.super_peers[1].members:
-            assert moved.peers[pid].super_peer == 0
-
-    def test_departed_sp_fully_removed(self):
-        net = self._forced_trust_net()
-        moved = sp_departure(net, 0)
-        assert 0 not in moved.super_peers
-        assert all(0 not in sp.friends for sp in moved.super_peers.values())
-        assert all(0 not in pair for pair, _ in moved.cormat.pairs())
-
-    def test_peer_count_preserved_and_sp_count_drops(self):
-        net = self._forced_trust_net()
-        moved = sp_departure(net, 2)
-        assert len(moved.peers) == len(net.peers)
-        assert len(moved.super_peers) == len(net.super_peers) - 1
-
-    def test_last_sp_cannot_depart(self):
-        net = build_son(Config(np=1, nsp=1, friends_per_sp=0,
-                               min_peer_expertise=1, seed=5))
-        with pytest.raises(ValueError):
-            sp_departure(net, 0)

@@ -1,9 +1,10 @@
 """Randomized invariant suites for the module-level properties.
 
 The six acceptance-gated property suites live in test_acceptance; these cover
-the remaining invariants: similarity algebra, capacity ranges, relevance
-boundaries, routing monotonicity in the threshold, churn conservation,
-distribution normalization, and grouping stability under relabeling.
+the remaining invariants: capacity ranges, relevance boundaries, both routers
+agreeing with a plain relevance scan of the communities they search, routing
+monotonicity in the threshold, distribution normalization, and grouping
+stability under relabeling.
 """
 
 import dataclasses
@@ -12,11 +13,11 @@ from functools import lru_cache
 from hypothesis import assume, given, settings, strategies as st
 
 from sonsim.config import Config
-from sonsim.baseline import generate_queries, route_baseline
-from sonsim.dtree import Instance, build_tree, classify, entropy, relevant_sps, training_accuracy
-from sonsim.model import ExpertiseElement, Query, capacity, is_relevant, oracle_relevant_peers, sim
-from sonsim.netgen import CorrespondenceMatrix, Network, build_son, sp_departure
-from sonsim.ksp import form_groups
+from sonsim.baseline import generate_queries, route_baseline, run_baseline_epoch
+from sonsim.dtree import Instance, build_tree, classify, entropy, training_accuracy
+from sonsim.model import ExpertiseElement, Query, capacity, is_relevant, oracle_relevant_peers
+from sonsim.netgen import CorrespondenceMatrix, Network, build_son
+from sonsim.ksp import form_groups, route_kb, train_indices
 from sonsim.config import substream
 
 TOKENS = ["a", "b", "c", "d", "e"]
@@ -53,13 +54,6 @@ def peer_query(net, seed, n=4):
     return generate_queries(net.peers[pid], 1, n, rng, id_prefix="pq")[0]
 
 
-@given(e1=elements, e2=elements)
-def test_sim_symmetric_reflexive_two_valued(e1, e2):
-    assert sim(e1, e1) == 1.0
-    assert sim(e1, e2) == sim(e2, e1)
-    assert sim(e1, e2) in (0.0, 1.0)
-
-
 @given(e=expertises, q=queries)
 def test_capacity_is_a_fraction_of_n(e, q):
     n = len(q.components)
@@ -80,6 +74,77 @@ def test_oracle_at_zero_threshold_is_everyone(key, seed):
     assert oracle_relevant_peers(net, peer_query(net, seed), 0.0) == set(net.peers)
 
 
+# (origin peer, components, repeat the first component); each component is
+# drawn from the origin's community (True) or from the whole vocabulary.
+router_queries = st.tuples(
+    st.integers(min_value=0, max_value=10_000),
+    st.lists(st.tuples(st.booleans(), st.integers(min_value=0, max_value=10_000)),
+             min_size=1, max_size=5),
+    st.booleans(),
+)
+thresholds = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def router_query(net, drawn):
+    origin, picks, repeat = drawn
+    pid = origin % len(net.peers)
+    local = sorted(net.super_peers[net.peers[pid].super_peer].expertise)
+    vocabulary = sorted(set().union(*(sp.expertise for sp in net.super_peers.values())))
+    comps = []
+    for own, i in picks:
+        pool = local if own else vocabulary
+        comps.append(pool[i % len(pool)])
+    if repeat:
+        comps.append(comps[0])
+    return Query(id="r", origin_peer=pid, components=tuple(comps))
+
+
+def assert_answers_match_plain_scan(net, query, eps, result):
+    """Per searched super-peer, the answering peers are exactly its members
+    that is_relevant accepts, and it answers iff there is one."""
+    relevant = {
+        s: {p for p in net.super_peers[s].members
+            if is_relevant(net.peers[p].expertise, query, eps)}
+        for s in result.searched_sps
+    }
+    assert result.answering_peers == set().union(*relevant.values())
+    assert result.answering_sps == {s for s, peers in relevant.items() if peers}
+
+
+@lru_cache(maxsize=256)
+def cached_overlay(key, tau, n_components):
+    """Indices trained on a flooded baseline log, so trees name super-peers
+    in foreign groups and routing exercises two-hop relays. A tree only
+    classifies queries of the length it was trained on."""
+    net = draw_net(key)
+    rng = substream(7, "train")
+    workload = [q for pid in sorted(net.peers)
+                for q in generate_queries(net.peers[pid], 2, n_components, rng, id_prefix="t")]
+    log, _ = run_baseline_epoch(net, workload, 0.5, max_hops=None)
+    return train_indices(form_groups(net, tau), log)
+
+
+@given(key=net_keys, drawn=router_queries, eps=thresholds,
+       max_hops=st.sampled_from([0, 1, None]))
+@settings(deadline=None)
+def test_baseline_answers_match_plain_scan(key, drawn, eps, max_hops):
+    net = draw_net(key)
+    q = router_query(net, drawn)
+    sp = net.peers[q.origin_peer].super_peer
+    assert_answers_match_plain_scan(net, q, eps, route_baseline(net, q, sp, eps, max_hops))
+
+
+@given(key=net_keys, drawn=router_queries, eps=thresholds, tau=st.sampled_from([3, 4]))
+@settings(deadline=None)
+def test_kb_answers_match_plain_scan(key, drawn, eps, tau):
+    net = draw_net(key)
+    q = router_query(net, drawn)
+    overlay = cached_overlay(key, tau, len(q.components))
+    assume(len(overlay.groups) > 1)
+    sp = net.peers[q.origin_peer].super_peer
+    assert_answers_match_plain_scan(net, q, eps, route_kb(net, overlay, q, sp, eps))
+
+
 @given(key=net_keys, seed=st.integers(min_value=0, max_value=1000))
 @settings(deadline=None)
 def test_raising_threshold_never_grows_answers(key, seed):
@@ -92,18 +157,6 @@ def test_raising_threshold_never_grows_answers(key, seed):
         if previous is not None:
             assert answers <= previous
         previous = answers
-
-
-@given(key=net_keys)
-@settings(deadline=None)
-def test_departure_conserves_peers(key):
-    net = draw_net(key)
-    assume(len(net.super_peers) >= 2)
-    moved = sp_departure(net, min(net.super_peers))
-    assert len(moved.peers) == len(net.peers)
-    assert len(moved.super_peers) == len(net.super_peers) - 1
-    membership = [pid for sp in moved.super_peers.values() for pid in sp.members]
-    assert sorted(membership) == sorted(moved.peers)
 
 
 @given(counts=st.dictionaries(st.integers(min_value=0, max_value=9),
@@ -137,8 +190,8 @@ def test_classify_normalizes_with_support(instances):
 def test_relevant_sps_stay_inside_training_classes(instances):
     tree = build_tree(instances, min_leaf=1)
     trained = {inst.class_label for inst in instances}
-    q = Query("q", 0, tuple(ExpertiseElement("z", str(i)) for i in range(3)))
-    assert relevant_sps(tree, q) <= trained
+    unseen = tuple(f"z.{i}" for i in range(3))
+    assert set(classify(tree, unseen).probabilities) <= trained
 
 
 @given(instances=instance_sets)
