@@ -1,11 +1,13 @@
 """Two-level semantic query routing and the global query log it produces.
 
-Local search is always exhaustive over the origin community. Global search
-evaluates each friend super-peer's expertise against the query and forwards
-to the qualifying ones, breadth-first, each super-peer processing a given
-query at most once. `mapping_ops` counts the members and friends probed, one
-mapping each, and the forwarding tree is kept so response time can later be
-costed along its critical path.
+Local search covers the whole origin community: its answers are the members
+in the query's relevant set, which the engine computes once per query with
+the relevance kernel and passes in. Global search evaluates each friend
+super-peer's expertise against the query and forwards to the qualifying ones,
+breadth-first, each super-peer processing a given query at most once.
+`mapping_ops` counts the members and friends probed, one mapping each, and
+the forwarding tree is kept so response time can later be costed along its
+critical path.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from random import Random
+from typing import AbstractSet
 
 from .model import (
     ExpertiseElement,
@@ -21,7 +24,6 @@ from .model import (
     SuperPeerId,
     capacity,
     parse_element,
-    relevant_peers_indexed,
 )
 from .netgen import Network, Peer
 
@@ -121,12 +123,16 @@ class _Segment:
                            branches=tuple(child.freeze() for child in self.children))
 
 
-def route_baseline(net: Network, query: Query, sp: SuperPeerId, eps_acc: float,
+def route_baseline(net: Network, query: Query, sp: SuperPeerId,
+                   relevant: AbstractSet[PeerId], eps_acc: float,
                    max_hops: int | None = 1) -> RoutingResult:
     """Route one query from super-peer `sp` (the origin peer's community head).
 
-    max_hops bounds the forwarding depth: 0 is local-only, 1 reaches direct
-    friends, None floods until no unvisited qualifying super-peer remains.
+    `relevant` is the query's relevant peer set (`relevant_peers_indexed` at
+    `eps_acc`); every searched community answers with its members in it.
+    `eps_acc` still decides which friend super-peers qualify. max_hops bounds
+    the forwarding depth: 0 is local-only, 1 reaches direct friends, None
+    floods until no unvisited qualifying super-peer remains.
     """
     if sp not in net.super_peers:
         raise ValueError(f"unknown super-peer {sp}")
@@ -135,7 +141,6 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId, eps_acc: float,
     if max_hops is not None and max_hops < 0:
         raise ValueError("max_hops must be >= 0 or None for unbounded")
 
-    relevant = relevant_peers_indexed(net, query, eps_acc)
     answering_peers: set[PeerId] = set()
     answering_sps: set[SuperPeerId] = set()
     mapping_ops = 0
@@ -184,16 +189,21 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId, eps_acc: float,
     )
 
 
-def run_baseline_epoch(net: Network, workload: list[Query], eps_acc: float,
+def run_baseline_epoch(net: Network, workload: list[Query],
+                       relevant: list[AbstractSet[PeerId]], eps_acc: float,
                        max_hops: int | None = 1) -> tuple[QueryLog, list[RoutingResult]]:
-    """Route every query in order; one log record per query."""
+    """Route every query in order; one log record per query.
+
+    relevant[i] is the relevant peer set of workload[i]; a length mismatch
+    raises ValueError.
+    """
     if not workload:
         raise ValueError("workload is empty")
     log = QueryLog()
     results = []
-    for query in workload:
+    for query, query_relevant in zip(workload, relevant, strict=True):
         origin_sp = net.peers[query.origin_peer].super_peer
-        result = route_baseline(net, query, origin_sp, eps_acc, max_hops)
+        result = route_baseline(net, query, origin_sp, query_relevant, eps_acc, max_hops)
         results.append(result)
         log.append(LogRecord(
             query_id=query.id,

@@ -81,6 +81,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_groups(overlay, config: Config) -> None:
+    """Print the domain-group count and warn when grouping is degenerate:
+    with every super-peer in one group no query is relayed across groups."""
+    sizes = [len(g.members) for g in overlay.groups.values()]
+    print(f"ksp groups: {len(sizes)}, largest {max(sizes)} super-peers")
+    if config.nsp > 1 and len(sizes) == 1:
+        print(f"sonsim: warning: all {config.nsp} super-peers form one group at "
+              f"tau_trust={config.tau_trust}; no query is relayed to a foreign group",
+              file=sys.stderr)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = _build_config(args)
     include_kb = args.strategy in (KSP, "both")
@@ -126,6 +137,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"{strategy}: {s.n_queries} queries, mean response time "
               f"{s.mean_response_time:.3f}, precision {s.mean_precision:.4f}, "
               f"recall {s.mean_recall:.4f}, sp-precision {s.mean_sp_precision:.4f}")
+    if include_kb:
+        _report_groups(artifacts.overlay, config)
     print(f"artifacts in {outdir}")
     return 0
 
@@ -158,6 +171,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_train_index(args: argparse.Namespace) -> int:
+    if not 0.0 <= args.holdout < 1.0:
+        raise ValueError(f"--holdout must lie in [0, 1), got {args.holdout}")
     log_path = Path(args.log)
     if not log_path.exists():
         raise ValueError(f"log not found: {log_path}")
@@ -172,7 +187,7 @@ def cmd_train_index(args: argparse.Namespace) -> int:
     print(f"{len(instances)} instances from {len(log)} records -> {outdir / 'dataset.arff'}")
     print(f"training accuracy (records): {record_accuracy(tree, log):.4f}")
     print(f"training accuracy (instances): {training_accuracy(tree, instances):.4f}")
-    if 0.0 < args.holdout < 1.0:
+    if args.holdout > 0.0:
         records = log.records
         split = int(len(records) * (1.0 - args.holdout))
         if 0 < split < len(records):

@@ -3,10 +3,10 @@ scalability sweeps.
 
 Response time is costed along the critical path of a result's forwarding
 tree: sequential segments add up, parallel branches contribute their maximum.
-Precision and recall are computed against the exhaustive relevance oracle;
-the engine evaluates it with the relevance kernel in `model`
-(`relevant_peers_indexed`), which the test suite pins as equal to the plain
-exhaustive scan.
+The engine runs the relevance kernel in `model` (`relevant_peers_indexed`,
+which the test suite pins as equal to the plain exhaustive scan) once per
+query. That one set is what both routers search communities with and what
+precision and recall are scored against.
 """
 
 from __future__ import annotations
@@ -198,16 +198,27 @@ def run_pipeline(config: Config, include_kb: bool = True,
     stream. When an external train_log is supplied the training epoch is
     skipped and replay mode reconstructs the evaluation queries from the log
     records.
+
+    Relevance is computed once per query with `relevant_peers_indexed`. The
+    training workload's sets drive the training epoch and, in replay mode,
+    are reused for the evaluation workload, whose queries are the same. The
+    evaluation sets feed the evaluation baseline epoch, the knowledge epoch
+    and the precision/recall oracle.
     """
     config.validate()
     net = build_son(config)
     model = CostModel.from_config(config)
 
+    def relevance(workload: list[Query]) -> list[set[PeerId]]:
+        return [relevant_peers_indexed(net, q, config.eps_acc) for q in workload]
+
     train_workload: list[Query] | None = None
+    relevant: list[set[PeerId]] = []
     if train_log is None:
         train_workload = make_workload(net, config, "workload-baseline", "t")
-        train_log, _ = run_baseline_epoch(net, train_workload, config.eps_acc,
-                                          hops_limit(config))
+        relevant = relevance(train_workload)
+        train_log = run_baseline_epoch(net, train_workload, relevant, config.eps_acc,
+                                       hops_limit(config))[0]
 
     if config.workload_mode == "replay":
         if train_workload is not None:
@@ -220,10 +231,13 @@ def run_pipeline(config: Config, include_kb: bool = True,
                  for r in train_log],
                 "e",
             )
+            relevant = relevance(eval_workload)
     else:
+        relevant = []  # free the training sets before building the evaluation ones
         eval_workload = make_workload(net, config, "workload-kb", "e")
+        relevant = relevance(eval_workload)
 
-    _, baseline_results = run_baseline_epoch(net, eval_workload, config.eps_acc,
+    _, baseline_results = run_baseline_epoch(net, eval_workload, relevant, config.eps_acc,
                                              hops_limit(config))
 
     overlay = None
@@ -233,18 +247,16 @@ def run_pipeline(config: Config, include_kb: bool = True,
         overlay = form_groups(net, config.tau_trust)
         overlay = train_indices(overlay, train_log, config.min_leaf)
         kb_log, kb_results, overlay = run_kb_epoch(
-            net, overlay, eval_workload, train_log, config.eps_acc,
+            net, overlay, eval_workload, relevant, train_log,
             refresh_every=config.refresh_every, min_leaf=config.min_leaf,
         )
 
-    oracles = {q.id: relevant_peers_indexed(net, q, config.eps_acc)
-               for q in eval_workload}
     rows: dict[str, list[QueryMetrics]] = {}
-    rows[BASELINE] = [query_metrics(q, r, oracles[q.id], model)
-                      for q, r in zip(eval_workload, baseline_results)]
+    rows[BASELINE] = [query_metrics(q, r, oracle, model)
+                      for q, r, oracle in zip(eval_workload, baseline_results, relevant)]
     if kb_results is not None:
-        rows[KSP] = [query_metrics(q, r, oracles[q.id], model)
-                     for q, r in zip(eval_workload, kb_results)]
+        rows[KSP] = [query_metrics(q, r, oracle, model)
+                     for q, r, oracle in zip(eval_workload, kb_results, relevant)]
     summaries = {name: summarize(name, rs) for name, rs in rows.items()}
     if not per_query:
         rows = {name: [] for name in rows}

@@ -7,12 +7,15 @@ expertise with it. Indices are trained with class labels spanning the whole
 network, which is what lets a group name relevant super-peers outside itself.
 Index-driven routing replaces all super-peer-level capacity evaluations with
 one tree walk; only peer-level evaluations remain metered as mapping work.
+Which peers of a searched community answer comes from the query's relevant
+set, which the engine computes once per query and passes in.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import AbstractSet
 
 from .baseline import LogRecord, PathSegment, QueryLog, RoutingResult
 from .dtree import (
@@ -24,7 +27,7 @@ from .dtree import (
     classify_traced,
     predict,
 )
-from .model import PeerId, Query, SuperPeerId, relevant_peers_indexed
+from .model import PeerId, Query, SuperPeerId
 from .model import capacity  # noqa: F401  benchmark/probe.py counts calls through ksp.capacity
 from .netgen import Network
 
@@ -137,22 +140,21 @@ def train_indices(overlay: KspOverlay, log: QueryLog, min_leaf: int = 2) -> KspO
 
 
 def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
-             eps_acc: float) -> RoutingResult:
+             relevant: AbstractSet[PeerId]) -> RoutingResult:
     """Index-driven routing.
 
     The origin community is searched locally while the query travels one hop
     to the group's knowledge node, whose tree names the candidate super-peers
     without any super-peer-level mapping. Same-group candidates are one hop
     away; foreign ones are relayed through their own group's knowledge node
-    (two hops). Every candidate community is then searched locally.
+    (two hops). Every candidate community is then searched locally: its
+    answers are its members in `relevant`, the query's relevant peer set.
     """
     if sp not in net.super_peers:
         raise ValueError(f"unknown super-peer {sp}")
     group = overlay.groups[overlay.sp_to_group[sp]]
     if group.index is None:
         raise ValueError("index not trained")
-
-    relevant = relevant_peers_indexed(net, query, eps_acc)
 
     def local_search(spid: int) -> tuple[set[PeerId], int]:
         members = net.super_peers[spid].members
@@ -212,20 +214,24 @@ def refresh_knowledge(overlay: KspOverlay, log: QueryLog, every_r: int,
 
 
 def run_kb_epoch(net: Network, overlay: KspOverlay, workload: list[Query],
-                 base_log: QueryLog, eps_acc: float, refresh_every: int = 0,
+                 relevant: list[AbstractSet[PeerId]], base_log: QueryLog,
+                 refresh_every: int = 0,
                  min_leaf: int = 2) -> tuple[QueryLog, list[RoutingResult], KspOverlay]:
     """Route a workload with the knowledge strategy, appending to the
     cumulative log and periodically refreshing the indices from it.
 
-    refresh_every = 0 keeps the knowledge static for the whole epoch.
+    relevant[i] is the relevant peer set of workload[i]; a length mismatch
+    raises ValueError. refresh_every = 0 keeps the knowledge static for the
+    whole epoch.
     """
     if not workload:
         raise ValueError("workload is empty")
     cumulative = QueryLog(base_log.records)
     results = []
-    for routed, query in enumerate(workload, start=1):
+    pairs = zip(workload, relevant, strict=True)
+    for routed, (query, query_relevant) in enumerate(pairs, start=1):
         origin_sp = net.peers[query.origin_peer].super_peer
-        result = route_kb(net, overlay, query, origin_sp, eps_acc)
+        result = route_kb(net, overlay, query, origin_sp, query_relevant)
         results.append(result)
         cumulative.append(LogRecord(
             query_id=query.id,

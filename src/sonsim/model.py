@@ -2,9 +2,9 @@
 
 Relevance is decided here and nowhere else: `capacity` and `is_relevant`
 score one expertise, `relevant_peers_indexed` finds every relevant peer of a
-network through its inverted element index (the kernel both routers and the
-engine's oracle read), and `oracle_relevant_peers` is the plain exhaustive
-scan the tests hold the kernel to.
+network through its inverted element index, and `oracle_relevant_peers` is the
+plain exhaustive scan the tests hold the kernel to. The engine runs the kernel
+once per query and hands that one set to both routers and to its oracle.
 
 Everything here is an immutable value; the operations are pure functions, so
 they can be evaluated concurrently and give the same answer under replay.

@@ -13,7 +13,13 @@ from sonsim.baseline import (
     run_baseline_epoch,
     write_query_log,
 )
-from sonsim.model import Query, capacity, is_relevant, oracle_relevant_peers
+from sonsim.model import (
+    Query,
+    capacity,
+    is_relevant,
+    oracle_relevant_peers,
+    relevant_peers_indexed,
+)
 from sonsim.netgen import build_son
 
 
@@ -24,6 +30,16 @@ def small_net(np=40, nsp=4, seed=21, **kw):
 def queries_for(net, pid, count=3, n=4, seed=5, prefix="q"):
     return generate_queries(net.peers[pid], count, n, substream(seed, "wl"),
                             id_prefix=prefix)
+
+
+def route(net, q, sp, eps, max_hops=1):
+    """route_baseline with the query's relevant set computed as the engine does."""
+    return route_baseline(net, q, sp, relevant_peers_indexed(net, q, eps), eps, max_hops)
+
+
+def epoch(net, workload, eps):
+    return run_baseline_epoch(net, workload,
+                              [relevant_peers_indexed(net, q, eps) for q in workload], eps)
 
 
 class TestGenerateQueries:
@@ -90,7 +106,7 @@ class TestRouteBaseline:
     def test_single_community_answers_its_own_query(self):
         net = small_net(np=5, nsp=1, friends_per_sp=0)
         q = queries_for(net, 2, count=1)[0]
-        result = route_baseline(net, q, 0, 0.5, max_hops=1)
+        result = route(net, q, 0, 0.5, max_hops=1)
         assert 2 in result.answering_peers
         assert result.hops == 0
         assert result.searched_sps == frozenset({0})
@@ -98,7 +114,7 @@ class TestRouteBaseline:
     def test_flood_matches_oracle_at_zero_threshold(self):
         net = small_net(np=30, nsp=3, friends_per_sp=2)
         q = queries_for(net, 4, count=1)[0]
-        result = route_baseline(net, q, net.peers[4].super_peer, 0.0, max_hops=None)
+        result = route(net, q, net.peers[4].super_peer, 0.0, max_hops=None)
         assert result.answering_peers == oracle_relevant_peers(net, q, 0.0)
 
     def test_matches_reference_router_on_ten_sp_network(self):
@@ -107,7 +123,7 @@ class TestRouteBaseline:
         for _ in range(30):
             pid = rng.randrange(100)
             q = generate_queries(net.peers[pid], 1, 4, rng, id_prefix=f"r{pid}-")[0]
-            result = route_baseline(net, q, net.peers[pid].super_peer, 0.5, max_hops=1)
+            result = route(net, q, net.peers[pid].super_peer, 0.5, max_hops=1)
             ref_peers, ref_sps = _reference_route_one_hop(net, q, 0.5)
             assert result.answering_peers == ref_peers
             assert result.answering_sps == ref_sps
@@ -115,7 +131,7 @@ class TestRouteBaseline:
     def test_every_answering_peer_is_relevant(self):
         net = small_net(np=60, nsp=6)
         q = queries_for(net, 11, count=1)[0]
-        result = route_baseline(net, q, net.peers[11].super_peer, 0.5)
+        result = route(net, q, net.peers[11].super_peer, 0.5)
         for pid in result.answering_peers:
             assert is_relevant(net.peers[pid].expertise, q, 0.5)
 
@@ -123,13 +139,13 @@ class TestRouteBaseline:
         net = small_net(np=40, nsp=4)
         q = queries_for(net, 1, count=1)[0]
         origin_sp = net.peers[1].super_peer
-        result = route_baseline(net, q, origin_sp, 0.5)
+        result = route(net, q, origin_sp, 0.5)
         assert result.mapping_ops >= len(net.super_peers[origin_sp].members)
 
     def test_local_only_when_max_hops_zero(self):
         net = small_net(np=40, nsp=4)
         q = queries_for(net, 1, count=1)[0]
-        result = route_baseline(net, q, net.peers[1].super_peer, 0.0, max_hops=0)
+        result = route(net, q, net.peers[1].super_peer, 0.0, max_hops=0)
         assert result.hops == 0
         assert result.searched_sps == frozenset({net.peers[1].super_peer})
 
@@ -137,12 +153,12 @@ class TestRouteBaseline:
         net = small_net()
         q = queries_for(net, 0, count=1)[0]
         with pytest.raises(ValueError, match="unknown super-peer"):
-            route_baseline(net, q, 99, 0.5)
+            route(net, q, 99, 0.5)
 
     def test_each_sp_processed_once_under_flood(self):
         net = small_net(np=30, nsp=6, friends_per_sp=3)
         q = queries_for(net, 0, count=1)[0]
-        result = route_baseline(net, q, 0, 0.0, max_hops=None)
+        result = route(net, q, 0, 0.0, max_hops=None)
         # Forward count equals newly visited super-peers: no duplicates.
         assert result.hops == len(result.searched_sps) - 1
 
@@ -151,7 +167,7 @@ class TestCostTree:
     def test_local_only_tree_has_no_branches(self):
         net = small_net(np=10, nsp=1, friends_per_sp=0)
         q = queries_for(net, 0, count=1)[0]
-        result = route_baseline(net, q, 0, 0.5)
+        result = route(net, q, 0, 0.5)
         assert result.cost_tree.branches == ()
         assert result.cost_tree.maps == result.mapping_ops
         assert result.cost_tree.hops == 0
@@ -159,7 +175,7 @@ class TestCostTree:
     def test_totals_match_tree_sums(self):
         net = small_net(np=60, nsp=6)
         q = queries_for(net, 13, count=1)[0]
-        result = route_baseline(net, q, net.peers[13].super_peer, 0.0, max_hops=2)
+        result = route(net, q, net.peers[13].super_peer, 0.0, max_hops=2)
 
         def sums(seg: PathSegment):
             hops, maps = seg.hops, seg.maps
@@ -179,20 +195,20 @@ class TestEpochAndLog:
         net = small_net(np=12, nsp=3, friends_per_sp=2)
         workload = [q for pid in range(12) for q in queries_for(net, pid, count=1,
                                                                 prefix=f"w{pid}-")]
-        log, results = run_baseline_epoch(net, workload, 0.5)
+        log, results = epoch(net, workload, 0.5)
         assert len(log) == len(workload) == len(results)
 
     def test_count_conservation(self):
         net = small_net(np=20, nsp=4)
         workload = [q for pid in range(20)
                     for q in queries_for(net, pid, count=5, prefix=f"w{pid}-")]
-        log, _ = run_baseline_epoch(net, workload, 0.5)
+        log, _ = epoch(net, workload, 0.5)
         assert len(log) == 100
 
     def test_empty_workload_rejected(self):
         net = small_net()
         with pytest.raises(ValueError):
-            run_baseline_epoch(net, [], 0.5)
+            run_baseline_epoch(net, [], [], 0.5)
 
     def test_duplicate_query_ids_rejected(self):
         record = LogRecord("q1", 0, 0, (), frozenset())
@@ -204,7 +220,7 @@ class TestEpochAndLog:
         net = small_net(np=12, nsp=3, friends_per_sp=2)
         workload = [q for pid in range(12)
                     for q in queries_for(net, pid, count=2, prefix=f"w{pid}-")]
-        log, _ = run_baseline_epoch(net, workload, 0.5)
+        log, _ = epoch(net, workload, 0.5)
         path = tmp_path / "log.tsv"
         write_query_log(log, path)
         loaded = read_query_log(path)

@@ -137,6 +137,31 @@ class TestRun:
         assert saved.queries_per_peer == 1  # override wins
         assert saved.np == 24
 
+    def test_reports_group_count_and_warns_on_one_group(self, tmp_path, capsys):
+        # At the default tau_trust every friend link qualifies: one group.
+        assert run_cli("run", "--strategy", "ksp", *FAST,
+                       "--outdir", str(tmp_path / "one")) == 0
+        captured = capsys.readouterr()
+        assert "ksp groups: 1, largest 3 super-peers" in captured.out
+        assert "warning: all 3 super-peers form one group" in captured.err
+        # The report goes to the streams only, never to the output directory.
+        assert sorted(f.name for f in (tmp_path / "one").iterdir()) == [
+            "config.txt", "group0.arff", "group0.tree.txt", "ksp_log.tsv",
+            "metrics.csv", "network.txt", "summary.csv", "train_log.tsv"]
+
+        assert run_cli("run", "--strategy", "ksp", *FAST, "--tau-trust", "10000",
+                       "--outdir", str(tmp_path / "singletons")) == 0
+        captured = capsys.readouterr()
+        assert "ksp groups: 3, largest 1 super-peers" in captured.out
+        assert captured.err == ""
+
+    def test_baseline_strategy_reports_no_groups(self, tmp_path, capsys):
+        assert run_cli("run", "--strategy", "baseline", *FAST,
+                       "--outdir", str(tmp_path)) == 0
+        captured = capsys.readouterr()
+        assert "ksp groups" not in captured.out
+        assert captured.err == ""
+
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SONSIM_OUTDIR", str(tmp_path / "envdir"))
         assert run_cli("generate", *FAST, "--outdir", str(tmp_path / "flagdir")) == 0
@@ -189,6 +214,23 @@ class TestTrainIndexAndRender:
         assert code == 0
         out = capsys.readouterr().out
         assert "composanteW" in out
+
+    @pytest.mark.parametrize("holdout", ["1.5", "1.0", "-0.2"])
+    def test_holdout_outside_unit_interval_rejected(self, tmp_path, capsys, holdout):
+        run_cli("run", "--strategy", "baseline", *FAST, "--outdir", str(tmp_path))
+        capsys.readouterr()
+        code = run_cli("train-index", "--log", str(tmp_path / "train_log.tsv"),
+                       "--holdout", holdout, "--outdir", str(tmp_path / "idx"))
+        assert code == 1
+        assert "--holdout" in capsys.readouterr().err
+        assert not (tmp_path / "idx").exists()
+
+    def test_zero_holdout_skips_held_out_accuracy(self, tmp_path, capsys):
+        run_cli("run", "--strategy", "baseline", *FAST, "--outdir", str(tmp_path))
+        code = run_cli("train-index", "--log", str(tmp_path / "train_log.tsv"),
+                       "--holdout", "0", "--outdir", str(tmp_path / "idx"))
+        assert code == 0
+        assert "held-out accuracy" not in capsys.readouterr().out
 
     def test_missing_log_fails_cleanly(self, tmp_path):
         assert run_cli("train-index", "--log", str(tmp_path / "missing.tsv"),

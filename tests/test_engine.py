@@ -1,13 +1,17 @@
 """Cost model, scoring, paired experiment runs and sweeps."""
 
+import dataclasses
+
 import pytest
 
+import sonsim.engine
 from sonsim.config import Config, substream
-from sonsim.baseline import PathSegment, RoutingResult
+from sonsim.baseline import PathSegment, RoutingResult, run_baseline_epoch
 from sonsim.engine import (
     BASELINE,
     KSP,
     CostModel,
+    make_workload,
     metrics_rows,
     relevant_peers_indexed,
     response_time,
@@ -17,6 +21,7 @@ from sonsim.engine import (
     sweep,
 )
 from sonsim.baseline import generate_queries
+from sonsim.ksp import form_groups, run_kb_epoch, train_indices
 from sonsim.model import oracle_relevant_peers
 from sonsim.netgen import build_son
 
@@ -97,6 +102,66 @@ class TestIndexedRelevance:
             for eps in (0.0, 0.25, 0.5, 1.0):
                 assert relevant_peers_indexed(net, q, eps) == \
                     oracle_relevant_peers(net, q, eps)
+
+
+class TestRelevanceSharing:
+    """run_pipeline runs the relevance kernel once per query and hands the
+    sets to both epochs and the oracle."""
+
+    def _config(self, **kw):
+        base = dict(np=40, nsp=4, seed=51, queries_per_peer=2)
+        base.update(kw)
+        return Config(**base)
+
+    def _count_kernel_calls(self, monkeypatch):
+        calls = []
+        original = sonsim.engine.relevant_peers_indexed
+
+        def counted(net, query, eps_acc):
+            calls.append(query.id)
+            return original(net, query, eps_acc)
+
+        monkeypatch.setattr(sonsim.engine, "relevant_peers_indexed", counted)
+        return calls
+
+    def test_replay_computes_each_query_once(self, monkeypatch):
+        calls = self._count_kernel_calls(monkeypatch)
+        run_pipeline(self._config(workload_mode="replay"))
+        assert len(calls) == 40 * 2
+
+    def test_fresh_computes_training_and_evaluation_queries_once(self, monkeypatch):
+        calls = self._count_kernel_calls(monkeypatch)
+        run_pipeline(self._config(workload_mode="fresh"))
+        assert len(calls) == 2 * 40 * 2
+        assert len(set(calls)) == len(calls)
+
+    def test_external_train_log_computes_each_evaluation_query_once(self, monkeypatch):
+        train_log = run_pipeline(self._config()).train_log
+        calls = self._count_kernel_calls(monkeypatch)
+        run_pipeline(self._config(), train_log=train_log)
+        assert len(calls) == len(train_log)
+
+    def _network_and_workload(self):
+        config = self._config()
+        net = build_son(config)
+        workload = make_workload(net, config, "workload-baseline", "t")
+        relevant = [relevant_peers_indexed(net, q, config.eps_acc) for q in workload]
+        return config, net, workload, relevant
+
+    def test_baseline_epoch_rejects_misaligned_relevance(self):
+        config, net, workload, relevant = self._network_and_workload()
+        for wrong in (relevant[:-1], relevant + [set()]):
+            with pytest.raises(ValueError):
+                run_baseline_epoch(net, workload, wrong, config.eps_acc)
+
+    def test_kb_epoch_rejects_misaligned_relevance(self):
+        config, net, workload, relevant = self._network_and_workload()
+        log, _ = run_baseline_epoch(net, workload, relevant, config.eps_acc)
+        overlay = train_indices(form_groups(net, config.tau_trust), log)
+        replay = [dataclasses.replace(q, id=f"e{i}") for i, q in enumerate(workload)]
+        for wrong in (relevant[:-1], relevant + [set()]):
+            with pytest.raises(ValueError):
+                run_kb_epoch(net, overlay, replay, wrong, log)
 
 
 class TestRunExperiment:

@@ -13,8 +13,18 @@ from sonsim.ksp import (
     run_kb_epoch,
     train_indices,
 )
-from sonsim.model import ExpertiseElement, Query
+from sonsim.model import ExpertiseElement, Query, relevant_peers_indexed
 from sonsim.netgen import build_son
+
+
+def relevance(net, workload, eps):
+    """Relevant peer sets of a workload, as the engine computes them."""
+    return [relevant_peers_indexed(net, q, eps) for q in workload]
+
+
+def route(net, overlay, q, sp, eps):
+    """route_kb with the query's relevant set computed as the engine does."""
+    return route_kb(net, overlay, q, sp, relevant_peers_indexed(net, q, eps))
 
 
 def net_and_log(np=60, nsp=6, seed=31, queries=2, **kw):
@@ -26,7 +36,8 @@ def net_and_log(np=60, nsp=6, seed=31, queries=2, **kw):
         workload.extend(generate_queries(net.peers[pid], queries,
                                          config.n_components, rng,
                                          id_prefix=f"t{pid}-"))
-    log, _ = run_baseline_epoch(net, workload, config.eps_acc, config.max_hops)
+    log, _ = run_baseline_epoch(net, workload, relevance(net, workload, config.eps_acc),
+                                config.eps_acc, config.max_hops)
     return net, log, workload, config
 
 
@@ -160,13 +171,13 @@ class TestRouteKb:
         overlay = form_groups(net, config.tau_trust)
         q = Query("x", 0, (ExpertiseElement("a", "b"),))
         with pytest.raises(ValueError, match="index not trained"):
-            route_kb(net, overlay, q, 0, 0.5)
+            route(net, overlay, q, 0, 0.5)
 
     def test_memorized_query_reaches_its_training_answerers(self):
         net, overlay, log, workload, config = self._trained()
         for query, record in list(zip(workload, log))[:40]:
             replay = Query(f"re-{query.id}", query.origin_peer, query.components)
-            result = route_kb(net, overlay, replay, record.origin_sp, config.eps_acc)
+            result = route(net, overlay, replay, record.origin_sp, config.eps_acc)
             assert record.answering_sps & result.searched_sps
 
     def test_twin_of_single_answer_record_routes_to_that_answerer(self):
@@ -174,7 +185,7 @@ class TestRouteKb:
         components = tuple(sorted(net.super_peers[1].expertise)[:4])
         record = LogRecord("t0", 0, 0, components, frozenset({1}))
         overlay = train_indices(form_groups(net, 2), QueryLog([record]), 2)
-        result = route_kb(net, overlay, Query("twin", 0, components), 0, 0.5)
+        result = route(net, overlay, Query("twin", 0, components), 0, 0.5)
         assert result.searched_sps == frozenset({0, 1})
 
     def test_degenerate_origin_only_index_is_pure_local(self):
@@ -182,7 +193,7 @@ class TestRouteKb:
         overlay = form_groups(net, config.tau_trust)
         overlay = train_indices(overlay, log, config.min_leaf)
         q = Query("x", 3, log.records[0].components)
-        result = route_kb(net, overlay, q, 0, config.eps_acc)
+        result = route(net, overlay, q, 0, config.eps_acc)
         assert result.searched_sps == frozenset({0})
         assert result.mapping_ops == len(net.super_peers[0].members)
         assert result.hops == 1  # the consult itself
@@ -192,7 +203,7 @@ class TestRouteKb:
         overlay = train_indices(form_groups(net, 10_000), log, 2)  # singletons
         relayed = 0
         for query, record in zip(_reid(workload, "e"), log):
-            result = route_kb(net, overlay, query, record.origin_sp, config.eps_acc)
+            result = route(net, overlay, query, record.origin_sp, config.eps_acc)
             targets = sorted(result.searched_sps - {record.origin_sp})
             # Every target lives in a foreign singleton group: two hops each,
             # plus the one-hop consult.
@@ -204,7 +215,7 @@ class TestRouteKb:
         net, overlay, log, workload, config = self._trained()
         for query in workload[:30]:
             sp = net.peers[query.origin_peer].super_peer
-            result = route_kb(net, overlay, query, sp, config.eps_acc)
+            result = route(net, overlay, query, sp, config.eps_acc)
             expected = sum(len(net.super_peers[s].members)
                            for s in result.searched_sps)
             assert result.mapping_ops == expected
@@ -213,7 +224,7 @@ class TestRouteKb:
         net, overlay, log, workload, config = self._trained()
         for query in workload[:30]:
             sp = net.peers[query.origin_peer].super_peer
-            result = route_kb(net, overlay, query, sp, config.eps_acc)
+            result = route(net, overlay, query, sp, config.eps_acc)
             n_targets = len(result.searched_sps) - 1
             assert result.hops <= 2 + 2 * n_targets
 
@@ -222,7 +233,7 @@ class TestRouteKb:
         net, overlay, log, workload, config = self._trained()
         for query in workload[:20]:
             sp = net.peers[query.origin_peer].super_peer
-            result = route_kb(net, overlay, query, sp, config.eps_acc)
+            result = route(net, overlay, query, sp, config.eps_acc)
             for pid in result.answering_peers:
                 assert is_relevant(net.peers[pid].expertise, query, config.eps_acc)
 
@@ -236,15 +247,19 @@ class TestRefresh:
     def test_static_knowledge_never_changes(self):
         net, log, workload, config = net_and_log()
         overlay = train_indices(form_groups(net, config.tau_trust), log, 2)
-        _, _, after = run_kb_epoch(net, overlay, _reid(workload[:10], "e"), log,
-                                   config.eps_acc, refresh_every=0)
+        replay = _reid(workload[:10], "e")
+        _, _, after = run_kb_epoch(net, overlay, replay,
+                                   relevance(net, replay, config.eps_acc), log,
+                                   refresh_every=0)
         assert all(after.groups[g].trained_at == 1 for g in after.groups)
 
     def test_refresh_every_query_increments_counter(self):
         net, log, workload, config = net_and_log()
         overlay = train_indices(form_groups(net, config.tau_trust), log, 2)
-        _, _, after = run_kb_epoch(net, overlay, _reid(workload[:5], "e"), log,
-                                   config.eps_acc, refresh_every=1)
+        replay = _reid(workload[:5], "e")
+        _, _, after = run_kb_epoch(net, overlay, replay,
+                                   relevance(net, replay, config.eps_acc), log,
+                                   refresh_every=1)
         assert all(after.groups[g].trained_at == 6 for g in after.groups)
 
     def test_retraining_on_same_log_is_identity(self):

@@ -1,7 +1,8 @@
 """Randomized invariant suites for the module-level properties.
 
 The six acceptance-gated property suites live in test_acceptance; these cover
-the remaining invariants: capacity ranges, relevance boundaries, both routers
+the remaining invariants: capacity ranges, relevance boundaries, the indexed
+relevance kernel agreeing with the exhaustive oracle, both routers
 agreeing with a plain relevance scan of the communities they search, routing
 monotonicity in the threshold, distribution normalization, and grouping
 stability under relabeling.
@@ -15,7 +16,14 @@ from hypothesis import assume, given, settings, strategies as st
 from sonsim.config import Config
 from sonsim.baseline import generate_queries, route_baseline, run_baseline_epoch
 from sonsim.dtree import Instance, build_tree, classify, entropy, training_accuracy
-from sonsim.model import ExpertiseElement, Query, capacity, is_relevant, oracle_relevant_peers
+from sonsim.model import (
+    ExpertiseElement,
+    Query,
+    capacity,
+    is_relevant,
+    oracle_relevant_peers,
+    relevant_peers_indexed,
+)
 from sonsim.netgen import CorrespondenceMatrix, Network, build_son
 from sonsim.ksp import form_groups, route_kb, train_indices
 from sonsim.config import substream
@@ -99,6 +107,22 @@ def router_query(net, drawn):
     return Query(id="r", origin_peer=pid, components=tuple(comps))
 
 
+@given(key=net_keys, drawn=router_queries, eps=thresholds,
+       cut=st.integers(min_value=0, max_value=6), unheld=st.integers(min_value=0, max_value=2))
+@settings(deadline=None)
+def test_indexed_relevance_matches_oracle(key, drawn, eps, cut, unheld):
+    """The kernel every router relies on equals the exhaustive scan, also for
+    repeated components and components that no peer holds."""
+    net = draw_net(key)
+    q = router_query(net, drawn)
+    nowhere = ExpertiseElement("unheld", "element")
+    assert nowhere not in net.element_index
+    components = q.components[:cut] + (nowhere,) * unheld
+    assume(components)
+    q = dataclasses.replace(q, components=components)
+    assert relevant_peers_indexed(net, q, eps) == oracle_relevant_peers(net, q, eps)
+
+
 def assert_answers_match_plain_scan(net, query, eps, result):
     """Per searched super-peer, the answering peers are exactly its members
     that is_relevant accepts, and it answers iff there is one."""
@@ -120,7 +144,8 @@ def cached_overlay(key, tau, n_components):
     rng = substream(7, "train")
     workload = [q for pid in sorted(net.peers)
                 for q in generate_queries(net.peers[pid], 2, n_components, rng, id_prefix="t")]
-    log, _ = run_baseline_epoch(net, workload, 0.5, max_hops=None)
+    relevant = [relevant_peers_indexed(net, q, 0.5) for q in workload]
+    log, _ = run_baseline_epoch(net, workload, relevant, 0.5, max_hops=None)
     return train_indices(form_groups(net, tau), log)
 
 
@@ -131,7 +156,9 @@ def test_baseline_answers_match_plain_scan(key, drawn, eps, max_hops):
     net = draw_net(key)
     q = router_query(net, drawn)
     sp = net.peers[q.origin_peer].super_peer
-    assert_answers_match_plain_scan(net, q, eps, route_baseline(net, q, sp, eps, max_hops))
+    result = route_baseline(net, q, sp, relevant=relevant_peers_indexed(net, q, eps),
+                            eps_acc=eps, max_hops=max_hops)
+    assert_answers_match_plain_scan(net, q, eps, result)
 
 
 @given(key=net_keys, drawn=router_queries, eps=thresholds, tau=st.sampled_from([3, 4]))
@@ -142,7 +169,8 @@ def test_kb_answers_match_plain_scan(key, drawn, eps, tau):
     overlay = cached_overlay(key, tau, len(q.components))
     assume(len(overlay.groups) > 1)
     sp = net.peers[q.origin_peer].super_peer
-    assert_answers_match_plain_scan(net, q, eps, route_kb(net, overlay, q, sp, eps))
+    result = route_kb(net, overlay, q, sp, relevant=relevant_peers_indexed(net, q, eps))
+    assert_answers_match_plain_scan(net, q, eps, result)
 
 
 @given(key=net_keys, seed=st.integers(min_value=0, max_value=1000))
@@ -153,7 +181,8 @@ def test_raising_threshold_never_grows_answers(key, seed):
     sp = net.peers[q.origin_peer].super_peer
     previous = None
     for eps in (0.0, 0.25, 0.5, 0.75, 1.0):
-        answers = route_baseline(net, q, sp, eps, max_hops=1).answering_peers
+        relevant = relevant_peers_indexed(net, q, eps)
+        answers = route_baseline(net, q, sp, relevant, eps, max_hops=1).answering_peers
         if previous is not None:
             assert answers <= previous
         previous = answers
