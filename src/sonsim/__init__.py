@@ -17,7 +17,7 @@ from .model import (
     is_relevant,
     oracle_relevant_peers,
 )
-from .netgen import Network, Peer, SuperPeer, build_son, trust
+from .netgen import Network, Peer, SuperPeer, build_son
 from .baseline import (
     LogRecord,
     QueryLog,

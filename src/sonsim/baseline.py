@@ -62,6 +62,11 @@ class LogRecord:
     components: tuple[ExpertiseElement, ...]
     answering_sps: frozenset[SuperPeerId]
 
+    @classmethod
+    def routed(cls, query: Query, origin_sp: SuperPeerId, result: RoutingResult) -> LogRecord:
+        """The record of `query`, routed from `origin_sp` with `result`."""
+        return cls(query.id, query.origin_peer, origin_sp, query.components, result.answering_sps)
+
 
 class QueryLog:
     """Append-only, duplicate-rejecting trace of routed queries."""
@@ -205,13 +210,7 @@ def run_baseline_epoch(net: Network, workload: list[Query],
         origin_sp = net.peers[query.origin_peer].super_peer
         result = route_baseline(net, query, origin_sp, query_relevant, eps_acc, max_hops)
         results.append(result)
-        log.append(LogRecord(
-            query_id=query.id,
-            origin_peer=query.origin_peer,
-            origin_sp=origin_sp,
-            components=query.components,
-            answering_sps=result.answering_sps,
-        ))
+        log.append(LogRecord.routed(query, origin_sp, result))
     return log, results
 
 

@@ -102,8 +102,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         if not log_path.exists():
             raise ValueError(f"train log not found: {log_path}")
         train_log = read_query_log(log_path)
-        if args.strategy in (KSP, "both") and config.workload_mode == "replay" and len(train_log) == 0:
-            raise ValueError("ksp strategy in replay mode needs a non-empty prior log")
 
     artifacts = run_pipeline(config, include_kb=include_kb, train_log=train_log)
     outdir = _outdir(args)
@@ -127,9 +125,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         write_query_log(artifacts.kb_log, outdir / "ksp_log.tsv")
         for gid in sorted(artifacts.overlay.groups):
             group = artifacts.overlay.groups[gid]
-            instances = instances_from_records(group.log_slice)
             _write(outdir / f"group{gid}.arff",
-                   arff_export(instances, f"group{gid}", config.n_components))
+                   arff_export(group.instances, f"group{gid}", config.n_components))
             _write(outdir / f"group{gid}.tree.txt", render_tree(group.index) + "\n")
 
     for strategy in sorted(report.summaries):
@@ -195,6 +192,9 @@ def cmd_train_index(args: argparse.Namespace) -> int:
                                    min_leaf=args.min_leaf)
             held_acc = record_accuracy(held_tree, records[split:])
             print(f"held-out accuracy ({args.holdout:.0%} tail, records): {held_acc:.4f}")
+        else:
+            print(f"held-out accuracy skipped: too few records ({len(records)}) "
+                  f"for a {args.holdout:.0%} holdout")
     return 0
 
 

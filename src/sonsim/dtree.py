@@ -78,32 +78,38 @@ def _partition(instances: Sequence[Instance], attr_index: int) -> dict[str, list
     return parts
 
 
-def information_gain(instances: Sequence[Instance], attr_index: int) -> float:
-    """Parent entropy minus the size-weighted entropy of the value partitions."""
-    if not instances:
-        raise ValueError("no instances")
-    total = len(instances)
-    gain = entropy(class_counts(instances))
-    for part in _partition(instances, attr_index).values():
+def _information_gain(parts: Mapping[str, Sequence[Instance]], total: int,
+                      parent_entropy: float) -> float:
+    gain = parent_entropy
+    for part in parts.values():
         gain -= len(part) / total * entropy(class_counts(part))
     return gain
 
 
-def split_information(instances: Sequence[Instance], attr_index: int) -> float:
-    """Entropy of the attribute's value distribution itself."""
+def _gain_ratio(parts: Mapping[str, Sequence[Instance]], total: int,
+                parent_entropy: float) -> float:
+    split_info = entropy({value: len(part) for value, part in parts.items()})
+    if split_info == 0.0:
+        return 0.0
+    return _information_gain(parts, total, parent_entropy) / split_info
+
+
+def information_gain(instances: Sequence[Instance], attr_index: int) -> float:
+    """Parent entropy minus the size-weighted entropy of the value partitions."""
     if not instances:
         raise ValueError("no instances")
-    sizes = {value: len(part) for value, part in _partition(instances, attr_index).items()}
-    return entropy(sizes)
+    return _information_gain(_partition(instances, attr_index), len(instances),
+                             entropy(class_counts(instances)))
 
 
 def gain_ratio(instances: Sequence[Instance], attr_index: int) -> float:
-    """Information gain normalized by split information; 0 when the attribute
-    takes a single value."""
-    si = split_information(instances, attr_index)
-    if si == 0.0:
-        return 0.0
-    return information_gain(instances, attr_index) / si
+    """Information gain normalized by split information, the entropy of the
+    attribute's own value distribution; 0 when the attribute takes a single
+    value."""
+    if not instances:
+        raise ValueError("no instances")
+    return _gain_ratio(_partition(instances, attr_index), len(instances),
+                       entropy(class_counts(instances)))
 
 
 def build_tree(instances: Sequence[Instance], attrs: Sequence[int] | None = None,
@@ -111,29 +117,26 @@ def build_tree(instances: Sequence[Instance], attrs: Sequence[int] | None = None
     """Induce a tree: leaf when pure, out of attributes, or below min_leaf;
     otherwise split on the gain-ratio-maximizing attribute (ties to the lowest
     index) with one branch per observed value, never reusing an attribute on
-    a path."""
+    a path. Each candidate attribute is partitioned once per node; the
+    winner's partition is the one its branches are built from."""
     if not instances:
         raise ValueError("cannot induce a tree from zero instances")
-    if attrs is None:
-        attrs = tuple(range(len(instances[0].attributes)))
-    else:
-        attrs = tuple(attrs)
+    attrs = tuple(range(len(instances[0].attributes)) if attrs is None else attrs)
     counts = class_counts(instances)
     if len(counts) == 1 or not attrs or len(instances) < min_leaf:
         return Leaf(counts)
 
-    best_attr = attrs[0]
-    best_ratio = -1.0
+    parent_entropy = entropy(counts)
+    best_ratio = -1.0  # below every gain ratio, so the first attribute sets best_*
     for attr_index in sorted(attrs):
-        ratio = gain_ratio(instances, attr_index)
+        parts = _partition(instances, attr_index)
+        ratio = _gain_ratio(parts, len(instances), parent_entropy)
         if ratio > best_ratio:
-            best_attr, best_ratio = attr_index, ratio
+            best_attr, best_ratio, best_parts = attr_index, ratio, parts
 
     remaining = tuple(a for a in attrs if a != best_attr)
-    branches = {
-        value: build_tree(part, remaining, min_leaf)
-        for value, part in sorted(_partition(instances, best_attr).items())
-    }
+    branches = {value: build_tree(part, remaining, min_leaf)
+                for value, part in sorted(best_parts.items())}
     return Node(attr_index=best_attr, branches=branches, counts=counts)
 
 

@@ -71,8 +71,6 @@ class QueryMetrics:
     mapping_ops: int
     hops: int
     tree_visits: int
-    precision_defined: bool = True
-    recall_defined: bool = True
 
 
 @dataclass(frozen=True)
@@ -109,8 +107,8 @@ def _segment_cost(segment, model: CostModel) -> float:
 def score(result: RoutingResult, oracle_set: set[PeerId]) -> tuple[float, float]:
     """(precision, recall) of the retrieved peers against the oracle set.
 
-    Degenerate denominators score 1.0; callers that need to distinguish the
-    degenerate cases check the sizes themselves (see QueryMetrics flags).
+    Degenerate denominators score 1.0: nothing retrieved has precision 1.0
+    and an empty oracle set has recall 1.0.
     """
     retrieved = result.answering_peers
     hits = len(retrieved & oracle_set)
@@ -131,8 +129,6 @@ def query_metrics(query: Query, result: RoutingResult, oracle_set: set[PeerId],
         mapping_ops=result.mapping_ops,
         hops=result.hops,
         tree_visits=result.tree_visits,
-        precision_defined=bool(result.answering_peers),
-        recall_defined=bool(oracle_set),
     )
 
 
@@ -197,7 +193,8 @@ def run_pipeline(config: Config, include_kb: bool = True,
     queries under new query ids; in fresh mode it is drawn from its own
     stream. When an external train_log is supplied the training epoch is
     skipped and replay mode reconstructs the evaluation queries from the log
-    records.
+    records; a record whose origin peer is not in this network, or is not
+    under its origin super-peer, raises ValueError.
 
     Relevance is computed once per query with `relevant_peers_indexed`. The
     training workload's sets drive the training epoch and, in replay mode,
@@ -219,6 +216,12 @@ def run_pipeline(config: Config, include_kb: bool = True,
         relevant = relevance(train_workload)
         train_log = run_baseline_epoch(net, train_workload, relevant, config.eps_acc,
                                        hops_limit(config))[0]
+    else:
+        for record in train_log:
+            peer = net.peers.get(record.origin_peer)
+            if peer is None or peer.super_peer != record.origin_sp:
+                raise ValueError(f"train log record {record.query_id}: peer {record.origin_peer} "
+                                 f"under super-peer {record.origin_sp} is not in this network")
 
     if config.workload_mode == "replay":
         if train_workload is not None:
@@ -247,7 +250,7 @@ def run_pipeline(config: Config, include_kb: bool = True,
         overlay = form_groups(net, config.tau_trust)
         overlay = train_indices(overlay, train_log, config.min_leaf)
         kb_log, kb_results, overlay = run_kb_epoch(
-            net, overlay, eval_workload, relevant, train_log,
+            net, overlay, eval_workload, relevant,
             refresh_every=config.refresh_every, min_leaf=config.min_leaf,
         )
 

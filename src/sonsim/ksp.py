@@ -5,6 +5,8 @@ Groups are the connected components of the super-peer graph thresholded by
 trust, so a super-peer joins a group as soon as one member shares enough
 expertise with it. Indices are trained with class labels spanning the whole
 network, which is what lets a group name relevant super-peers outside itself.
+Each group owns the instances its index was induced from; a log record is
+rendered once, and a refresh adds only the records routed since the last one.
 Index-driven routing replaces all super-peer-level capacity evaluations with
 one tree walk; only peer-level evaluations remain metered as mapping work.
 Which peers of a searched community answer comes from the query's relevant
@@ -14,19 +16,12 @@ set, which the engine computes once per query and passes in.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 from typing import AbstractSet
 
 from .baseline import LogRecord, PathSegment, QueryLog, RoutingResult
-from .dtree import (
-    DecisionTree,
-    Instance,
-    Leaf,
-    build_tree,
-    class_counts,
-    classify_traced,
-    predict,
-)
+from .dtree import DecisionTree, Instance, Leaf, build_tree, class_counts, classify_traced, predict
 from .model import PeerId, Query, SuperPeerId
 from .model import capacity  # noqa: F401  benchmark/probe.py counts calls through ksp.capacity
 from .netgen import Network
@@ -36,11 +31,13 @@ KspId = int
 
 @dataclass(frozen=True)
 class KspGroup:
+    """A domain group; `index` was induced from exactly `instances`, the
+    rendered log records of its members' queries in log order."""
+
     id: KspId
     members: frozenset[SuperPeerId]
     index: DecisionTree | None = None
-    log_slice: tuple[LogRecord, ...] = ()
-    trained_at: int = 0
+    instances: tuple[Instance, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -93,10 +90,12 @@ def form_groups(net: Network, tau_trust: int) -> KspOverlay:
 
 def instances_from_records(records) -> list[Instance]:
     """Training rows from log records: one instance per (query, answering
-    super-peer) pair, class labels in ascending order for determinism."""
+    super-peer) pair, class labels in ascending order for determinism.
+    Attribute values are interned, since groups keep their instances and
+    values repeat across records."""
     instances = []
     for record in records:
-        attributes = tuple(c.render() for c in record.components)
+        attributes = tuple(sys.intern(c.render()) for c in record.components)
         for spid in sorted(record.answering_sps):
             instances.append(Instance(attributes=attributes, class_label=spid))
     return instances
@@ -121,21 +120,33 @@ def record_accuracy(tree: DecisionTree, records) -> float:
 
 
 def train_indices(overlay: KspOverlay, log: QueryLog, min_leaf: int = 2) -> KspOverlay:
-    """Train every group's index on its slice of the log (records whose origin
-    super-peer is a member). A group whose members never submitted queries
-    keeps a degenerate leaf over the global class distribution."""
+    """Train every group's index on the instances of its slice of the log
+    (records whose origin super-peer is a member), replacing any it had. A
+    group whose members never submitted queries keeps a degenerate leaf over
+    the global class distribution."""
     if len(log) == 0:
         raise ValueError("query log is empty")
-    global_counts = class_counts(instances_from_records(log))
+    return _induce(overlay, log, min_leaf, keep=False)
+
+
+def _induce(overlay: KspOverlay, records, min_leaf: int, keep: bool) -> KspOverlay:
+    """Render each record once into its origin super-peer's group, after the
+    group's current instances if `keep`, and induce every group's index from
+    its instances. A record whose origin super-peer is in no group raises."""
+    slices: dict[KspId, list[LogRecord]] = {gid: [] for gid in overlay.groups}
+    for record in records:
+        if record.origin_sp not in overlay.sp_to_group:
+            raise ValueError(f"log record {record.query_id}: origin super-peer "
+                             f"{record.origin_sp} is in no group")
+        slices[overlay.sp_to_group[record.origin_sp]].append(record)
+    instances = {gid: (overlay.groups[gid].instances if keep else ())
+                 + tuple(instances_from_records(part)) for gid, part in slices.items()}
     groups = {}
     for gid in sorted(overlay.groups):
-        group = overlay.groups[gid]
-        log_slice = tuple(r for r in log if r.origin_sp in group.members)
-        instances = instances_from_records(log_slice)
-        index = build_tree(instances, min_leaf=min_leaf) if instances else Leaf(dict(global_counts))
-        groups[gid] = dataclasses.replace(
-            group, index=index, log_slice=log_slice, trained_at=group.trained_at + 1
-        )
+        own = instances[gid]
+        index = (build_tree(own, min_leaf=min_leaf) if own else
+                 Leaf(class_counts(inst for part in instances.values() for inst in part)))
+        groups[gid] = dataclasses.replace(overlay.groups[gid], index=index, instances=own)
     return KspOverlay(groups=groups, sp_to_group=dict(overlay.sp_to_group))
 
 
@@ -202,45 +213,39 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
     )
 
 
-def refresh_knowledge(overlay: KspOverlay, log: QueryLog, every_r: int,
+def refresh_knowledge(overlay: KspOverlay, records, every_r: int,
                       queries_routed: int, min_leaf: int = 2) -> KspOverlay:
-    """Retrain all indices on the cumulative log after every `every_r` routed
-    queries; otherwise return the overlay unchanged."""
+    """After every `every_r` routed queries, append `records`, the queries
+    routed since the previous refresh, to their groups' instances and
+    re-induce every index; otherwise return the overlay itself."""
     if every_r < 1:
         raise ValueError("refresh period must be >= 1")
     if queries_routed % every_r != 0:
         return overlay
-    return train_indices(overlay, log, min_leaf)
+    return _induce(overlay, records, min_leaf, keep=True)
 
 
 def run_kb_epoch(net: Network, overlay: KspOverlay, workload: list[Query],
-                 relevant: list[AbstractSet[PeerId]], base_log: QueryLog,
-                 refresh_every: int = 0,
+                 relevant: list[AbstractSet[PeerId]], refresh_every: int = 0,
                  min_leaf: int = 2) -> tuple[QueryLog, list[RoutingResult], KspOverlay]:
-    """Route a workload with the knowledge strategy, appending to the
-    cumulative log and periodically refreshing the indices from it.
+    """Route a workload with the knowledge strategy and log it, refreshing
+    the indices with the newly logged records every `refresh_every` queries.
 
     relevant[i] is the relevant peer set of workload[i]; a length mismatch
     raises ValueError. refresh_every = 0 keeps the knowledge static for the
-    whole epoch.
+    whole epoch. Returns the epoch's log, its results and the final overlay.
     """
     if not workload:
         raise ValueError("workload is empty")
-    cumulative = QueryLog(base_log.records)
+    records: list[LogRecord] = []
     results = []
     pairs = zip(workload, relevant, strict=True)
     for routed, (query, query_relevant) in enumerate(pairs, start=1):
         origin_sp = net.peers[query.origin_peer].super_peer
         result = route_kb(net, overlay, query, origin_sp, query_relevant)
         results.append(result)
-        cumulative.append(LogRecord(
-            query_id=query.id,
-            origin_peer=query.origin_peer,
-            origin_sp=origin_sp,
-            components=query.components,
-            answering_sps=result.answering_sps,
-        ))
-        if refresh_every > 0:
-            overlay = refresh_knowledge(overlay, cumulative, refresh_every, routed, min_leaf)
-    kb_era = QueryLog(cumulative.records[len(base_log):])
-    return kb_era, results, overlay
+        records.append(LogRecord.routed(query, origin_sp, result))
+        if refresh_every > 0 and routed % refresh_every == 0:
+            overlay = refresh_knowledge(overlay, records[-refresh_every:], refresh_every,
+                                        routed, min_leaf)
+    return QueryLog(records), results, overlay

@@ -232,16 +232,6 @@ def build_son(config: Config, rng: Random | None = None) -> Network:
                    config=config, seed=config.seed)
 
 
-def trust(net: Network, i: SuperPeerId, j: SuperPeerId) -> int:
-    """Shared-expertise count between two distinct super-peers."""
-    if i == j:
-        raise ValueError("trust is defined between distinct super-peers")
-    for spid in (i, j):
-        if spid not in net.super_peers:
-            raise ValueError(f"unknown super-peer {spid}")
-    return net.cormat.entry(i, j)
-
-
 def serialize_network(net: Network) -> str:
     """Human-readable dump of the whole network; byte-stable under a fixed
     seed, which the determinism tests rely on."""

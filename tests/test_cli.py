@@ -117,6 +117,42 @@ class TestRun:
         assert code == 0
         assert (tmp_path / "second" / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("np_, nsp, problem", [
+        ("40", "3", "peer 24 under super-peer 0"),  # peers 24.. are not in a 24-peer run
+        ("24", "4", "peer 3 under super-peer 3"),  # peer 3 is under super-peer 0 at nsp 3
+    ])
+    def test_train_log_from_another_network_rejected(self, tmp_path, capsys, np_, nsp, problem):
+        other = ["--np", np_, "--nsp", nsp, "--friends-per-sp", "2",
+                 "--queries-per-peer", "2", "--seed", "7"]
+        run_cli("run", "--strategy", "baseline", *other, "--outdir", str(tmp_path / "other"))
+        capsys.readouterr()
+        code = run_cli("run", "--strategy", "both", *FAST,
+                       "--train-log", str(tmp_path / "other" / "train_log.tsv"),
+                       "--outdir", str(tmp_path / "run"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sonsim: error: train log record ")
+        assert f"{problem} is not in this network" in err
+
+    def test_each_log_record_is_rendered_at_most_once(self, tmp_path, monkeypatch):
+        import sonsim.cli
+        import sonsim.ksp
+        rendered = []
+        original = sonsim.ksp.instances_from_records
+
+        def counting(records):
+            records = list(records)
+            rendered.extend(r.query_id for r in records)
+            return original(records)
+
+        for module in (sonsim.ksp, sonsim.cli):
+            monkeypatch.setattr(module, "instances_from_records", counting)
+        assert run_cli("run", "--strategy", "both", *FAST, "--refresh-every", "5",
+                       "--outdir", str(tmp_path)) == 0
+        routed = len((tmp_path / "ksp_log.tsv").read_text().splitlines())
+        trained = len((tmp_path / "train_log.tsv").read_text().splitlines())
+        assert len(rendered) == len(set(rendered)) == trained + routed - routed % 5
+
     def test_missing_train_log_fails(self, tmp_path, capsys):
         code = run_cli("run", "--strategy", "ksp", *FAST,
                        "--workload-mode", "replay",
@@ -231,6 +267,18 @@ class TestTrainIndexAndRender:
                        "--holdout", "0", "--outdir", str(tmp_path / "idx"))
         assert code == 0
         assert "held-out accuracy" not in capsys.readouterr().out
+
+    def test_log_too_short_for_holdout_says_so(self, tmp_path, capsys):
+        run_cli("run", "--strategy", "baseline", *FAST, "--outdir", str(tmp_path))
+        lines = (tmp_path / "train_log.tsv").read_text().splitlines()
+        answered = next(line for line in lines if not line.endswith("\t-"))
+        (tmp_path / "one.tsv").write_text(answered + "\n")
+        capsys.readouterr()
+        code = run_cli("train-index", "--log", str(tmp_path / "one.tsv"),
+                       "--outdir", str(tmp_path / "idx"))
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "held-out accuracy skipped: too few records (1) for a 20% holdout" in out
 
     def test_missing_log_fails_cleanly(self, tmp_path):
         assert run_cli("train-index", "--log", str(tmp_path / "missing.tsv"),

@@ -26,7 +26,6 @@ from sonsim.dtree import (
     information_gain,
     predict,
     render_tree,
-    split_information,
     training_accuracy,
 )
 
@@ -90,7 +89,6 @@ class TestGain:
         instances = [Instance((f"v{c}", "x"), c) for c in range(k) for _ in range(3)]
         class_h = entropy(class_counts(instances))
         assert information_gain(instances, 0) == pytest.approx(class_h)
-        assert split_information(instances, 0) == pytest.approx(math.log2(k))
         assert gain_ratio(instances, 0) == pytest.approx(class_h / math.log2(k))
 
 

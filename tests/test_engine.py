@@ -161,7 +161,7 @@ class TestRelevanceSharing:
         replay = [dataclasses.replace(q, id=f"e{i}") for i, q in enumerate(workload)]
         for wrong in (relevant[:-1], relevant + [set()]):
             with pytest.raises(ValueError):
-                run_kb_epoch(net, overlay, replay, wrong, log)
+                run_kb_epoch(net, overlay, replay, wrong)
 
 
 class TestRunExperiment:

@@ -1,9 +1,10 @@
 """Golden outputs: `sonsim run --strategy both` at seed 9 must keep writing
 byte-identical files.
 
-The digests were captured before the relevance kernel was shared by the
-oracle and both routers. A change that alters outputs on purpose re-pins
-them here, and says why.
+The static replay digests were captured before the relevance kernel was
+shared by the oracle and both routers, the refresh digests before the
+knowledge indices kept their own training instances. A change that alters
+outputs on purpose re-pins them here, and says why.
 """
 
 import hashlib
@@ -36,12 +37,68 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("np_, nsp", sorted(GOLDEN))
-def test_run_outputs_match_golden_digests(tmp_path, monkeypatch, np_, nsp):
+# Runs that refresh the indices while routing: the benchmark's refresh-300
+# workload (the same digests as its seed-9 entry in benchmark/digests.json)
+# and a fresh-mode run whose trust threshold forms seven groups.
+REFRESH_GOLDEN = {
+    "refresh-300": (
+        ["--np", "300", "--nsp", "10", "--refresh-every", "20"],
+        {
+            "config.txt": "dc8651199c15665029830845cfcfe699e0c82973cc3b73664420bef2aef54200",
+            "group0.arff": "67a1f1248ef576a6b5e693c27655a7979749f76f2ca8ec19a899a3874426e0b4",
+            "group0.tree.txt": "a84437db79b2e23e463ee7d5dc422efdff25a8f88c6f096204510873ec05343d",
+            "ksp_log.tsv": "ce86feb0d046cf5ca6637166a90811ce7a71a04c60639e0be1b0e0f62c2803ae",
+            "metrics.csv": "42686c3ac428e7b799397a97f920705ca406bad6830095201a279f1444fdc4b4",
+            "network.txt": "77561e1ce41eba6cac2e85f35270dad9d98a109d657fcd6808ce607aa7fcddbc",
+            "summary.csv": "aecced0058182a5c1343e423859687a193b25087fff3012a5d14d94be578601f",
+            "train_log.tsv": "14d80aefa30e4651d70b2f6544651fb8eccaf34a1e7c769b03107a82d8155a6f",
+        },
+    ),
+    "groups-300-fresh": (
+        ["--np", "300", "--nsp", "10", "--tau-trust", "4", "--workload-mode", "fresh",
+         "--refresh-every", "50"],
+        {
+            "config.txt": "1fba37d059a3d0a5d86f4320f919bf8144c6eed71c5c5c153d8c2b12b2f57d26",
+            "group0.arff": "8702eccde70e5d96b53397fc3ff8e78e51507d0c3fbefba477b1e1961d4c1d63",
+            "group0.tree.txt": "96e2e59aa57bc58bd3dbb8c9d7aebf377b1ed0aebb522708d68df47615e8963c",
+            "group1.arff": "c828f7b40d0c1b9d22309a5baab76cda51f7fedf3b920520264689f27f4a7864",
+            "group1.tree.txt": "12eb78d9f4e0aa5f4500faa755716bcdd0be98ecc80fa3494dfad3fe137ca22c",
+            "group2.arff": "d3794dd2a13bf1ab966eb608f6761639a6b0b6e3faaaf29250899391d44e6286",
+            "group2.tree.txt": "4c7bcc30bdb19f0ec5452fefee6ac39a0b556b3d4f1cf0ae7234d4583a2606af",
+            "group3.arff": "e3ed820536ba8ee33779e1ca718ba811bf70615dd1cd9dc3b6aac28edadb791a",
+            "group3.tree.txt": "c72ffdba92a8993f1e17ae3b0a8e2745186853245deb3fb21e1201065b96bc1b",
+            "group4.arff": "2b46366163ddcf0b644a6e6a3446ff81bd0a72d0bc571b46e63dd0027cc2d9fa",
+            "group4.tree.txt": "08de201e8f7801f3bec4fbf8fa627102d28f77eeeca918e6198c811dbdf4174d",
+            "group5.arff": "f13d164236a360511fd6d3c9533a5747aa030578477cf7d24f6a908807d4be01",
+            "group5.tree.txt": "ba526fdf3c884af3fe7367343f8703aa6fd973fc8f9bbb4925cfa6c0def900c8",
+            "group6.arff": "88163f52f242e6c0f3a860b9695f08597b8516c195c28c661b60783505d24447",
+            "group6.tree.txt": "24efdd1cf4753d60ce8fe35013fed43a1d9ae9c25d85ac54108bb6252581c380",
+            "ksp_log.tsv": "83d0314130479b88d4d85d5827f9c0f7f1a7bc7cff4e5c75071199d1f8947816",
+            "metrics.csv": "91049327fefd4db128929d8f9da93d9fc31faf5d4fcfbe75e1a87ae5f85a6f6d",
+            "network.txt": "e51d6638bf1c09a8beb454cf2016b422f3296ce09aa380c19cac16b719e7c687",
+            "summary.csv": "a25cb775c5a21e25d02ebc94f023b90c5052a8a1edbf43bd063c56d7827470ac",
+            "train_log.tsv": "14d80aefa30e4651d70b2f6544651fb8eccaf34a1e7c769b03107a82d8155a6f",
+        },
+    ),
+}
+
+
+def run_digests(tmp_path, monkeypatch, flags):
     monkeypatch.delenv("SONSIM_OUTDIR", raising=False)
     outdir = tmp_path / "out"
-    assert main(["run", "--strategy", "both", "--np", str(np_), "--nsp", str(nsp),
-                 "--seed", "9", "--outdir", str(outdir)]) == 0
-    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in outdir.iterdir()}
+    assert main(["run", "--strategy", "both", *flags, "--seed", "9",
+                 "--outdir", str(outdir)]) == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in outdir.iterdir()}
+
+
+@pytest.mark.parametrize("np_, nsp", sorted(GOLDEN))
+def test_run_outputs_match_golden_digests(tmp_path, monkeypatch, np_, nsp):
+    digests = run_digests(tmp_path, monkeypatch, ["--np", str(np_), "--nsp", str(nsp)])
     assert digests == GOLDEN[(np_, nsp)]
+
+
+@pytest.mark.parametrize("name", sorted(REFRESH_GOLDEN))
+def test_refresh_outputs_match_golden_digests(tmp_path, monkeypatch, name):
+    flags, golden = REFRESH_GOLDEN[name]
+    assert run_digests(tmp_path, monkeypatch, flags) == golden

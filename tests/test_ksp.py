@@ -4,7 +4,7 @@ import pytest
 
 from sonsim.config import Config, substream
 from sonsim.baseline import LogRecord, QueryLog, generate_queries, run_baseline_epoch
-from sonsim.dtree import Leaf
+from sonsim.dtree import Leaf, build_tree
 from sonsim.ksp import (
     form_groups,
     instances_from_records,
@@ -123,25 +123,24 @@ class TestTrainIndices:
         if len(overlay.groups) == 1:
             trained = train_indices(overlay, log, config.min_leaf)
             group = trained.groups[0]
-            assert len(group.log_slice) == len(log)
-            assert group.index is not None
-            assert group.trained_at == 1
+            assert group.instances == tuple(instances_from_records(log))
+            assert group.index == build_tree(group.instances, min_leaf=config.min_leaf)
 
     def test_slices_partition_the_log(self):
         net, log, _, config = net_and_log()
         trained = train_indices(form_groups(net, 2), log, config.min_leaf)
-        total = sum(len(g.log_slice) for g in trained.groups.values())
-        assert total == len(log)
+        total = sum(len(g.instances) for g in trained.groups.values())
+        assert total == len(instances_from_records(log))
         for group in trained.groups.values():
-            for record in group.log_slice:
-                assert record.origin_sp in group.members
+            own = [r for r in log if r.origin_sp in group.members]
+            assert group.instances == tuple(instances_from_records(own))
 
     def test_instance_counts_equal_answer_multiplicities(self):
         net, log, _, config = net_and_log()
         trained = train_indices(form_groups(net, 2), log, config.min_leaf)
         for group in trained.groups.values():
-            expected = sum(len(r.answering_sps) for r in group.log_slice)
-            assert len(instances_from_records(group.log_slice)) == expected
+            expected = sum(len(r.answering_sps) for r in log if r.origin_sp in group.members)
+            assert len(group.instances) == expected
 
     def test_group_without_queries_gets_global_leaf(self):
         net, log, _, config = net_and_log()
@@ -157,6 +156,13 @@ class TestTrainIndices:
         net, _, _, _ = net_and_log()
         with pytest.raises(ValueError):
             train_indices(form_groups(net, 2), QueryLog(), 2)
+
+    def test_record_from_unknown_super_peer_rejected(self):
+        net, log, _, _ = net_and_log()
+        stray = LogRecord("x", 0, len(net.super_peers), log.records[0].components,
+                          frozenset({0}))
+        with pytest.raises(ValueError, match="in no group"):
+            train_indices(form_groups(net, 2), QueryLog([*log, stray]), 2)
 
 
 class TestRouteKb:
@@ -249,18 +255,22 @@ class TestRefresh:
         overlay = train_indices(form_groups(net, config.tau_trust), log, 2)
         replay = _reid(workload[:10], "e")
         _, _, after = run_kb_epoch(net, overlay, replay,
-                                   relevance(net, replay, config.eps_acc), log,
+                                   relevance(net, replay, config.eps_acc),
                                    refresh_every=0)
-        assert all(after.groups[g].trained_at == 1 for g in after.groups)
+        assert after is overlay
 
-    def test_refresh_every_query_increments_counter(self):
+    def test_refresh_every_query_appends_each_routed_record(self):
         net, log, workload, config = net_and_log()
         overlay = train_indices(form_groups(net, config.tau_trust), log, 2)
         replay = _reid(workload[:5], "e")
-        _, _, after = run_kb_epoch(net, overlay, replay,
-                                   relevance(net, replay, config.eps_acc), log,
-                                   refresh_every=1)
-        assert all(after.groups[g].trained_at == 6 for g in after.groups)
+        kb_log, _, after = run_kb_epoch(net, overlay, replay,
+                                        relevance(net, replay, config.eps_acc),
+                                        refresh_every=1)
+        assert [r.query_id for r in kb_log] == [q.id for q in replay]
+        for gid, group in after.groups.items():
+            own = [r for r in (*log, *kb_log) if r.origin_sp in group.members]
+            assert group.instances == tuple(instances_from_records(own))
+            assert group.index == build_tree(group.instances, min_leaf=2)
 
     def test_retraining_on_same_log_is_identity(self):
         net, log, _, config = net_and_log()

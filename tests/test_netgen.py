@@ -11,7 +11,6 @@ from sonsim.netgen import (
     generate_sp_expertise,
     link_friends_and_duplicate,
     serialize_network,
-    trust,
 )
 
 
@@ -187,13 +186,13 @@ class TestTrust:
     def test_disjoint_expertise_gives_zero(self):
         net = build_son(Config(np=2, nsp=2, friends_per_sp=0,
                                min_peer_expertise=1, seed=5))
-        assert trust(net, 0, 1) == 0
+        assert net.cormat.entry(0, 1) == 0
 
     def test_friend_pair_at_least_dup_count(self):
         net = build_son(Config(np=10, nsp=5, friends_per_sp=2, dup_count=2, seed=5))
         for spid, sp in net.super_peers.items():
             for friend in sp.friends:
-                assert trust(net, spid, friend) >= 2
+                assert net.cormat.entry(spid, friend) >= 2
 
     def test_equal_expertise_counts_every_element(self):
         net = build_son(Config(np=2, nsp=2, friends_per_sp=0,
@@ -202,9 +201,3 @@ class TestTrust:
             {0: net.super_peers[0].expertise, 1: net.super_peers[0].expertise}
         )
         assert forced.entry(0, 1) == 4
-
-    def test_self_trust_rejected(self):
-        net = build_son(Config(np=2, nsp=2, friends_per_sp=0,
-                               min_peer_expertise=1, seed=5))
-        with pytest.raises(ValueError):
-            trust(net, 1, 1)

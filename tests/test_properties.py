@@ -4,8 +4,9 @@ The six acceptance-gated property suites live in test_acceptance; these cover
 the remaining invariants: capacity ranges, relevance boundaries, the indexed
 relevance kernel agreeing with the exhaustive oracle, both routers
 agreeing with a plain relevance scan of the communities they search, routing
-monotonicity in the threshold, distribution normalization, and grouping
-stability under relabeling.
+monotonicity in the threshold, distribution normalization, tree induction
+choosing the first best gain-ratio split, refreshed indices equal to
+from-scratch induction, and grouping stability under relabeling.
 """
 
 import dataclasses
@@ -15,7 +16,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sonsim.config import Config
 from sonsim.baseline import generate_queries, route_baseline, run_baseline_epoch
-from sonsim.dtree import Instance, build_tree, classify, entropy, training_accuracy
+from sonsim.dtree import (
+    Instance,
+    Leaf,
+    build_tree,
+    class_counts,
+    classify,
+    entropy,
+    gain_ratio,
+    training_accuracy,
+)
 from sonsim.model import (
     ExpertiseElement,
     Query,
@@ -25,7 +35,13 @@ from sonsim.model import (
     relevant_peers_indexed,
 )
 from sonsim.netgen import CorrespondenceMatrix, Network, build_son
-from sonsim.ksp import form_groups, route_kb, train_indices
+from sonsim.ksp import (
+    form_groups,
+    instances_from_records,
+    route_kb,
+    run_kb_epoch,
+    train_indices,
+)
 from sonsim.config import substream
 
 TOKENS = ["a", "b", "c", "d", "e"]
@@ -136,17 +152,23 @@ def assert_answers_match_plain_scan(net, query, eps, result):
 
 
 @lru_cache(maxsize=256)
-def cached_overlay(key, tau, n_components):
-    """Indices trained on a flooded baseline log, so trees name super-peers
-    in foreign groups and routing exercises two-hop relays. A tree only
-    classifies queries of the length it was trained on."""
+def flooded_log(key, n_components):
+    """A baseline log routed with unbounded forwarding, so records name
+    answering super-peers in foreign groups."""
     net = draw_net(key)
     rng = substream(7, "train")
     workload = [q for pid in sorted(net.peers)
                 for q in generate_queries(net.peers[pid], 2, n_components, rng, id_prefix="t")]
     relevant = [relevant_peers_indexed(net, q, 0.5) for q in workload]
-    log, _ = run_baseline_epoch(net, workload, relevant, 0.5, max_hops=None)
-    return train_indices(form_groups(net, tau), log)
+    return run_baseline_epoch(net, workload, relevant, 0.5, max_hops=None)[0]
+
+
+@lru_cache(maxsize=256)
+def cached_overlay(key, tau, n_components):
+    """Indices trained on a flooded baseline log, so trees name super-peers
+    in foreign groups and routing exercises two-hop relays. A tree only
+    classifies queries of the length it was trained on."""
+    return train_indices(form_groups(draw_net(key), tau), flooded_log(key, n_components))
 
 
 @given(key=net_keys, drawn=router_queries, eps=thresholds,
@@ -171,6 +193,35 @@ def test_kb_answers_match_plain_scan(key, drawn, eps, tau):
     sp = net.peers[q.origin_peer].super_peer
     result = route_kb(net, overlay, q, sp, relevant=relevant_peers_indexed(net, q, eps))
     assert_answers_match_plain_scan(net, q, eps, result)
+
+
+@given(key=net_keys, tau=st.sampled_from([3, 4]),
+       refresh_every=st.integers(min_value=1, max_value=7),
+       n_routed=st.integers(min_value=1, max_value=20),
+       seed=st.integers(min_value=0, max_value=1000))
+@settings(deadline=None)
+def test_refreshed_indices_equal_from_scratch_induction(key, tau, refresh_every, n_routed, seed):
+    """After a knowledge epoch with refreshes, every group owns exactly the
+    instances of its slice of the base log plus the records routed up to the
+    last refresh, in log order, and its index is induced from them anew."""
+    net = draw_net(key)
+    log = flooded_log(key, 3)
+    overlay = cached_overlay(key, tau, 3)
+    assume(len(overlay.groups) > 1)
+    rng = substream(seed, "kb")
+    pids = sorted(net.peers)
+    workload = [generate_queries(net.peers[rng.choice(pids)], 1, 3, rng, id_prefix=f"e{i}-")[0]
+                for i in range(n_routed)]
+    relevant = [relevant_peers_indexed(net, q, 0.5) for q in workload]
+    kb_log, _, after = run_kb_epoch(net, overlay, workload, relevant, refresh_every=refresh_every)
+    seen = [*log, *kb_log.records[:n_routed - n_routed % refresh_every]]
+    for group in after.groups.values():
+        own = tuple(instances_from_records(r for r in seen if r.origin_sp in group.members))
+        assert group.instances == own
+        if own:
+            assert group.index == build_tree(own, min_leaf=2)
+        else:
+            assert group.index == Leaf(class_counts(instances_from_records(seen)))
 
 
 @given(key=net_keys, seed=st.integers(min_value=0, max_value=1000))
@@ -231,6 +282,30 @@ def test_conflict_free_training_is_memorized(instances):
     assume(all(len(labels) == 1 for labels in by_attrs.values()))
     tree = build_tree(instances, min_leaf=1)
     assert training_accuracy(tree, instances) == 1.0
+
+
+def assert_first_best_split(tree, instances, attrs, min_leaf):
+    """Every node tests the lowest-index attribute of highest gain ratio over
+    its own instances and the attributes left on its path; its branches
+    partition those instances by that attribute's value."""
+    assert tree.counts == class_counts(instances)
+    if isinstance(tree, Leaf):
+        assert len(tree.counts) == 1 or not attrs or len(instances) < min_leaf
+        return
+    ratios = {a: gain_ratio(instances, a) for a in attrs}
+    best = max(ratios.values())
+    assert tree.attr_index == min(a for a, r in ratios.items() if r == best)
+    assert list(tree.branches) == sorted({i.attributes[tree.attr_index] for i in instances})
+    remaining = [a for a in attrs if a != tree.attr_index]
+    for value, child in tree.branches.items():
+        part = [i for i in instances if i.attributes[tree.attr_index] == value]
+        assert_first_best_split(child, part, remaining, min_leaf)
+
+
+@given(instances=instance_sets, min_leaf=st.integers(min_value=1, max_value=3))
+def test_every_node_splits_on_the_first_best_gain_ratio(instances, min_leaf):
+    assert_first_best_split(build_tree(instances, min_leaf=min_leaf), instances,
+                            [0, 1, 2], min_leaf)
 
 
 @given(key=net_keys, tau=st.integers(min_value=1, max_value=4),
