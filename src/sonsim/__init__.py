@@ -40,11 +40,9 @@ from .dtree import (
 )
 from .ksp import KspGroup, KspOverlay, form_groups, refresh_knowledge, route_kb, train_indices
 from .engine import (
-    CostModel,
     ExperimentReport,
     QueryMetrics,
     response_time,
-    run_experiment,
     score,
     sweep,
 )

@@ -5,9 +5,10 @@ in the query's relevant set, which the engine computes once per query with
 the relevance kernel and passes in. Global search evaluates each friend
 super-peer's expertise against the query and forwards to the qualifying ones,
 breadth-first, each super-peer processing a given query at most once.
-`mapping_ops` counts the members and friends probed, one mapping each, and
-the forwarding tree is kept so response time can later be costed along its
-critical path.
+The forwarding tree, one cost segment per searched super-peer, is the only
+record of a query's work: its mapping operations (the members and friends
+probed, one mapping each) and messages are sums over the tree, and response
+time is costed along its critical path.
 """
 
 from __future__ import annotations
@@ -30,25 +31,47 @@ from .netgen import Network, Peer
 
 @dataclass(frozen=True)
 class PathSegment:
-    """Sequential cost segment of a forwarding tree; branches run in parallel
-    after it."""
+    """Sequential cost segment of a forwarding tree: messages to reach it,
+    mapping operations and tree nodes visited in it. Branches run in
+    parallel after it."""
 
     hops: int = 0
     maps: int = 0
     tree_visits: int = 0
     branches: tuple["PathSegment", ...] = ()
 
+    def total(self, field: str) -> int:
+        """Sum of `field` over this segment and every segment below it."""
+        total, stack = 0, [self]
+        while stack:
+            segment = stack.pop()
+            total += getattr(segment, field)
+            stack += segment.branches
+        return total
+
 
 @dataclass(frozen=True)
 class RoutingResult:
+    """What a routed query found and where it searched; `cost_tree` is the
+    only record of the work it cost, and the counters are sums over it."""
+
     query_id: str
     answering_peers: frozenset[PeerId]
     answering_sps: frozenset[SuperPeerId]
     searched_sps: frozenset[SuperPeerId]
-    mapping_ops: int
-    hops: int
-    tree_visits: int
     cost_tree: PathSegment
+
+    @property
+    def mapping_ops(self) -> int:
+        return self.cost_tree.total("maps")
+
+    @property
+    def hops(self) -> int:
+        return self.cost_tree.total("hops")
+
+    @property
+    def tree_visits(self) -> int:
+        return self.cost_tree.total("tree_visits")
 
 
 @dataclass(frozen=True)
@@ -113,21 +136,6 @@ def generate_queries(peer: Peer, count: int, n_components: int, rng: Random,
     return queries
 
 
-class _Segment:
-    """Mutable builder for PathSegment while the forwarding wave runs."""
-
-    __slots__ = ("hops", "maps", "children")
-
-    def __init__(self, hops: int = 0, maps: int = 0):
-        self.hops = hops
-        self.maps = maps
-        self.children: list[_Segment] = []
-
-    def freeze(self) -> PathSegment:
-        return PathSegment(hops=self.hops, maps=self.maps, tree_visits=0,
-                           branches=tuple(child.freeze() for child in self.children))
-
-
 def route_baseline(net: Network, query: Query, sp: SuperPeerId,
                    relevant: AbstractSet[PeerId], eps_acc: float,
                    max_hops: int | None = 1) -> RoutingResult:
@@ -137,7 +145,8 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
     `eps_acc`); every searched community answers with its members in it.
     `eps_acc` still decides which friend super-peers qualify. max_hops bounds
     the forwarding depth: 0 is local-only, 1 reaches direct friends, None
-    floods until no unvisited qualifying super-peer remains.
+    floods until no unvisited qualifying super-peer remains. Each searched
+    super-peer is one segment of the cost tree.
     """
     if sp not in net.super_peers:
         raise ValueError(f"unknown super-peer {sp}")
@@ -148,21 +157,17 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
 
     answering_peers: set[PeerId] = set()
     answering_sps: set[SuperPeerId] = set()
-    mapping_ops = 0
-    hops = 0
+    maps: dict[SuperPeerId, int] = {}
+    forwarded: dict[SuperPeerId, list[SuperPeerId]] = {}
 
     processed: set[SuperPeerId] = {sp}
-    segments: dict[SuperPeerId, _Segment] = {sp: _Segment(hops=0)}
     queue: deque[tuple[SuperPeerId, int]] = deque([(sp, 0)])
 
     while queue:
         spid, depth = queue.popleft()
-        segment = segments[spid]
-
         members = net.super_peers[spid].members
         local_hits = relevant & members
-        segment.maps += len(members)
-        mapping_ops += len(members)
+        maps[spid] = len(members)
         if local_hits:
             answering_peers.update(local_hits)
             answering_sps.add(spid)
@@ -170,27 +175,26 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
         if max_hops is not None and depth >= max_hops:
             continue
         friends = sorted(net.super_peers[spid].friends)
-        segment.maps += len(friends)
-        mapping_ops += len(friends)
+        maps[spid] += len(friends)
+        forwarded[spid] = children = []
         for friend in friends:
             qualifies = capacity(net.super_peers[friend].expertise, query) >= eps_acc
             if qualifies and friend not in processed:
                 processed.add(friend)
-                hops += 1
-                child = _Segment(hops=1)
-                segments[friend] = child
-                segment.children.append(child)
+                children.append(friend)
                 queue.append((friend, depth + 1))
+
+    segments: dict[SuperPeerId, PathSegment] = {}
+    for spid in reversed(maps):  # reverse search order: forwards are built first
+        segments[spid] = PathSegment(hops=0 if spid == sp else 1, maps=maps[spid], branches=tuple(
+            [segments[friend] for friend in forwarded.get(spid, ())]))
 
     return RoutingResult(
         query_id=query.id,
         answering_peers=frozenset(answering_peers),
         answering_sps=frozenset(answering_sps),
         searched_sps=frozenset(processed),
-        mapping_ops=mapping_ops,
-        hops=hops,
-        tree_visits=0,
-        cost_tree=segments[sp].freeze(),
+        cost_tree=segments[sp],
     )
 
 
@@ -227,7 +231,10 @@ def write_query_log(log: QueryLog, path) -> None:
 
 
 def read_query_log(path) -> QueryLog:
+    """Parse a log written by `write_query_log`; every record must have as
+    many query components as the first."""
     log = QueryLog()
+    width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -236,6 +243,12 @@ def read_query_log(path) -> QueryLog:
             fields = line.split("\t")
             if len(fields) < 5:
                 raise ValueError(f"{path}: line {lineno}: expected at least 5 fields")
+            components = tuple(parse_element(c) for c in fields[3:-1])
+            if width is None:
+                width = len(components)
+            elif len(components) != width:
+                raise ValueError(f"{path}: line {lineno}: {len(components)} query components, "
+                                 f"but the first record has {width}")
             answering_field = fields[-1]
             answering = frozenset(
                 int(s) for s in answering_field.split(",")
@@ -244,7 +257,7 @@ def read_query_log(path) -> QueryLog:
                 query_id=fields[0],
                 origin_peer=int(fields[1]),
                 origin_sp=int(fields[2]),
-                components=tuple(parse_element(c) for c in fields[3:-1]),
+                components=components,
                 answering_sps=answering,
             ))
     return log

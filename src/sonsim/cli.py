@@ -160,7 +160,7 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _build_config(args)
     sizes = _parse_sizes(args.sizes)
-    reports = sweep(config, sizes, per_query=False)
+    reports = sweep(config, sizes)
     outdir = _outdir(args)
     write_sweep_csv(reports, outdir / "sweep_summary.csv")
     print(f"{len(reports)} runs -> {outdir / 'sweep_summary.csv'}")

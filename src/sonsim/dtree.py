@@ -45,12 +45,6 @@ class Node:
 DecisionTree = Union[Leaf, Node]
 
 
-@dataclass(frozen=True)
-class ClassDistribution:
-    probabilities: dict[SuperPeerId, float]
-    support: int
-
-
 def entropy(class_counts: Mapping[object, int]) -> float:
     """Shannon entropy in bits of a count distribution, with 0*log(0) = 0."""
     total = sum(class_counts.values())
@@ -140,15 +134,13 @@ def build_tree(instances: Sequence[Instance], attrs: Sequence[int] | None = None
     return Node(attr_index=best_attr, branches=branches, counts=counts)
 
 
-def _normalize(counts: Mapping[SuperPeerId, int]) -> ClassDistribution:
+def _normalize(counts: Mapping[SuperPeerId, int]) -> dict[SuperPeerId, float]:
     total = sum(counts.values())
-    return ClassDistribution(
-        probabilities={label: count / total for label, count in counts.items() if count},
-        support=total,
-    )
+    return {label: count / total for label, count in counts.items() if count}
 
 
-def classify_traced(tree: DecisionTree, attributes: Sequence[str]) -> tuple[ClassDistribution, int]:
+def classify_traced(tree: DecisionTree,
+                    attributes: Sequence[str]) -> tuple[dict[SuperPeerId, float], int]:
     """Classify and also report how many tree nodes the walk visited."""
     node = tree
     visits = 1
@@ -167,17 +159,18 @@ def classify_traced(tree: DecisionTree, attributes: Sequence[str]) -> tuple[Clas
     return _normalize(node.counts), visits
 
 
-def classify(tree: DecisionTree, attributes: Sequence[str]) -> ClassDistribution:
-    distribution, _ = classify_traced(tree, attributes)
-    return distribution
+def classify(tree: DecisionTree, attributes: Sequence[str]) -> dict[SuperPeerId, float]:
+    """Class label -> probability at the node the walk ends on; labels with
+    a zero count are left out."""
+    return classify_traced(tree, attributes)[0]
 
 
 def predict(tree: DecisionTree, attributes: Sequence[str]) -> SuperPeerId:
     """Single-label prediction: the most probable class, ties to the lowest
     label."""
-    distribution = classify(tree, attributes)
-    best = max(distribution.probabilities.values())
-    return min(label for label, p in distribution.probabilities.items() if p == best)
+    probabilities = classify(tree, attributes)
+    best = max(probabilities.values())
+    return min(label for label, p in probabilities.items() if p == best)
 
 
 def training_accuracy(tree: DecisionTree, instances: Sequence[Instance]) -> float:

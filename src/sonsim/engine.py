@@ -1,8 +1,11 @@
-"""Experiment driver: cost model, per-query metrics, paired strategy runs and
+"""Experiment driver: per-query metrics, paired strategy runs and
 scalability sweeps.
 
 Response time is costed along the critical path of a result's forwarding
 tree: sequential segments add up, parallel branches contribute their maximum.
+The costs per message, per mapping and per tree node visited are the `Config`
+keys `c_hop`, `c_map` and `c_tree`; the counters reported beside response
+time are sums over the same tree.
 The engine runs the relevance kernel in `model` (`relevant_peers_indexed`,
 which the test suite pins as equal to the plain exhaustive scan) once per
 query. That one set is what both routers search communities with and what
@@ -42,25 +45,6 @@ SUMMARY_COLUMNS = ("strategy", "n_queries", "mean_response_time", "mean_precisio
                    "total_hops", "total_tree_visits")
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Time units per overlay message, per capacity evaluation, and per tree
-    node visited."""
-
-    c_hop: float = 10.0
-    c_map: float = 1.0
-    c_tree: float = 0.1
-
-    def __post_init__(self) -> None:
-        for name in ("c_hop", "c_map", "c_tree"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-    @classmethod
-    def from_config(cls, config: Config) -> "CostModel":
-        return cls(c_hop=config.c_hop, c_map=config.c_map, c_tree=config.c_tree)
-
-
 @dataclass(frozen=True, slots=True)
 class QueryMetrics:
     query_id: str
@@ -93,15 +77,16 @@ class ExperimentReport:
     summaries: dict[str, StrategySummary]
 
 
-def response_time(result: RoutingResult, model: CostModel) -> float:
-    """Critical-path cost of a routing result under the given cost model."""
-    return _segment_cost(result.cost_tree, model)
+def response_time(result: RoutingResult, config: Config) -> float:
+    """Critical-path cost of a routing result under the configuration's
+    costs per message (`c_hop`), mapping (`c_map`) and tree node (`c_tree`)."""
+    return _segment_cost(result.cost_tree, config)
 
 
-def _segment_cost(segment, model: CostModel) -> float:
-    own = (segment.hops * model.c_hop + segment.maps * model.c_map
-           + segment.tree_visits * model.c_tree)
-    return own + max((_segment_cost(b, model) for b in segment.branches), default=0.0)
+def _segment_cost(segment, config: Config) -> float:
+    own = (segment.hops * config.c_hop + segment.maps * config.c_map
+           + segment.tree_visits * config.c_tree)
+    return own + max((_segment_cost(b, config) for b in segment.branches), default=0.0)
 
 
 def score(result: RoutingResult, oracle_set: set[PeerId]) -> tuple[float, float]:
@@ -118,11 +103,11 @@ def score(result: RoutingResult, oracle_set: set[PeerId]) -> tuple[float, float]
 
 
 def query_metrics(query: Query, result: RoutingResult, oracle_set: set[PeerId],
-                  model: CostModel) -> QueryMetrics:
+                  config: Config) -> QueryMetrics:
     precision, recall = score(result, oracle_set)
     return QueryMetrics(
         query_id=query.id,
-        response_time=response_time(result, model),
+        response_time=response_time(result, config),
         precision=precision,
         recall=recall,
         sp_precision=len(result.answering_sps) / len(result.searched_sps),
@@ -184,8 +169,7 @@ class PipelineArtifacts:
 
 
 def run_pipeline(config: Config, include_kb: bool = True,
-                 train_log: QueryLog | None = None,
-                 per_query: bool = True) -> PipelineArtifacts:
+                 train_log: QueryLog | None = None) -> PipelineArtifacts:
     """Build the network, produce the training log, train the knowledge layer,
     then route one evaluation workload through both strategies.
 
@@ -194,7 +178,8 @@ def run_pipeline(config: Config, include_kb: bool = True,
     stream. When an external train_log is supplied the training epoch is
     skipped and replay mode reconstructs the evaluation queries from the log
     records; a record whose origin peer is not in this network, or is not
-    under its origin super-peer, raises ValueError.
+    under its origin super-peer, or whose component count is not
+    `n_components`, raises ValueError.
 
     Relevance is computed once per query with `relevant_peers_indexed`. The
     training workload's sets drive the training epoch and, in replay mode,
@@ -204,7 +189,6 @@ def run_pipeline(config: Config, include_kb: bool = True,
     """
     config.validate()
     net = build_son(config)
-    model = CostModel.from_config(config)
 
     def relevance(workload: list[Query]) -> list[set[PeerId]]:
         return [relevant_peers_indexed(net, q, config.eps_acc) for q in workload]
@@ -222,6 +206,10 @@ def run_pipeline(config: Config, include_kb: bool = True,
             if peer is None or peer.super_peer != record.origin_sp:
                 raise ValueError(f"train log record {record.query_id}: peer {record.origin_peer} "
                                  f"under super-peer {record.origin_sp} is not in this network")
+            if len(record.components) != config.n_components:
+                raise ValueError(f"train log record {record.query_id}: "
+                                 f"{len(record.components)} query components, but "
+                                 f"n_components is {config.n_components}")
 
     if config.workload_mode == "replay":
         if train_workload is not None:
@@ -255,14 +243,12 @@ def run_pipeline(config: Config, include_kb: bool = True,
         )
 
     rows: dict[str, list[QueryMetrics]] = {}
-    rows[BASELINE] = [query_metrics(q, r, oracle, model)
+    rows[BASELINE] = [query_metrics(q, r, oracle, config)
                       for q, r, oracle in zip(eval_workload, baseline_results, relevant)]
     if kb_results is not None:
-        rows[KSP] = [query_metrics(q, r, oracle, model)
+        rows[KSP] = [query_metrics(q, r, oracle, config)
                      for q, r, oracle in zip(eval_workload, kb_results, relevant)]
     summaries = {name: summarize(name, rs) for name, rs in rows.items()}
-    if not per_query:
-        rows = {name: [] for name in rows}
     report = ExperimentReport(config=config.replace(), per_query=rows,
                               summaries=summaries)
     return PipelineArtifacts(
@@ -272,21 +258,17 @@ def run_pipeline(config: Config, include_kb: bool = True,
     )
 
 
-def run_experiment(config: Config) -> ExperimentReport:
-    """Full comparative run of both strategies; deterministic under the seed."""
-    return run_pipeline(config).report
-
-
-def sweep(base_config: Config, sizes: list[tuple[int, int]],
-          per_query: bool = True) -> list[ExperimentReport]:
-    """One run_experiment per (np, nsp) size with a derived per-point seed."""
+def sweep(base_config: Config, sizes: list[tuple[int, int]]) -> list[ExperimentReport]:
+    """One run_pipeline per (np, nsp) size with a derived per-point seed.
+    Each report keeps its summaries; its per-query rows are dropped."""
     if not sizes:
         raise ValueError("sizes list is empty")
     reports = []
     for index, (n_peers, n_sps) in enumerate(sizes):
         point = base_config.replace(np=n_peers, nsp=n_sps,
                                     seed=derive_seed(base_config.seed, index))
-        reports.append(run_pipeline(point, per_query=per_query).report)
+        report = run_pipeline(point).report
+        reports.append(dataclasses.replace(report, per_query={s: [] for s in report.per_query}))
     return reports
 
 

@@ -9,6 +9,8 @@ Each group owns the instances its index was induced from; a log record is
 rendered once, and a refresh adds only the records routed since the last one.
 Index-driven routing replaces all super-peer-level capacity evaluations with
 one tree walk; only peer-level evaluations remain metered as mapping work.
+As in the baseline, the cost tree is the only record of that work: a query's
+mapping operations, messages and tree visits are sums over it.
 Which peers of a searched community answer comes from the query's relevant
 set, which the engine computes once per query and passes in.
 """
@@ -167,48 +169,33 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
     if group.index is None:
         raise ValueError("index not trained")
 
-    def local_search(spid: int) -> tuple[set[PeerId], int]:
-        members = net.super_peers[spid].members
-        return relevant & members, len(members)
+    attributes = tuple(c.render() for c in query.components)
+    probabilities, tree_visits = classify_traced(group.index, attributes)
+    # Every label in the distribution is a candidate: zero counts are dropped.
+    targets = sorted(s for s in probabilities if s != sp and s in net.super_peers)
 
     answering_peers: set[PeerId] = set()
     answering_sps: set[SuperPeerId] = set()
-
-    origin_hits, origin_maps = local_search(sp)
-    if origin_hits:
-        answering_peers.update(origin_hits)
-        answering_sps.add(sp)
-
-    attributes = tuple(c.render() for c in query.components)
-    distribution, tree_visits = classify_traced(group.index, attributes)
-    # Every label in the distribution is a candidate: zero counts are dropped.
-    targets = sorted(s for s in distribution.probabilities if s != sp and s in net.super_peers)
-
-    mapping_ops = origin_maps
-    hops = 1  # origin super-peer -> its knowledge node
-    target_segments = []
-    for target in targets:
-        arrival_hops = 1 if overlay.sp_to_group[target] == group.id else 2
-        hits, maps = local_search(target)
+    maps: dict[SuperPeerId, int] = {}
+    for spid in (sp, *targets):
+        members = net.super_peers[spid].members
+        hits = relevant & members
+        maps[spid] = len(members)
         if hits:
             answering_peers.update(hits)
-            answering_sps.add(target)
-        mapping_ops += maps
-        hops += arrival_hops
-        target_segments.append(PathSegment(hops=arrival_hops, maps=maps))
+            answering_sps.add(spid)
 
+    arrivals = tuple([PathSegment(hops=1 if overlay.sp_to_group[t] == group.id else 2,
+                                  maps=maps[t]) for t in targets])
     cost_tree = PathSegment(branches=(
-        PathSegment(maps=origin_maps),
-        PathSegment(hops=1, tree_visits=tree_visits, branches=tuple(target_segments)),
+        PathSegment(maps=maps[sp]),
+        PathSegment(hops=1, tree_visits=tree_visits, branches=arrivals),
     ))
     return RoutingResult(
         query_id=query.id,
         answering_peers=frozenset(answering_peers),
         answering_sps=frozenset(answering_sps),
         searched_sps=frozenset({sp, *targets}),
-        mapping_ops=mapping_ops,
-        hops=hops,
-        tree_visits=tree_visits,
         cost_tree=cost_tree,
     )
 

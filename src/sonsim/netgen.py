@@ -84,7 +84,6 @@ class Network:
     super_peers: dict[SuperPeerId, SuperPeer]
     cormat: CorrespondenceMatrix
     config: Config
-    seed: int
     # Inverted index element -> holding peers (ascending ids) for the
     # relevance kernel, model.relevant_peers_indexed; rebuilt on construction.
     element_index: dict[ExpertiseElement, tuple[PeerId, ...]] = field(
@@ -114,25 +113,16 @@ def generate_domains(nsp: int, rng: Random) -> list[DomainLabel]:
     return labels
 
 
-def generate_sp_expertise(domain: DomainLabel, size: int, rng: Random,
-                          vocab_size: int | None = None) -> Expertise:
+def generate_sp_expertise(domain: DomainLabel, size: int, rng: Random) -> Expertise:
     """Draw `size` distinct couples over the domain's own token partition.
 
     Tokens are "<domain><k>", so couples from different domains can never
-    collide before duplication. The token pool defaults to the smallest one
-    that admits `size` distinct couples.
+    collide before duplication. The token pool is the smallest one that
+    admits `size` distinct couples.
     """
     if size < 1:
         raise ValueError("expertise size must be >= 1")
-    if vocab_size is None:
-        vocab_size = math.isqrt(size)
-        if vocab_size * vocab_size < size:
-            vocab_size += 1
-    if vocab_size * vocab_size < size:
-        raise ValueError(
-            f"vocabulary of {vocab_size} tokens yields only {vocab_size * vocab_size} "
-            f"distinct couples, {size} requested"
-        )
+    vocab_size = math.isqrt(size - 1) + 1  # smallest k with k * k >= size
     tokens = [f"{domain}{k}" for k in range(vocab_size)]
     couples = [ExpertiseElement(a, b) for a in tokens for b in tokens]
     return frozenset(rng.sample(couples, size))
@@ -178,7 +168,7 @@ def link_friends_and_duplicate(net: Network, friends_per_sp: int, dup_count: int
         {spid: sp.expertise for spid, sp in new_sps.items()}
     )
     return Network(peers=dict(net.peers), super_peers=new_sps, cormat=cormat,
-                   config=net.config, seed=net.seed)
+                   config=net.config)
 
 
 def generate_peer_expertise(sp: SuperPeer, min_size: int, rng: Random) -> Expertise:
@@ -193,12 +183,11 @@ def generate_peer_expertise(sp: SuperPeer, min_size: int, rng: Random) -> Expert
     return frozenset(rng.sample(available, size))
 
 
-def build_son(config: Config, rng: Random | None = None) -> Network:
+def build_son(config: Config) -> Network:
     """End-to-end network synthesis: domains, super-peer expertise, friend
     links with duplication, then peers attached round-robin."""
     config.validate()
-    if rng is None:
-        rng = substream(config.seed, "network")
+    rng = substream(config.seed, "network")
 
     domains = generate_domains(config.nsp, rng)
     sps = {
@@ -211,8 +200,7 @@ def build_son(config: Config, rng: Random | None = None) -> Network:
         )
         for spid in range(config.nsp)
     }
-    net = Network(peers={}, super_peers=sps, cormat=CorrespondenceMatrix(),
-                  config=config, seed=config.seed)
+    net = Network(peers={}, super_peers=sps, cormat=CorrespondenceMatrix(), config=config)
     net = link_friends_and_duplicate(net, config.friends_per_sp, config.dup_count, rng)
 
     peers: dict[int, Peer] = {}
@@ -228,8 +216,7 @@ def build_son(config: Config, rng: Random | None = None) -> Network:
         spid: dataclasses.replace(sp, members=frozenset(members[spid]))
         for spid, sp in net.super_peers.items()
     }
-    return Network(peers=peers, super_peers=final_sps, cormat=net.cormat,
-                   config=config, seed=config.seed)
+    return Network(peers=peers, super_peers=final_sps, cormat=net.cormat, config=config)
 
 
 def serialize_network(net: Network) -> str:

@@ -33,7 +33,6 @@ from sonsim.engine import (
     BASELINE,
     DEFAULT_SWEEP_SIZES,
     KSP,
-    run_experiment,
     run_pipeline,
     sweep,
 )
@@ -50,7 +49,7 @@ def check(number, description, ok, detail):
 @pytest.fixture(scope="module")
 def desk_run():
     start = time.perf_counter()
-    report = run_experiment(Config(seed=101, np=1000, nsp=20))
+    report = run_pipeline(Config(seed=101, np=1000, nsp=20)).report
     return report, time.perf_counter() - start
 
 
@@ -81,7 +80,7 @@ def test_criterion_02_recall_ordering(desk_run):
 
 
 def test_criterion_03_sp_precision_ordering():
-    report = run_experiment(Config(seed=101))  # default scenario
+    report = run_pipeline(Config(seed=101)).report  # default scenario
     spp_bl = report.summaries[BASELINE].mean_sp_precision
     spp_kb = report.summaries[KSP].mean_sp_precision
     peer_precision_exact = all(
@@ -336,7 +335,7 @@ def test_criterion_08_summary():
 
 def test_criterion_09_scalability_smoke():
     start = time.perf_counter()
-    reports = sweep(Config(seed=9), DEFAULT_SWEEP_SIZES, per_query=False)
+    reports = sweep(Config(seed=9), DEFAULT_SWEEP_SIZES)
     elapsed = time.perf_counter() - start
     totals = [r.summaries[BASELINE].total_mapping_ops for r in reports]
     monotone = all(a < b for a, b in zip(totals, totals[1:]))

@@ -5,7 +5,6 @@ import pytest
 from sonsim.config import Config, substream
 from sonsim.baseline import (
     LogRecord,
-    PathSegment,
     QueryLog,
     generate_queries,
     read_query_log,
@@ -171,23 +170,6 @@ class TestCostTree:
         assert result.cost_tree.branches == ()
         assert result.cost_tree.maps == result.mapping_ops
         assert result.cost_tree.hops == 0
-
-    def test_totals_match_tree_sums(self):
-        net = small_net(np=60, nsp=6)
-        q = queries_for(net, 13, count=1)[0]
-        result = route(net, q, net.peers[13].super_peer, 0.0, max_hops=2)
-
-        def sums(seg: PathSegment):
-            hops, maps = seg.hops, seg.maps
-            for b in seg.branches:
-                bh, bm = sums(b)
-                hops += bh
-                maps += bm
-            return hops, maps
-
-        hops, maps = sums(result.cost_tree)
-        assert hops == result.hops
-        assert maps == result.mapping_ops
 
 
 class TestEpochAndLog:

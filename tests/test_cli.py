@@ -134,6 +134,38 @@ class TestRun:
         assert err.startswith("sonsim: error: train log record ")
         assert f"{problem} is not in this network" in err
 
+    def test_train_log_with_other_component_count_rejected(self, tmp_path, capsys):
+        run_cli("run", "--strategy", "baseline", *FAST, "--n-components", "3",
+                "--outdir", str(tmp_path / "other"))
+        capsys.readouterr()
+        code = run_cli("run", "--strategy", "both", *FAST,
+                       "--train-log", str(tmp_path / "other" / "train_log.tsv"),
+                       "--outdir", str(tmp_path / "run"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sonsim: error: train log record ")
+        assert "3 query components, but n_components is 4" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, log_flag, flags", [
+        ("run", "--train-log", FAST),
+        ("train-index", "--log", []),
+    ], ids=["run", "train-index"])
+    def test_log_with_mixed_component_counts_rejected(self, tmp_path, capsys,
+                                                      command, log_flag, flags):
+        run_cli("run", "--strategy", "baseline", *FAST, "--outdir", str(tmp_path / "log"))
+        lines = (tmp_path / "log" / "train_log.tsv").read_text().splitlines()
+        fields = lines[1].split("\t")
+        lines[1] = "\t".join(fields[:3] + fields[4:])  # one component fewer
+        mixed = tmp_path / "mixed.tsv"
+        mixed.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli(command, *flags, log_flag, str(mixed), "--outdir", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"sonsim: error: {mixed}: line 2: 3 query components, but the first record has 4")
+        assert not (tmp_path / "out").exists()
+
     def test_each_log_record_is_rendered_at_most_once(self, tmp_path, monkeypatch):
         import sonsim.cli
         import sonsim.ksp

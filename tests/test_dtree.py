@@ -11,7 +11,6 @@ import pytest
 
 from sonsim.dtree import (
     ArffError,
-    ClassDistribution,
     Instance,
     Leaf,
     Node,
@@ -143,28 +142,25 @@ class TestClassify:
     def test_leaf_tree_classifies_anything(self):
         tree = Leaf({0: 10})
         result = classify(tree, ("whatever",))
-        assert result == ClassDistribution({0: 1.0}, 10)
+        assert result == {0: 1.0}
 
     def test_memorized_instances_get_probability_one(self):
         instances = [Instance((f"v{c}", "x"), c) for c in range(3) for _ in range(4)]
         tree = build_tree(instances)
         for inst in instances:
-            dist = classify(tree, inst.attributes)
-            assert dist.probabilities == {inst.class_label: 1.0}
+            assert classify(tree, inst.attributes) == {inst.class_label: 1.0}
 
     def test_unseen_value_falls_back_to_node_distribution(self):
         tree = build_tree(FIXTURE, min_leaf=1)
         dist = classify(tree, ("hail", "hot", "high", "weak"))
-        assert dist.support == 14
-        assert dist.probabilities[1] == pytest.approx(9 / 14)
-        assert dist.probabilities[0] == pytest.approx(5 / 14)
+        assert dist[1] == pytest.approx(9 / 14)
+        assert dist[0] == pytest.approx(5 / 14)
 
     def test_probabilities_always_sum_to_one(self):
         tree = build_tree(FIXTURE, min_leaf=1)
         for inst in FIXTURE:
             dist = classify(tree, inst.attributes)
-            assert sum(dist.probabilities.values()) == pytest.approx(1.0, abs=1e-9)
-            assert dist.support >= 1
+            assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_too_few_attributes_rejected(self):
         tree = build_tree(FIXTURE, min_leaf=1)
@@ -187,19 +183,19 @@ class TestRelevantSps:
     classify() gives nonzero probability."""
 
     def test_leaf_support_only(self):
-        assert set(classify(Leaf({0: 5}), ("a.b",)).probabilities) == {0}
+        assert set(classify(Leaf({0: 5}), ("a.b",))) == {0}
 
     def test_zero_counts_are_not_candidates(self):
-        assert set(classify(Leaf({0: 5, 1: 0}), ("a.b",)).probabilities) == {0}
+        assert set(classify(Leaf({0: 5, 1: 0}), ("a.b",))) == {0}
 
     def test_fallback_distribution_support(self):
         tree = Node(0, {"seen": Leaf({1: 2})}, {0: 3, 2: 1})
-        assert set(classify(tree, ("zz.zz",)).probabilities) == {0, 2}
+        assert set(classify(tree, ("zz.zz",))) == {0, 2}
 
     def test_never_empty(self):
         tree = build_tree(FIXTURE, min_leaf=1)
         unseen = tuple(f"n.{i}" for i in range(4))
-        assert classify(tree, unseen).probabilities
+        assert classify(tree, unseen)
 
 
 class TestRenderTree:

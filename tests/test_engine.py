@@ -1,21 +1,19 @@
-"""Cost model, scoring, paired experiment runs and sweeps."""
+"""Response time, scoring, paired experiment runs and sweeps."""
 
 import dataclasses
 
 import pytest
 
 import sonsim.engine
-from sonsim.config import Config, substream
+from sonsim.config import Config, ConfigError, substream
 from sonsim.baseline import PathSegment, RoutingResult, run_baseline_epoch
 from sonsim.engine import (
     BASELINE,
     KSP,
-    CostModel,
     make_workload,
     metrics_rows,
     relevant_peers_indexed,
     response_time,
-    run_experiment,
     run_pipeline,
     score,
     sweep,
@@ -28,8 +26,7 @@ from sonsim.netgen import build_son
 
 def result_with(tree, **kw):
     defaults = dict(query_id="q", answering_peers=frozenset(), answering_sps=frozenset(),
-                    searched_sps=frozenset({0}), mapping_ops=0, hops=0, tree_visits=0,
-                    cost_tree=tree)
+                    searched_sps=frozenset({0}), cost_tree=tree)
     defaults.update(kw)
     return RoutingResult(**defaults)
 
@@ -37,41 +34,41 @@ def result_with(tree, **kw):
 class TestResponseTime:
     def test_local_only_maps_cost(self):
         result = result_with(PathSegment(maps=30))
-        assert response_time(result, CostModel(c_hop=10, c_map=1, c_tree=0)) == 30
+        assert response_time(result, Config(c_hop=10, c_map=1, c_tree=0)) == 30
 
     def test_all_costs_zero(self):
         tree = PathSegment(hops=2, maps=5, branches=(PathSegment(hops=1, maps=3),))
-        assert response_time(result_with(tree), CostModel(0, 0, 0)) == 0.0
+        assert response_time(result_with(tree), Config(c_hop=0, c_map=0, c_tree=0)) == 0.0
 
     def test_max_over_parallel_branches(self):
         tree = PathSegment(maps=3, branches=(
             PathSegment(maps=10),
             PathSegment(maps=7),
         ))
-        assert response_time(result_with(tree), CostModel(c_hop=0, c_map=1, c_tree=0)) == 13
+        assert response_time(result_with(tree), Config(c_hop=0, c_map=1, c_tree=0)) == 13
 
     def test_additive_in_each_coefficient_on_a_chain(self):
         tree = PathSegment(hops=2, maps=5, tree_visits=3,
                            branches=(PathSegment(hops=1, maps=4, tree_visits=2),))
-        base = CostModel(c_hop=10, c_map=1, c_tree=0.1)
+        base = Config(c_hop=10, c_map=1, c_tree=0.1)
         t0 = response_time(result_with(tree), base)
-        t_map2 = response_time(result_with(tree), CostModel(10, 2, 0.1))
+        t_map2 = response_time(result_with(tree), base.replace(c_map=2))
         assert t_map2 - t0 == pytest.approx(9 * 1)  # doubled c_map adds maps*c_map
-        t_hop2 = response_time(result_with(tree), CostModel(20, 1, 0.1))
+        t_hop2 = response_time(result_with(tree), base.replace(c_hop=20))
         assert t_hop2 - t0 == pytest.approx(3 * 10)
 
     def test_homogeneous_under_scaling(self):
         tree = PathSegment(hops=1, maps=2, branches=(
             PathSegment(hops=3, maps=1), PathSegment(maps=9),
         ))
-        base = CostModel(7, 2, 0.5)
-        doubled = CostModel(14, 4, 1.0)
+        base = Config(c_hop=7, c_map=2, c_tree=0.5)
+        doubled = Config(c_hop=14, c_map=4, c_tree=1.0)
         assert response_time(result_with(tree), doubled) == \
             pytest.approx(2 * response_time(result_with(tree), base))
 
     def test_negative_costs_rejected(self):
-        with pytest.raises(ValueError):
-            CostModel(c_hop=-1)
+        with pytest.raises(ConfigError):
+            Config(c_hop=-1).validate()
 
 
 class TestScore:
@@ -171,21 +168,21 @@ class TestRunExperiment:
         return Config(**base)
 
     def test_report_has_both_strategies(self):
-        report = run_experiment(self._config())
+        report = run_pipeline(self._config()).report
         assert set(report.summaries) == {BASELINE, KSP}
         assert len(report.per_query[BASELINE]) == 80
         assert len(report.per_query[KSP]) == 80
 
     def test_deterministic_reports(self):
-        a = run_experiment(self._config())
-        b = run_experiment(self._config())
+        a = run_pipeline(self._config()).report
+        b = run_pipeline(self._config()).report
         assert a.per_query == b.per_query
         assert a.summaries == b.summaries
 
     def test_single_node_network_degenerates(self):
         config = self._config(np=1, nsp=1, friends_per_sp=0, min_peer_expertise=1,
                               queries_per_peer=3)
-        report = run_experiment(config)
+        report = run_pipeline(config).report
         bl, kb = report.summaries[BASELINE], report.summaries[KSP]
         assert bl.mean_precision == kb.mean_precision == 1.0
         assert bl.mean_recall == kb.mean_recall
@@ -196,7 +193,7 @@ class TestRunExperiment:
             assert row_bl.mapping_ops == row_kb.mapping_ops
 
     def test_replay_mode_reuses_training_queries(self):
-        report_replay = run_experiment(self._config(workload_mode="replay"))
+        report_replay = run_pipeline(self._config(workload_mode="replay")).report
         artifacts = run_pipeline(self._config(workload_mode="replay"))
         train_components = [r.components for r in artifacts.train_log]
         eval_components = [q.components for q in artifacts.eval_workload]
@@ -204,7 +201,7 @@ class TestRunExperiment:
         assert set(report_replay.summaries) == {BASELINE, KSP}
 
     def test_aggregates_recomputable_from_rows(self):
-        report = run_experiment(self._config())
+        report = run_pipeline(self._config()).report
         for strategy, rows in report.per_query.items():
             summary = report.summaries[strategy]
             assert summary.mean_recall == pytest.approx(
@@ -212,18 +209,18 @@ class TestRunExperiment:
             assert summary.total_mapping_ops == sum(r.mapping_ops for r in rows)
 
     def test_peer_level_precision_is_always_one(self):
-        report = run_experiment(self._config(np=60, nsp=6, seed=4))
+        report = run_pipeline(self._config(np=60, nsp=6, seed=4)).report
         for rows in report.per_query.values():
             assert all(r.precision == 1.0 for r in rows)
 
     def test_baseline_rows_have_no_tree_visits(self):
-        report = run_experiment(self._config())
+        report = run_pipeline(self._config()).report
         assert all(r.tree_visits == 0 for r in report.per_query[BASELINE])
         assert all(r.tree_visits >= 1 for r in report.per_query[KSP])
 
     def test_metrics_rows_are_column_ordered(self):
-        report = run_experiment(self._config(np=8, nsp=2, queries_per_peer=1,
-                                             friends_per_sp=1))
+        report = run_pipeline(self._config(np=8, nsp=2, queries_per_peer=1,
+                                           friends_per_sp=1)).report
         rows = metrics_rows(report)
         assert rows[0][0] == BASELINE
         assert len(rows[0]) == 9
@@ -253,6 +250,6 @@ class TestSweep:
         assert reports[0].config.seed != reports[1].config.seed
 
     def test_per_query_flag_drops_rows_but_keeps_summaries(self):
-        reports = sweep(self._config(), [(20, 2)], per_query=False)
+        reports = sweep(self._config(), [(20, 2)])
         assert reports[0].per_query[BASELINE] == []
         assert reports[0].summaries[BASELINE].n_queries == 20

@@ -3,8 +3,9 @@ byte-identical files.
 
 The static replay digests were captured before the relevance kernel was
 shared by the oracle and both routers, the refresh digests before the
-knowledge indices kept their own training instances. A change that alters
-outputs on purpose re-pins them here, and says why.
+knowledge indices kept their own training instances, the forwarding-depth
+digests before the routing counters were summed from the cost tree. A change
+that alters outputs on purpose re-pins them here, and says why.
 """
 
 import hashlib
@@ -83,6 +84,32 @@ REFRESH_GOLDEN = {
 }
 
 
+# Forwarding depths other than the default one hop: a flood, whose trees run
+# deeper than one hop, and local-only search, whose trees have no branch.
+HOPS_GOLDEN = {
+    -1: {
+        "config.txt": "8e11866aa3ca3d8e2edfdad14bdbcb42078df34c37287b1d8afa77ca25013424",
+        "group0.arff": "0e9787e3b3bc004dc39cbc715d6bd0fd7415889039c493fd312e3344992df55c",
+        "group0.tree.txt": "f9b242e19361de15668a86945a01900cce975c86d89e730d9683e2947597faa2",
+        "ksp_log.tsv": "e43ddb08b853d1823f86a4a6d19e3ec1d2c8c2e23af87184a43b2cca3b6bee32",
+        "metrics.csv": "75f825dd80f98cb3efc473687cf5680e5eecddbec28f2c058a5973fa638a8d48",
+        "network.txt": "24db7f126f5d2984e9255758872249840e7d09b2f5d675dcc3ab21d161aadd4c",
+        "summary.csv": "1d2de78d104b665dc5e12ee811e2a0f018b57f14990317a68d14aab86735faef",
+        "train_log.tsv": "7cb9f4819293c7d0b6a5d08ab08b613ec2ff8838c6c849271e146b6d1fd86743",
+    },
+    0: {
+        "config.txt": "4a58229a15545208ec5a5f53e07be8b0feb6b52266f8f029ec6646d56a3183d8",
+        "group0.arff": "5ae5730ce5ec7eb4d8b2e7a807c48c72dfb964778b3d613e3ecc87ca47de6306",
+        "group0.tree.txt": "0aa377bb2aac5bfa32366d1f8e65824e6eb2f8c1535949691ad4fe346f8c61f4",
+        "ksp_log.tsv": "47bf8b8b30c0b8debafa44b51337c030f17fc623c5f63efffe3b71b98bf2f6d0",
+        "metrics.csv": "ab2f23975466f79da96e62a4ad837b294f4b69240e22c20bf44efcd0bfd4cd39",
+        "network.txt": "302c79dd3013d7d3fd2ed9db4e5bc6d66074bde338babeb48d1b4dcd736d6531",
+        "summary.csv": "6e49b8c4b061f20c2c4a7716b1955aec7854885693bc4da7c64a6e3403d28e9a",
+        "train_log.tsv": "bf406e4243ed1564f2952fea430ab52a71574a9341a199031ee3a0a2bec0dd86",
+    },
+}
+
+
 def run_digests(tmp_path, monkeypatch, flags):
     monkeypatch.delenv("SONSIM_OUTDIR", raising=False)
     outdir = tmp_path / "out"
@@ -102,3 +129,9 @@ def test_run_outputs_match_golden_digests(tmp_path, monkeypatch, np_, nsp):
 def test_refresh_outputs_match_golden_digests(tmp_path, monkeypatch, name):
     flags, golden = REFRESH_GOLDEN[name]
     assert run_digests(tmp_path, monkeypatch, flags) == golden
+
+
+@pytest.mark.parametrize("max_hops", sorted(HOPS_GOLDEN))
+def test_max_hops_outputs_match_golden_digests(tmp_path, monkeypatch, max_hops):
+    flags = ["--np", "300", "--nsp", "10", "--max-hops", str(max_hops)]
+    assert run_digests(tmp_path, monkeypatch, flags) == HOPS_GOLDEN[max_hops]

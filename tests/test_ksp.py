@@ -76,8 +76,7 @@ class TestFormGroups:
         sps[1] = dataclasses.replace(sps[1], expertise=sps[1].expertise | shared)
         cormat = CorrespondenceMatrix.from_expertise(
             {spid: sp.expertise for spid, sp in sps.items()})
-        net = Network(peers=net.peers, super_peers=sps, cormat=cormat,
-                      config=net.config, seed=net.seed)
+        net = Network(peers=net.peers, super_peers=sps, cormat=cormat, config=net.config)
         overlay = form_groups(net, 1)
         members = {gid: group.members for gid, group in overlay.groups.items()}
         assert members[0] == frozenset({0, 1})

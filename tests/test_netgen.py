@@ -54,10 +54,6 @@ class TestGenerateSpExpertise:
             assert element.x.startswith("zz")
             assert element.y.startswith("zz")
 
-    def test_vocabulary_too_small_rejected(self):
-        with pytest.raises(ValueError, match="vocabulary"):
-            generate_sp_expertise("aa", 5, rng(), vocab_size=2)
-
 
 class TestLinkFriends:
     def _sp_only_net(self, nsp, size=6, seed=4):

@@ -3,7 +3,8 @@
 The six acceptance-gated property suites live in test_acceptance; these cover
 the remaining invariants: capacity ranges, relevance boundaries, the indexed
 relevance kernel agreeing with the exhaustive oracle, both routers
-agreeing with a plain relevance scan of the communities they search, routing
+agreeing with a plain relevance scan of the communities they search, their
+message and mapping counts agreeing with where they searched, routing
 monotonicity in the threshold, distribution normalization, tree induction
 choosing the first best gain-ratio split, refreshed indices equal to
 from-scratch induction, and grouping stability under relabeling.
@@ -22,6 +23,7 @@ from sonsim.dtree import (
     build_tree,
     class_counts,
     classify,
+    classify_traced,
     entropy,
     gain_ratio,
     training_accuracy,
@@ -151,6 +153,39 @@ def assert_answers_match_plain_scan(net, query, eps, result):
     assert result.answering_sps == {s for s, peers in relevant.items() if peers}
 
 
+def forwarding_depths(net, query, sp, eps, max_hops):
+    """Hops from `sp` of every super-peer the baseline searches: friend links
+    lead into super-peers whose expertise qualifies, at most max_hops deep."""
+    depths = {sp: 0}
+    frontier, depth = {sp}, 0
+    while frontier and (max_hops is None or depth < max_hops):
+        depth += 1
+        frontier = {f for s in frontier for f in net.super_peers[s].friends
+                    if f not in depths and capacity(net.super_peers[f].expertise, query) >= eps}
+        depths.update(dict.fromkeys(frontier, depth))
+    return depths
+
+
+@given(key=net_keys, drawn=router_queries, eps=thresholds,
+       max_hops=st.sampled_from([0, 1, 2, None]))
+@settings(deadline=None)
+def test_baseline_counts_one_message_per_forward_and_one_mapping_per_probe(
+        key, drawn, eps, max_hops):
+    """One message reaches each searched super-peer but the origin; each
+    searched super-peer maps its members, and each one short of max_hops
+    also maps its friends."""
+    net = draw_net(key)
+    q = router_query(net, drawn)
+    sp = net.peers[q.origin_peer].super_peer
+    result = route_baseline(net, q, sp, relevant_peers_indexed(net, q, eps), eps, max_hops)
+    depths = forwarding_depths(net, q, sp, eps, max_hops)
+    assert result.searched_sps == set(depths)
+    assert result.hops == len(result.searched_sps) - 1
+    expanded = [s for s, d in depths.items() if max_hops is None or d < max_hops]
+    assert result.mapping_ops == (sum(len(net.super_peers[s].members) for s in depths)
+                                  + sum(len(net.super_peers[s].friends) for s in expanded))
+
+
 @lru_cache(maxsize=256)
 def flooded_log(key, n_components):
     """A baseline log routed with unbounded forwarding, so records name
@@ -193,6 +228,24 @@ def test_kb_answers_match_plain_scan(key, drawn, eps, tau):
     sp = net.peers[q.origin_peer].super_peer
     result = route_kb(net, overlay, q, sp, relevant=relevant_peers_indexed(net, q, eps))
     assert_answers_match_plain_scan(net, q, eps, result)
+
+
+@given(key=net_keys, drawn=router_queries, tau=st.sampled_from([3, 4]))
+@settings(deadline=None)
+def test_kb_counts_relays_and_tree_walk(key, drawn, tau):
+    """One message to the knowledge node, then one per same-group target and
+    two per foreign target; the tree visits are those of the walk."""
+    net = draw_net(key)
+    q = router_query(net, drawn)
+    overlay = cached_overlay(key, tau, len(q.components))
+    assume(len(overlay.groups) > 1)
+    sp = net.peers[q.origin_peer].super_peer
+    result = route_kb(net, overlay, q, sp, relevant_peers_indexed(net, q, 0.5))
+    gid = overlay.sp_to_group[sp]
+    targets = result.searched_sps - {sp}
+    assert result.hops == 1 + sum(1 if overlay.sp_to_group[t] == gid else 2 for t in targets)
+    walk = classify_traced(overlay.groups[gid].index, tuple(c.render() for c in q.components))
+    assert result.tree_visits == walk[1]
 
 
 @given(key=net_keys, tau=st.sampled_from([3, 4]),
@@ -261,9 +314,8 @@ def test_classify_normalizes_with_support(instances):
     tree = build_tree(instances, min_leaf=1)
     for inst in instances:
         dist = classify(tree, inst.attributes)
-        assert abs(sum(dist.probabilities.values()) - 1.0) <= 1e-9
-        assert dist.support >= 1
-        assert all(p >= 0 for p in dist.probabilities.values())
+        assert abs(sum(dist.values()) - 1.0) <= 1e-9
+        assert all(p >= 0 for p in dist.values())
 
 
 @given(instances=instance_sets)
@@ -271,7 +323,7 @@ def test_relevant_sps_stay_inside_training_classes(instances):
     tree = build_tree(instances, min_leaf=1)
     trained = {inst.class_label for inst in instances}
     unseen = tuple(f"z.{i}" for i in range(3))
-    assert set(classify(tree, unseen).probabilities) <= trained
+    assert set(classify(tree, unseen)) <= trained
 
 
 @given(instances=instance_sets)
@@ -327,8 +379,7 @@ def test_grouping_invariant_under_sp_relabeling(key, tau, shift):
              for pid, p in net.peers.items()}
     cormat = CorrespondenceMatrix.from_expertise(
         {spid: sp.expertise for spid, sp in sps.items()})
-    relabeled = Network(peers=peers, super_peers=sps, cormat=cormat,
-                        config=net.config, seed=net.seed)
+    relabeled = Network(peers=peers, super_peers=sps, cormat=cormat, config=net.config)
 
     original = {frozenset(g.members) for g in form_groups(net, tau).groups.values()}
     mapped = {frozenset(rename[m] for m in members) for members in original}
