@@ -16,6 +16,7 @@ from .model import (
     capacity,
     is_relevant,
     oracle_relevant_peers,
+    relevant_mask,
 )
 from .netgen import Network, Peer, SuperPeer, build_son
 from .baseline import (

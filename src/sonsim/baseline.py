@@ -1,10 +1,12 @@
 """Two-level semantic query routing and the global query log it produces.
 
 Local search covers the whole origin community: its answers are the members
-in the query's relevant set, which the engine computes once per query with
-the relevance kernel and passes in. Global search evaluates each friend
-super-peer's expertise against the query and forwards to the qualifying ones,
-breadth-first, each super-peer processing a given query at most once.
+in the query's relevant mask, which the engine computes once per query with
+the relevance kernel, `model.relevant_mask`, and passes in; a community
+answers with that mask intersected with its member mask. Global search
+evaluates each friend super-peer's expertise against the query and forwards
+to the qualifying ones, breadth-first, each super-peer processing a given
+query at most once.
 The forwarding tree, one cost segment per searched super-peer, is the only
 record of a query's work: its mapping operations (the members and friends
 probed, one mapping each) and messages are sums over the tree, and response
@@ -16,7 +18,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from random import Random
-from typing import AbstractSet
 
 from .model import (
     ExpertiseElement,
@@ -25,6 +26,7 @@ from .model import (
     SuperPeerId,
     capacity,
     parse_element,
+    peers_of,
 )
 from .netgen import Network, Peer
 
@@ -53,13 +55,18 @@ class PathSegment:
 @dataclass(frozen=True)
 class RoutingResult:
     """What a routed query found and where it searched; `cost_tree` is the
-    only record of the work it cost, and the counters are sums over it."""
+    only record of the work it cost, and the counters are sums over it.
+    The answering peers are stored as a mask (bit `p` for peer `p`)."""
 
     query_id: str
-    answering_peers: frozenset[PeerId]
+    answering_mask: int
     answering_sps: frozenset[SuperPeerId]
     searched_sps: frozenset[SuperPeerId]
     cost_tree: PathSegment
+
+    @property
+    def answering_peers(self) -> frozenset[PeerId]:
+        return frozenset(peers_of(self.answering_mask))
 
     @property
     def mapping_ops(self) -> int:
@@ -137,11 +144,11 @@ def generate_queries(peer: Peer, count: int, n_components: int, rng: Random,
 
 
 def route_baseline(net: Network, query: Query, sp: SuperPeerId,
-                   relevant: AbstractSet[PeerId], eps_acc: float,
+                   relevant: int, eps_acc: float,
                    max_hops: int | None = 1) -> RoutingResult:
     """Route one query from super-peer `sp` (the origin peer's community head).
 
-    `relevant` is the query's relevant peer set (`relevant_peers_indexed` at
+    `relevant` is the query's relevant peer mask (`relevant_mask` at
     `eps_acc`); every searched community answers with its members in it.
     `eps_acc` still decides which friend super-peers qualify. max_hops bounds
     the forwarding depth: 0 is local-only, 1 reaches direct friends, None
@@ -155,7 +162,7 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
     if max_hops is not None and max_hops < 0:
         raise ValueError("max_hops must be >= 0 or None for unbounded")
 
-    answering_peers: set[PeerId] = set()
+    answering_mask = 0
     answering_sps: set[SuperPeerId] = set()
     maps: dict[SuperPeerId, int] = {}
     forwarded: dict[SuperPeerId, list[SuperPeerId]] = {}
@@ -165,11 +172,10 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
 
     while queue:
         spid, depth = queue.popleft()
-        members = net.super_peers[spid].members
-        local_hits = relevant & members
-        maps[spid] = len(members)
+        local_hits = relevant & net.member_masks[spid]
+        maps[spid] = len(net.super_peers[spid].members)
         if local_hits:
-            answering_peers.update(local_hits)
+            answering_mask |= local_hits
             answering_sps.add(spid)
 
         if max_hops is not None and depth >= max_hops:
@@ -191,7 +197,7 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
 
     return RoutingResult(
         query_id=query.id,
-        answering_peers=frozenset(answering_peers),
+        answering_mask=answering_mask,
         answering_sps=frozenset(answering_sps),
         searched_sps=frozenset(processed),
         cost_tree=segments[sp],
@@ -199,11 +205,11 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
 
 
 def run_baseline_epoch(net: Network, workload: list[Query],
-                       relevant: list[AbstractSet[PeerId]], eps_acc: float,
+                       relevant: list[int], eps_acc: float,
                        max_hops: int | None = 1) -> tuple[QueryLog, list[RoutingResult]]:
     """Route every query in order; one log record per query.
 
-    relevant[i] is the relevant peer set of workload[i]; a length mismatch
+    relevant[i] is the relevant peer mask of workload[i]; a length mismatch
     raises ValueError.
     """
     if not workload:

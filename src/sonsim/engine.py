@@ -6,10 +6,10 @@ tree: sequential segments add up, parallel branches contribute their maximum.
 The costs per message, per mapping and per tree node visited are the `Config`
 keys `c_hop`, `c_map` and `c_tree`; the counters reported beside response
 time are sums over the same tree.
-The engine runs the relevance kernel in `model` (`relevant_peers_indexed`,
-which the test suite pins as equal to the plain exhaustive scan) once per
-query. That one set is what both routers search communities with and what
-precision and recall are scored against.
+The engine runs the relevance kernel in `model` (`relevant_mask`, which the
+test suite pins as equal to the plain exhaustive scan) once per query. That
+one peer mask is what both routers search communities with and what
+precision and recall are scored against, by counting bits.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from .baseline import (
 )
 from .config import Config, derive_seed, substream
 from .ksp import KspOverlay, form_groups, run_kb_epoch, train_indices
-from .model import PeerId, Query, relevant_peers_indexed
+from .model import Query, relevant_mask
+from .model import relevant_peers_indexed  # noqa: F401  benchmark/worker.py calls it
 from .netgen import Network, build_son
 
 BASELINE = "baseline"
@@ -80,40 +81,51 @@ class ExperimentReport:
 def response_time(result: RoutingResult, config: Config) -> float:
     """Critical-path cost of a routing result under the configuration's
     costs per message (`c_hop`), mapping (`c_map`) and tree node (`c_tree`)."""
-    return _segment_cost(result.cost_tree, config)
+    return _walk(result.cost_tree, config)[0]
 
 
-def _segment_cost(segment, config: Config) -> float:
+def _walk(segment, config: Config) -> tuple[float, int, int, int]:
+    """(critical-path cost, mapping operations, hops, tree visits) of a
+    segment and every segment below it, in one walk of the tree."""
+    maps, hops, visits = segment.maps, segment.hops, segment.tree_visits
+    costs = []
+    for branch in segment.branches:
+        cost, branch_maps, branch_hops, branch_visits = _walk(branch, config)
+        costs.append(cost)
+        maps += branch_maps
+        hops += branch_hops
+        visits += branch_visits
     own = (segment.hops * config.c_hop + segment.maps * config.c_map
            + segment.tree_visits * config.c_tree)
-    return own + max((_segment_cost(b, config) for b in segment.branches), default=0.0)
+    return own + max(costs, default=0.0), maps, hops, visits
 
 
-def score(result: RoutingResult, oracle_set: set[PeerId]) -> tuple[float, float]:
-    """(precision, recall) of the retrieved peers against the oracle set.
+def score(result: RoutingResult, oracle: int) -> tuple[float, float]:
+    """(precision, recall) of the retrieved peers against the oracle mask.
 
     Degenerate denominators score 1.0: nothing retrieved has precision 1.0
     and an empty oracle set has recall 1.0.
     """
-    retrieved = result.answering_peers
-    hits = len(retrieved & oracle_set)
-    precision = hits / len(retrieved) if retrieved else 1.0
-    recall = hits / len(oracle_set) if oracle_set else 1.0
+    retrieved = result.answering_mask
+    hits = (retrieved & oracle).bit_count()
+    precision = hits / retrieved.bit_count() if retrieved else 1.0
+    recall = hits / oracle.bit_count() if oracle else 1.0
     return precision, recall
 
 
-def query_metrics(query: Query, result: RoutingResult, oracle_set: set[PeerId],
+def query_metrics(query: Query, result: RoutingResult, oracle: int,
                   config: Config) -> QueryMetrics:
-    precision, recall = score(result, oracle_set)
+    precision, recall = score(result, oracle)
+    cost, maps, hops, visits = _walk(result.cost_tree, config)
     return QueryMetrics(
         query_id=query.id,
-        response_time=response_time(result, config),
+        response_time=cost,
         precision=precision,
         recall=recall,
         sp_precision=len(result.answering_sps) / len(result.searched_sps),
-        mapping_ops=result.mapping_ops,
-        hops=result.hops,
-        tree_visits=result.tree_visits,
+        mapping_ops=maps,
+        hops=hops,
+        tree_visits=visits,
     )
 
 
@@ -181,20 +193,20 @@ def run_pipeline(config: Config, include_kb: bool = True,
     under its origin super-peer, or whose component count is not
     `n_components`, raises ValueError.
 
-    Relevance is computed once per query with `relevant_peers_indexed`. The
-    training workload's sets drive the training epoch and, in replay mode,
-    are reused for the evaluation workload, whose queries are the same. The
-    evaluation sets feed the evaluation baseline epoch, the knowledge epoch
-    and the precision/recall oracle.
+    Relevance is computed once per query with `relevant_mask`. The training
+    workload's masks drive the training epoch and, in replay mode, are reused
+    for the evaluation workload, whose queries are the same. The evaluation
+    masks feed the evaluation baseline epoch, the knowledge epoch and the
+    precision/recall oracle.
     """
     config.validate()
     net = build_son(config)
 
-    def relevance(workload: list[Query]) -> list[set[PeerId]]:
-        return [relevant_peers_indexed(net, q, config.eps_acc) for q in workload]
+    def relevance(workload: list[Query]) -> list[int]:
+        return [relevant_mask(net, q, config.eps_acc) for q in workload]
 
     train_workload: list[Query] | None = None
-    relevant: list[set[PeerId]] = []
+    relevant: list[int] = []
     if train_log is None:
         train_workload = make_workload(net, config, "workload-baseline", "t")
         relevant = relevance(train_workload)
@@ -224,7 +236,7 @@ def run_pipeline(config: Config, include_kb: bool = True,
             )
             relevant = relevance(eval_workload)
     else:
-        relevant = []  # free the training sets before building the evaluation ones
+        relevant = []  # free the training masks before building the evaluation ones
         eval_workload = make_workload(net, config, "workload-kb", "e")
         relevant = relevance(eval_workload)
 

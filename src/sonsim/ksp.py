@@ -12,7 +12,8 @@ one tree walk; only peer-level evaluations remain metered as mapping work.
 As in the baseline, the cost tree is the only record of that work: a query's
 mapping operations, messages and tree visits are sums over it.
 Which peers of a searched community answer comes from the query's relevant
-set, which the engine computes once per query and passes in.
+mask, which the engine computes once per query with the relevance kernel,
+`model.relevant_mask`, and passes in.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from __future__ import annotations
 import dataclasses
 import sys
 from dataclasses import dataclass
-from typing import AbstractSet
 
 from .baseline import LogRecord, PathSegment, QueryLog, RoutingResult
 from .dtree import DecisionTree, Instance, Leaf, build_tree, class_counts, classify_traced, predict
-from .model import PeerId, Query, SuperPeerId
+from .model import Query, SuperPeerId
 from .model import capacity  # noqa: F401  benchmark/probe.py counts calls through ksp.capacity
 from .netgen import Network
 
@@ -153,7 +153,7 @@ def _induce(overlay: KspOverlay, records, min_leaf: int, keep: bool) -> KspOverl
 
 
 def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
-             relevant: AbstractSet[PeerId]) -> RoutingResult:
+             relevant: int) -> RoutingResult:
     """Index-driven routing.
 
     The origin community is searched locally while the query travels one hop
@@ -161,7 +161,7 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
     without any super-peer-level mapping. Same-group candidates are one hop
     away; foreign ones are relayed through their own group's knowledge node
     (two hops). Every candidate community is then searched locally: its
-    answers are its members in `relevant`, the query's relevant peer set.
+    answers are its members in `relevant`, the query's relevant peer mask.
     """
     if sp not in net.super_peers:
         raise ValueError(f"unknown super-peer {sp}")
@@ -174,15 +174,14 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
     # Every label in the distribution is a candidate: zero counts are dropped.
     targets = sorted(s for s in probabilities if s != sp and s in net.super_peers)
 
-    answering_peers: set[PeerId] = set()
+    answering_mask = 0
     answering_sps: set[SuperPeerId] = set()
     maps: dict[SuperPeerId, int] = {}
     for spid in (sp, *targets):
-        members = net.super_peers[spid].members
-        hits = relevant & members
-        maps[spid] = len(members)
+        hits = relevant & net.member_masks[spid]
+        maps[spid] = len(net.super_peers[spid].members)
         if hits:
-            answering_peers.update(hits)
+            answering_mask |= hits
             answering_sps.add(spid)
 
     arrivals = tuple([PathSegment(hops=1 if overlay.sp_to_group[t] == group.id else 2,
@@ -193,7 +192,7 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
     ))
     return RoutingResult(
         query_id=query.id,
-        answering_peers=frozenset(answering_peers),
+        answering_mask=answering_mask,
         answering_sps=frozenset(answering_sps),
         searched_sps=frozenset({sp, *targets}),
         cost_tree=cost_tree,
@@ -213,12 +212,12 @@ def refresh_knowledge(overlay: KspOverlay, records, every_r: int,
 
 
 def run_kb_epoch(net: Network, overlay: KspOverlay, workload: list[Query],
-                 relevant: list[AbstractSet[PeerId]], refresh_every: int = 0,
+                 relevant: list[int], refresh_every: int = 0,
                  min_leaf: int = 2) -> tuple[QueryLog, list[RoutingResult], KspOverlay]:
     """Route a workload with the knowledge strategy and log it, refreshing
     the indices with the newly logged records every `refresh_every` queries.
 
-    relevant[i] is the relevant peer set of workload[i]; a length mismatch
+    relevant[i] is the relevant peer mask of workload[i]; a length mismatch
     raises ValueError. refresh_every = 0 keeps the knowledge static for the
     whole epoch. Returns the epoch's log, its results and the final overlay.
     """

@@ -1,10 +1,14 @@
 """Expertise vocabulary, queries and the relevance kernel shared by every routing strategy.
 
 Relevance is decided here and nowhere else: `capacity` and `is_relevant`
-score one expertise, `relevant_peers_indexed` finds every relevant peer of a
-network through its inverted element index, and `oracle_relevant_peers` is the
-plain exhaustive scan the tests hold the kernel to. The engine runs the kernel
-once per query and hands that one set to both routers and to its oracle.
+score one expertise, `relevant_mask` finds every relevant peer of a network
+from its per-element peer masks, and `oracle_relevant_peers` is the plain
+exhaustive scan the tests hold the kernel to. The engine runs the kernel once
+per query and hands that one mask to both routers and to its scoring.
+
+A set of peers travels as one int bitmask, bit `p` set for peer `p`
+(`mask_of` and `peers_of` convert), so intersections and counts are single
+big-int operations instead of per-peer set work.
 
 Everything here is an immutable value; the operations are pure functions, so
 they can be evaluated concurrently and give the same answer under replay.
@@ -13,7 +17,7 @@ they can be evaluated concurrently and give the same answer under replay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, AbstractSet, NamedTuple
+from typing import TYPE_CHECKING, AbstractSet, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     from .netgen import Network
@@ -94,20 +98,48 @@ def oracle_relevant_peers(net: "Network", query: Query, eps_acc: float) -> set[P
     }
 
 
-def relevant_peers_indexed(net: "Network", query: Query, eps_acc: float) -> set[PeerId]:
-    """Oracle-equivalent relevance via the network's inverted element index.
+def mask_of(peers: Iterable[PeerId]) -> int:
+    """The bitmask of a peer set: bit `p` is set for each peer `p`."""
+    mask = 0
+    for pid in peers:
+        mask |= 1 << pid
+    return mask
 
-    Per-peer hit counts are compared exactly as capacity() compares, so the
-    result matches oracle_relevant_peers on every input.
+
+def peers_of(mask: int) -> list[PeerId]:
+    """Inverse of mask_of: the peers whose bits are set, ascending."""
+    return [pid for pid, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def relevant_mask(net: "Network", query: Query, eps_acc: float) -> int:
+    """Mask of the peers whose expertise covers at least an eps_acc fraction
+    of the query: the relevance kernel, equal to oracle_relevant_peers.
+
+    A bit-sliced counter per peer (O'Neil & Quass, "Improved query
+    performance with variant indexes", SIGMOD 1997): after each component,
+    `sliced[i]` holds the peers with more than `i` hits so far. A peer only
+    has to reach `need`, the fewest hits `k` with `k / n >= eps_acc` -- the
+    comparison capacity() makes -- so the counter saturates there.
     """
     comps = query.components
     if not comps:
         raise ValueError("empty query")
-    if eps_acc <= 0.0:
-        return set(net.peers)
-    counts: dict[int, int] = {}
-    for comp in comps:
-        for pid in net.element_index.get(comp, ()):
-            counts[pid] = counts.get(pid, 0) + 1
+    if not 0.0 <= eps_acc <= 1.0:
+        raise ValueError(f"eps_acc must lie in [0, 1], got {eps_acc}")
     n = len(comps)
-    return {pid for pid, hits in counts.items() if hits / n >= eps_acc}
+    need = next(k for k in range(n + 1) if k / n >= eps_acc)
+    if need == 0:
+        return mask_of(net.peers)
+    masks = net.element_masks
+    sliced = [0] * need
+    for comp in comps:
+        holders = masks.get(comp, 0)
+        for i in range(need - 1, 0, -1):
+            sliced[i] |= sliced[i - 1] & holders
+        sliced[0] |= holders
+    return sliced[need - 1]
+
+
+def relevant_peers_indexed(net: "Network", query: Query, eps_acc: float) -> set[PeerId]:
+    """relevant_mask decoded to a set of peer ids."""
+    return set(peers_of(relevant_mask(net, query, eps_acc)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from random import Random
 
 from .config import Config, substream
-from .model import Expertise, ExpertiseElement, PeerId, SuperPeerId
+from .model import Expertise, ExpertiseElement, PeerId, SuperPeerId, mask_of
 
 DomainLabel = str
 
@@ -84,19 +84,21 @@ class Network:
     super_peers: dict[SuperPeerId, SuperPeer]
     cormat: CorrespondenceMatrix
     config: Config
-    # Inverted index element -> holding peers (ascending ids) for the
-    # relevance kernel, model.relevant_peers_indexed; rebuilt on construction.
-    element_index: dict[ExpertiseElement, tuple[PeerId, ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    # Peer sets as bitmasks (bit p for peer p), rebuilt on construction:
+    # element -> the peers holding it, read by the relevance kernel
+    # model.relevant_mask, and super-peer -> its members, read by the routers.
+    element_masks: dict[ExpertiseElement, int] = field(init=False, repr=False, compare=False)
+    member_masks: dict[SuperPeerId, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        holders: dict[ExpertiseElement, list[PeerId]] = {}
-        for pid in sorted(self.peers):
-            for element in self.peers[pid].expertise:
-                holders.setdefault(element, []).append(pid)
-        element_index = {element: tuple(pids) for element, pids in holders.items()}
-        object.__setattr__(self, "element_index", element_index)
+        element_masks: dict[ExpertiseElement, int] = {}
+        for pid, peer in self.peers.items():
+            bit = 1 << pid
+            for element in peer.expertise:
+                element_masks[element] = element_masks.get(element, 0) | bit
+        member_masks = {spid: mask_of(sp.members) for spid, sp in self.super_peers.items()}
+        object.__setattr__(self, "element_masks", element_masks)
+        object.__setattr__(self, "member_masks", member_masks)
 
 
 def generate_domains(nsp: int, rng: Random) -> list[DomainLabel]:

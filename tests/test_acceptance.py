@@ -37,7 +37,7 @@ from sonsim.engine import (
     sweep,
 )
 from sonsim.ksp import form_groups, instances_from_records, record_accuracy, route_kb, train_indices
-from sonsim.model import ExpertiseElement, capacity, oracle_relevant_peers, relevant_peers_indexed
+from sonsim.model import ExpertiseElement, capacity, oracle_relevant_peers, relevant_mask
 from sonsim.netgen import build_son
 
 
@@ -144,7 +144,7 @@ def test_criterion_05_oracle_equivalence_under_flooding():
         pid = rng.randrange(100)
         query = generate_queries(net.peers[pid], 1, 4, rng, id_prefix="f")[0]
         result = route_baseline(net, query, net.peers[pid].super_peer,
-                                relevant_peers_indexed(net, query, 0.0), 0.0, max_hops=None)
+                                relevant_mask(net, query, 0.0), 0.0, max_hops=None)
         if result.answering_peers != oracle_relevant_peers(net, query, 0.0):
             failures.append(seed)
     check(5, "flooding at zero threshold retrieves exactly the oracle set on 20 seeds",
@@ -232,7 +232,7 @@ def _trained(nsp, friends, dup, seed):
                 for q in generate_queries(net.peers[pid], 1, 3, rng,
                                           id_prefix=f"w{pid}-")]
     from sonsim.baseline import run_baseline_epoch
-    relevant = [relevant_peers_indexed(net, q, 0.5) for q in workload]
+    relevant = [relevant_mask(net, q, 0.5) for q in workload]
     log, _ = run_baseline_epoch(net, workload, relevant, 0.5, 1)
     overlay = train_indices(form_groups(net, 1), log, 2)
     return net, overlay
@@ -272,7 +272,7 @@ def test_criterion_08b_flood_completeness(raw, seed):
     assume(_friend_graph_connected(net))
     q = _query_from(net, seed)
     result = route_baseline(net, q, net.peers[q.origin_peer].super_peer,
-                            relevant_peers_indexed(net, q, 0.0), 0.0, max_hops=None)
+                            relevant_mask(net, q, 0.0), 0.0, max_hops=None)
     assert result.answering_peers == set(net.peers)
 
 
@@ -282,7 +282,7 @@ def test_criterion_08c_hop_monotonicity(raw, seed):
     net = _net(*_key(raw))
     q = _query_from(net, seed)
     sp = net.peers[q.origin_peer].super_peer
-    relevant = relevant_peers_indexed(net, q, 0.5)
+    relevant = relevant_mask(net, q, 0.5)
     previous = None
     for hops in (0, 1, 2, 3, None):
         answers = route_baseline(net, q, sp, relevant, 0.5, max_hops=hops).answering_peers
@@ -321,7 +321,7 @@ def test_criterion_08f_kb_routing_has_no_sp_level_mappings(raw, seed):
     net, overlay = _trained(*_key(raw))
     q = _query_from(net, seed)
     sp = net.peers[q.origin_peer].super_peer
-    result = route_kb(net, overlay, q, sp, relevant_peers_indexed(net, q, 0.5))
+    result = route_kb(net, overlay, q, sp, relevant_mask(net, q, 0.5))
     peer_level = sum(len(net.super_peers[s].members) for s in result.searched_sps)
     assert result.mapping_ops == peer_level
 

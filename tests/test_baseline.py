@@ -17,7 +17,7 @@ from sonsim.model import (
     capacity,
     is_relevant,
     oracle_relevant_peers,
-    relevant_peers_indexed,
+    relevant_mask,
 )
 from sonsim.netgen import build_son
 
@@ -32,13 +32,13 @@ def queries_for(net, pid, count=3, n=4, seed=5, prefix="q"):
 
 
 def route(net, q, sp, eps, max_hops=1):
-    """route_baseline with the query's relevant set computed as the engine does."""
-    return route_baseline(net, q, sp, relevant_peers_indexed(net, q, eps), eps, max_hops)
+    """route_baseline with the query's relevant mask computed as the engine does."""
+    return route_baseline(net, q, sp, relevant_mask(net, q, eps), eps, max_hops)
 
 
 def epoch(net, workload, eps):
     return run_baseline_epoch(net, workload,
-                              [relevant_peers_indexed(net, q, eps) for q in workload], eps)
+                              [relevant_mask(net, q, eps) for q in workload], eps)
 
 
 class TestGenerateQueries:

@@ -20,12 +20,12 @@ from sonsim.engine import (
 )
 from sonsim.baseline import generate_queries
 from sonsim.ksp import form_groups, run_kb_epoch, train_indices
-from sonsim.model import oracle_relevant_peers
+from sonsim.model import mask_of, oracle_relevant_peers, relevant_mask
 from sonsim.netgen import build_son
 
 
 def result_with(tree, **kw):
-    defaults = dict(query_id="q", answering_peers=frozenset(), answering_sps=frozenset(),
+    defaults = dict(query_id="q", answering_mask=0, answering_sps=frozenset(),
                     searched_sps=frozenset({0}), cost_tree=tree)
     defaults.update(kw)
     return RoutingResult(**defaults)
@@ -73,20 +73,20 @@ class TestResponseTime:
 
 class TestScore:
     def _r(self, peers):
-        return result_with(PathSegment(), answering_peers=frozenset(peers))
+        return result_with(PathSegment(), answering_mask=mask_of(peers))
 
     def test_exact_match(self):
-        assert score(self._r({1, 2}), {1, 2}) == (1.0, 1.0)
+        assert score(self._r({1, 2}), mask_of({1, 2})) == (1.0, 1.0)
 
     def test_disjoint_sets(self):
-        assert score(self._r({1, 2}), {3, 4}) == (0.0, 0.0)
+        assert score(self._r({1, 2}), mask_of({3, 4})) == (0.0, 0.0)
 
     def test_half_recall(self):
-        assert score(self._r({1}), {1, 2}) == (1.0, 0.5)
+        assert score(self._r({1}), mask_of({1, 2})) == (1.0, 0.5)
 
     def test_degenerate_denominators(self):
-        assert score(self._r(set()), {1}) == (1.0, 0.0)
-        assert score(self._r({1}), set()) == (0.0, 1.0)
+        assert score(self._r(set()), mask_of({1})) == (1.0, 0.0)
+        assert score(self._r({1}), mask_of(set())) == (0.0, 1.0)
 
 
 class TestIndexedRelevance:
@@ -100,10 +100,20 @@ class TestIndexedRelevance:
                 assert relevant_peers_indexed(net, q, eps) == \
                     oracle_relevant_peers(net, q, eps)
 
+    def test_engine_name_returns_the_oracle_set(self):
+        """benchmark/worker.py compares engine.relevant_peers_indexed with
+        oracle_relevant_peers, so it must stay a set-valued kernel."""
+        net = build_son(Config(np=50, nsp=5, seed=23))
+        q = generate_queries(net.peers[7], 1, 4, substream(5, "probe"), id_prefix="p")[0]
+        for eps in (0.0, 0.5, 1.0):
+            found = sonsim.engine.relevant_peers_indexed(net, q, eps)
+            assert type(found) is set
+            assert found == oracle_relevant_peers(net, q, eps)
+
 
 class TestRelevanceSharing:
     """run_pipeline runs the relevance kernel once per query and hands the
-    sets to both epochs and the oracle."""
+    masks to both epochs and the oracle."""
 
     def _config(self, **kw):
         base = dict(np=40, nsp=4, seed=51, queries_per_peer=2)
@@ -112,13 +122,13 @@ class TestRelevanceSharing:
 
     def _count_kernel_calls(self, monkeypatch):
         calls = []
-        original = sonsim.engine.relevant_peers_indexed
+        original = sonsim.engine.relevant_mask
 
         def counted(net, query, eps_acc):
             calls.append(query.id)
             return original(net, query, eps_acc)
 
-        monkeypatch.setattr(sonsim.engine, "relevant_peers_indexed", counted)
+        monkeypatch.setattr(sonsim.engine, "relevant_mask", counted)
         return calls
 
     def test_replay_computes_each_query_once(self, monkeypatch):
@@ -142,12 +152,12 @@ class TestRelevanceSharing:
         config = self._config()
         net = build_son(config)
         workload = make_workload(net, config, "workload-baseline", "t")
-        relevant = [relevant_peers_indexed(net, q, config.eps_acc) for q in workload]
+        relevant = [relevant_mask(net, q, config.eps_acc) for q in workload]
         return config, net, workload, relevant
 
     def test_baseline_epoch_rejects_misaligned_relevance(self):
         config, net, workload, relevant = self._network_and_workload()
-        for wrong in (relevant[:-1], relevant + [set()]):
+        for wrong in (relevant[:-1], relevant + [0]):
             with pytest.raises(ValueError):
                 run_baseline_epoch(net, workload, wrong, config.eps_acc)
 
@@ -156,7 +166,7 @@ class TestRelevanceSharing:
         log, _ = run_baseline_epoch(net, workload, relevant, config.eps_acc)
         overlay = train_indices(form_groups(net, config.tau_trust), log)
         replay = [dataclasses.replace(q, id=f"e{i}") for i, q in enumerate(workload)]
-        for wrong in (relevant[:-1], relevant + [set()]):
+        for wrong in (relevant[:-1], relevant + [0]):
             with pytest.raises(ValueError):
                 run_kb_epoch(net, overlay, replay, wrong)
 

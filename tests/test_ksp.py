@@ -13,18 +13,18 @@ from sonsim.ksp import (
     run_kb_epoch,
     train_indices,
 )
-from sonsim.model import ExpertiseElement, Query, relevant_peers_indexed
+from sonsim.model import ExpertiseElement, Query, relevant_mask
 from sonsim.netgen import build_son
 
 
 def relevance(net, workload, eps):
-    """Relevant peer sets of a workload, as the engine computes them."""
-    return [relevant_peers_indexed(net, q, eps) for q in workload]
+    """Relevant peer masks of a workload, as the engine computes them."""
+    return [relevant_mask(net, q, eps) for q in workload]
 
 
 def route(net, overlay, q, sp, eps):
-    """route_kb with the query's relevant set computed as the engine does."""
-    return route_kb(net, overlay, q, sp, relevant_peers_indexed(net, q, eps))
+    """route_kb with the query's relevant mask computed as the engine does."""
+    return route_kb(net, overlay, q, sp, relevant_mask(net, q, eps))
 
 
 def net_and_log(np=60, nsp=6, seed=31, queries=2, **kw):

@@ -1,5 +1,7 @@
 """Capacity, relevance and the exhaustive oracle."""
 
+import math
+
 import pytest
 
 from sonsim.config import Config, substream
@@ -8,10 +10,12 @@ from sonsim.model import (
     Query,
     capacity,
     is_relevant,
+    mask_of,
     oracle_relevant_peers,
     parse_element,
+    relevant_mask,
 )
-from sonsim.netgen import build_son
+from sonsim.netgen import CorrespondenceMatrix, Network, Peer, SuperPeer, build_son
 
 
 def E(x, y):
@@ -125,6 +129,29 @@ class TestOracle:
         net = self._three_peer_net()
         query = Q(E("zz", "zz"), qid="none")
         assert oracle_relevant_peers(net, query, 0.0) == set(net.peers)
+
+    def test_kernel_matches_on_every_float_edge_of_k_over_n(self):
+        """Peer k holds the first k of n distinct components, so every hit
+        count occurs; thresholds on and next to each k/n decide `need`."""
+        comps = tuple(E(f"c{i}", "x") for i in range(6))
+        for n in range(1, 7):
+            peers = {k: Peer(k, frozenset(comps[:k]), 0) for k in range(n + 1)}
+            sp = SuperPeer(0, "aa", frozenset(comps), frozenset(), frozenset(peers))
+            net = Network(peers, {0: sp}, CorrespondenceMatrix(), Config())
+            query = Q(*comps[:n])
+            for k in range(n + 1):
+                for eps in (math.nextafter(k / n, 0.0), k / n, math.nextafter(k / n, 1.0)):
+                    if 0.0 <= eps <= 1.0:
+                        assert relevant_mask(net, query, eps) == \
+                            mask_of(oracle_relevant_peers(net, query, eps))
+
+    def test_threshold_out_of_range_rejected_like_the_kernel(self):
+        net = build_son(Config(np=300, nsp=10, seed=9))
+        query = Q(*sorted(net.peers[0].expertise)[:4], qid="probe")
+        for eps in (-0.5, 1.5, float("nan")):
+            for relevance in (oracle_relevant_peers, relevant_mask):
+                with pytest.raises(ValueError, match=r"eps_acc must lie in \[0, 1\]"):
+                    relevance(net, query, eps)
 
     def test_matches_independent_counting_scan(self):
         net = build_son(Config(np=50, nsp=5, seed=11))

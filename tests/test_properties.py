@@ -1,22 +1,30 @@
 """Randomized invariant suites for the module-level properties.
 
 The six acceptance-gated property suites live in test_acceptance; these cover
-the remaining invariants: capacity ranges, relevance boundaries, the indexed
-relevance kernel agreeing with the exhaustive oracle, both routers
-agreeing with a plain relevance scan of the communities they search, their
-message and mapping counts agreeing with where they searched, routing
-monotonicity in the threshold, distribution normalization, tree induction
-choosing the first best gain-ratio split, refreshed indices equal to
-from-scratch induction, and grouping stability under relabeling.
+the remaining invariants: capacity ranges, relevance boundaries, the
+relevance kernel's peer mask agreeing with the exhaustive oracle, popcount
+scoring agreeing with the set formula, both routers agreeing with a plain
+relevance scan of the communities they search, their message and mapping
+counts agreeing with where they searched, routing monotonicity in the
+threshold, distribution normalization, tree induction choosing the first best
+gain-ratio split, refreshed indices equal to from-scratch induction, and
+grouping stability under relabeling.
 """
 
 import dataclasses
+import math
 from functools import lru_cache
 
 from hypothesis import assume, given, settings, strategies as st
 
 from sonsim.config import Config
-from sonsim.baseline import generate_queries, route_baseline, run_baseline_epoch
+from sonsim.baseline import (
+    PathSegment,
+    RoutingResult,
+    generate_queries,
+    route_baseline,
+    run_baseline_epoch,
+)
 from sonsim.dtree import (
     Instance,
     Leaf,
@@ -33,8 +41,10 @@ from sonsim.model import (
     Query,
     capacity,
     is_relevant,
+    mask_of,
     oracle_relevant_peers,
-    relevant_peers_indexed,
+    peers_of,
+    relevant_mask,
 )
 from sonsim.netgen import CorrespondenceMatrix, Network, build_son
 from sonsim.ksp import (
@@ -45,6 +55,7 @@ from sonsim.ksp import (
     train_indices,
 )
 from sonsim.config import substream
+from sonsim.engine import score
 
 TOKENS = ["a", "b", "c", "d", "e"]
 
@@ -125,20 +136,44 @@ def router_query(net, drawn):
     return Query(id="r", origin_peer=pid, components=tuple(comps))
 
 
-@given(key=net_keys, drawn=router_queries, eps=thresholds,
+def fraction_edges(n):
+    """Thresholds on and next to every k/n, where the kernel's `need` flips."""
+    edges = set()
+    for k in range(n + 1):
+        edges.update({k / n, math.nextafter(k / n, 0.0), math.nextafter(k / n, 1.0)})
+    return sorted(edges)
+
+
+@given(key=net_keys, drawn=router_queries, data=st.data(),
        cut=st.integers(min_value=0, max_value=6), unheld=st.integers(min_value=0, max_value=2))
 @settings(deadline=None)
-def test_indexed_relevance_matches_oracle(key, drawn, eps, cut, unheld):
-    """The kernel every router relies on equals the exhaustive scan, also for
-    repeated components and components that no peer holds."""
+def test_indexed_relevance_matches_oracle(key, drawn, data, cut, unheld):
+    """The kernel every router relies on, decoded, equals the exhaustive scan
+    at any threshold, also on the float edges of k/n, for repeated components
+    and for components that no peer holds."""
     net = draw_net(key)
     q = router_query(net, drawn)
     nowhere = ExpertiseElement("unheld", "element")
-    assert nowhere not in net.element_index
+    assert nowhere not in net.element_masks
     components = q.components[:cut] + (nowhere,) * unheld
-    assume(components)
+    assume(1 <= len(components) <= 6)
     q = dataclasses.replace(q, components=components)
-    assert relevant_peers_indexed(net, q, eps) == oracle_relevant_peers(net, q, eps)
+    eps = data.draw(st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                              st.sampled_from(fraction_edges(len(components)))))
+    assert set(peers_of(relevant_mask(net, q, eps))) == oracle_relevant_peers(net, q, eps)
+
+
+@given(retrieved=st.integers(min_value=0, max_value=2**80),
+       oracle=st.integers(min_value=0, max_value=2**80))
+def test_score_counts_bits_as_the_set_formula(retrieved, oracle):
+    """Popcount scoring equals precision and recall over decoded peer sets."""
+    got, truth = set(peers_of(retrieved)), set(peers_of(oracle))
+    assert mask_of(got) == retrieved
+    result = RoutingResult("q", retrieved, frozenset(), frozenset({0}), PathSegment())
+    hits = len(got & truth)
+    assert result.answering_peers == got
+    assert score(result, oracle) == (hits / len(got) if got else 1.0,
+                                     hits / len(truth) if truth else 1.0)
 
 
 def assert_answers_match_plain_scan(net, query, eps, result):
@@ -177,7 +212,7 @@ def test_baseline_counts_one_message_per_forward_and_one_mapping_per_probe(
     net = draw_net(key)
     q = router_query(net, drawn)
     sp = net.peers[q.origin_peer].super_peer
-    result = route_baseline(net, q, sp, relevant_peers_indexed(net, q, eps), eps, max_hops)
+    result = route_baseline(net, q, sp, relevant_mask(net, q, eps), eps, max_hops)
     depths = forwarding_depths(net, q, sp, eps, max_hops)
     assert result.searched_sps == set(depths)
     assert result.hops == len(result.searched_sps) - 1
@@ -194,7 +229,7 @@ def flooded_log(key, n_components):
     rng = substream(7, "train")
     workload = [q for pid in sorted(net.peers)
                 for q in generate_queries(net.peers[pid], 2, n_components, rng, id_prefix="t")]
-    relevant = [relevant_peers_indexed(net, q, 0.5) for q in workload]
+    relevant = [relevant_mask(net, q, 0.5) for q in workload]
     return run_baseline_epoch(net, workload, relevant, 0.5, max_hops=None)[0]
 
 
@@ -213,7 +248,7 @@ def test_baseline_answers_match_plain_scan(key, drawn, eps, max_hops):
     net = draw_net(key)
     q = router_query(net, drawn)
     sp = net.peers[q.origin_peer].super_peer
-    result = route_baseline(net, q, sp, relevant=relevant_peers_indexed(net, q, eps),
+    result = route_baseline(net, q, sp, relevant=relevant_mask(net, q, eps),
                             eps_acc=eps, max_hops=max_hops)
     assert_answers_match_plain_scan(net, q, eps, result)
 
@@ -226,7 +261,7 @@ def test_kb_answers_match_plain_scan(key, drawn, eps, tau):
     overlay = cached_overlay(key, tau, len(q.components))
     assume(len(overlay.groups) > 1)
     sp = net.peers[q.origin_peer].super_peer
-    result = route_kb(net, overlay, q, sp, relevant=relevant_peers_indexed(net, q, eps))
+    result = route_kb(net, overlay, q, sp, relevant=relevant_mask(net, q, eps))
     assert_answers_match_plain_scan(net, q, eps, result)
 
 
@@ -240,7 +275,7 @@ def test_kb_counts_relays_and_tree_walk(key, drawn, tau):
     overlay = cached_overlay(key, tau, len(q.components))
     assume(len(overlay.groups) > 1)
     sp = net.peers[q.origin_peer].super_peer
-    result = route_kb(net, overlay, q, sp, relevant_peers_indexed(net, q, 0.5))
+    result = route_kb(net, overlay, q, sp, relevant_mask(net, q, 0.5))
     gid = overlay.sp_to_group[sp]
     targets = result.searched_sps - {sp}
     assert result.hops == 1 + sum(1 if overlay.sp_to_group[t] == gid else 2 for t in targets)
@@ -265,7 +300,7 @@ def test_refreshed_indices_equal_from_scratch_induction(key, tau, refresh_every,
     pids = sorted(net.peers)
     workload = [generate_queries(net.peers[rng.choice(pids)], 1, 3, rng, id_prefix=f"e{i}-")[0]
                 for i in range(n_routed)]
-    relevant = [relevant_peers_indexed(net, q, 0.5) for q in workload]
+    relevant = [relevant_mask(net, q, 0.5) for q in workload]
     kb_log, _, after = run_kb_epoch(net, overlay, workload, relevant, refresh_every=refresh_every)
     seen = [*log, *kb_log.records[:n_routed - n_routed % refresh_every]]
     for group in after.groups.values():
@@ -285,7 +320,7 @@ def test_raising_threshold_never_grows_answers(key, seed):
     sp = net.peers[q.origin_peer].super_peer
     previous = None
     for eps in (0.0, 0.25, 0.5, 0.75, 1.0):
-        relevant = relevant_peers_indexed(net, q, eps)
+        relevant = relevant_mask(net, q, eps)
         answers = route_baseline(net, q, sp, relevant, eps, max_hops=1).answering_peers
         if previous is not None:
             assert answers <= previous
