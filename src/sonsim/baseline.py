@@ -10,7 +10,8 @@ query at most once.
 The forwarding tree, one cost segment per searched super-peer, is the only
 record of a query's work: its mapping operations (the members and friends
 probed, one mapping each) and messages are sums over the tree, and response
-time is costed along its critical path.
+time is costed along its critical path. `PathSegment.walk` is the one walk
+of a cost tree that yields both.
 """
 
 from __future__ import annotations
@@ -42,14 +43,23 @@ class PathSegment:
     tree_visits: int = 0
     branches: tuple["PathSegment", ...] = ()
 
-    def total(self, field: str) -> int:
-        """Sum of `field` over this segment and every segment below it."""
-        total, stack = 0, [self]
-        while stack:
-            segment = stack.pop()
-            total += getattr(segment, field)
-            stack += segment.branches
-        return total
+    def walk(self, c_hop: float = 0.0, c_map: float = 0.0,
+             c_tree: float = 0.0) -> tuple[float, int, int, int]:
+        """(critical-path cost, mapping operations, hops, tree visits) of this
+        segment and every segment below it, in one walk. A segment costs
+        `c_hop` per message, `c_map` per mapping and `c_tree` per tree node
+        visited, plus its costliest branch, since branches run in parallel;
+        with the default zero costs only the three sums mean anything."""
+        maps, hops, visits = self.maps, self.hops, self.tree_visits
+        costs = []
+        for branch in self.branches:
+            cost, branch_maps, branch_hops, branch_visits = branch.walk(c_hop, c_map, c_tree)
+            costs.append(cost)
+            maps += branch_maps
+            hops += branch_hops
+            visits += branch_visits
+        own = self.hops * c_hop + self.maps * c_map + self.tree_visits * c_tree
+        return own + max(costs, default=0.0), maps, hops, visits
 
 
 @dataclass(frozen=True)
@@ -70,15 +80,15 @@ class RoutingResult:
 
     @property
     def mapping_ops(self) -> int:
-        return self.cost_tree.total("maps")
+        return self.cost_tree.walk()[1]
 
     @property
     def hops(self) -> int:
-        return self.cost_tree.total("hops")
+        return self.cost_tree.walk()[2]
 
     @property
     def tree_visits(self) -> int:
-        return self.cost_tree.total("tree_visits")
+        return self.cost_tree.walk()[3]
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_train_index(args: argparse.Namespace) -> int:
     if not 0.0 <= args.holdout < 1.0:
         raise ValueError(f"--holdout must lie in [0, 1), got {args.holdout}")
+    if args.min_leaf < 1:
+        raise ValueError(f"--min-leaf must be >= 1, got {args.min_leaf}")
     log_path = Path(args.log)
     if not log_path.exists():
         raise ValueError(f"log not found: {log_path}")
@@ -199,6 +201,8 @@ def cmd_train_index(args: argparse.Namespace) -> int:
 
 
 def cmd_render_tree(args: argparse.Namespace) -> int:
+    if args.min_leaf < 1:
+        raise ValueError(f"--min-leaf must be >= 1, got {args.min_leaf}")
     arff_path = Path(args.arff)
     if not arff_path.exists():
         raise ValueError(f"ARFF file not found: {arff_path}")

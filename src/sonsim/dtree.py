@@ -139,9 +139,17 @@ def _normalize(counts: Mapping[SuperPeerId, int]) -> dict[SuperPeerId, float]:
     return {label: count / total for label, count in counts.items() if count}
 
 
+def _majority(counts: Mapping[SuperPeerId, int]) -> SuperPeerId:
+    best = max(counts.values())
+    return min(label for label, count in counts.items() if count == best)
+
+
 def classify_traced(tree: DecisionTree,
-                    attributes: Sequence[str]) -> tuple[dict[SuperPeerId, float], int]:
-    """Classify and also report how many tree nodes the walk visited."""
+                    attributes: Sequence[str]) -> tuple[dict[SuperPeerId, int], int]:
+    """Walk the tree: (class counts of the node the walk ends on, number of
+    nodes visited). The walk ends at a leaf, or at an inner node whose tested
+    value was never observed there in training; either way the node's counts
+    are the answer. `classify` and `predict` both read this one walk."""
     node = tree
     visits = 1
     while isinstance(node, Node):
@@ -153,24 +161,22 @@ def classify_traced(tree: DecisionTree,
         child = node.branches.get(attributes[node.attr_index])
         if child is None:
             # Value never observed at this node during training.
-            return _normalize(node.counts), visits
+            return node.counts, visits
         node = child
         visits += 1
-    return _normalize(node.counts), visits
+    return node.counts, visits
 
 
 def classify(tree: DecisionTree, attributes: Sequence[str]) -> dict[SuperPeerId, float]:
-    """Class label -> probability at the node the walk ends on; labels with
-    a zero count are left out."""
-    return classify_traced(tree, attributes)[0]
+    """Class label -> probability: the counts of `classify_traced`'s walk,
+    normalised; labels with a zero count are left out."""
+    return _normalize(classify_traced(tree, attributes)[0])
 
 
 def predict(tree: DecisionTree, attributes: Sequence[str]) -> SuperPeerId:
-    """Single-label prediction: the most probable class, ties to the lowest
-    label."""
-    probabilities = classify(tree, attributes)
-    best = max(probabilities.values())
-    return min(label for label, p in probabilities.items() if p == best)
+    """Single-label prediction: the majority class of `classify_traced`'s
+    walk, ties to the lowest label."""
+    return _majority(classify_traced(tree, attributes)[0])
 
 
 def training_accuracy(tree: DecisionTree, instances: Sequence[Instance]) -> float:
@@ -178,11 +184,6 @@ def training_accuracy(tree: DecisionTree, instances: Sequence[Instance]) -> floa
         raise ValueError("no instances")
     correct = sum(1 for inst in instances if predict(tree, inst.attributes) == inst.class_label)
     return correct / len(instances)
-
-
-def _majority(counts: Mapping[SuperPeerId, int]) -> SuperPeerId:
-    best = max(counts.values())
-    return min(label for label, count in counts.items() if count == best)
 
 
 def _leaf_text(counts: Mapping[SuperPeerId, int]) -> str:

@@ -5,7 +5,10 @@ Response time is costed along the critical path of a result's forwarding
 tree: sequential segments add up, parallel branches contribute their maximum.
 The costs per message, per mapping and per tree node visited are the `Config`
 keys `c_hop`, `c_map` and `c_tree`; the counters reported beside response
-time are sums over the same tree.
+time are sums over the same tree. Both come from one walk of the tree,
+`baseline.PathSegment.walk`.
+A per-query row and a strategy summary are named tuples whose fields are
+their CSV columns, so the column lists derive from the types.
 The engine runs the relevance kernel in `model` (`relevant_mask`, which the
 test suite pins as equal to the plain exhaustive scan) once per query. That
 one peer mask is what both routers search communities with and what
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .baseline import (
     QueryLog,
@@ -39,15 +43,10 @@ DEFAULT_SWEEP_SIZES = [
     (2500, 28), (3000, 32), (3500, 36), (4000, 40), (4500, 46), (5000, 54),
 ]
 
-METRICS_COLUMNS = ("strategy", "query_id", "response_time", "precision", "recall",
-                   "sp_precision", "mapping_ops", "hops", "tree_visits")
-SUMMARY_COLUMNS = ("strategy", "n_queries", "mean_response_time", "mean_precision",
-                   "mean_recall", "mean_sp_precision", "total_mapping_ops",
-                   "total_hops", "total_tree_visits")
 
+class QueryMetrics(NamedTuple):
+    """One `metrics.csv` row after its strategy column."""
 
-@dataclass(frozen=True, slots=True)
-class QueryMetrics:
     query_id: str
     response_time: float
     precision: float
@@ -58,8 +57,9 @@ class QueryMetrics:
     tree_visits: int
 
 
-@dataclass(frozen=True)
-class StrategySummary:
+class StrategySummary(NamedTuple):
+    """One `summary.csv` row."""
+
     strategy: str
     n_queries: int
     mean_response_time: float
@@ -69,6 +69,10 @@ class StrategySummary:
     total_mapping_ops: int
     total_hops: int
     total_tree_visits: int
+
+
+METRICS_COLUMNS = ("strategy",) + QueryMetrics._fields
+SUMMARY_COLUMNS = StrategySummary._fields
 
 
 @dataclass
@@ -81,23 +85,7 @@ class ExperimentReport:
 def response_time(result: RoutingResult, config: Config) -> float:
     """Critical-path cost of a routing result under the configuration's
     costs per message (`c_hop`), mapping (`c_map`) and tree node (`c_tree`)."""
-    return _walk(result.cost_tree, config)[0]
-
-
-def _walk(segment, config: Config) -> tuple[float, int, int, int]:
-    """(critical-path cost, mapping operations, hops, tree visits) of a
-    segment and every segment below it, in one walk of the tree."""
-    maps, hops, visits = segment.maps, segment.hops, segment.tree_visits
-    costs = []
-    for branch in segment.branches:
-        cost, branch_maps, branch_hops, branch_visits = _walk(branch, config)
-        costs.append(cost)
-        maps += branch_maps
-        hops += branch_hops
-        visits += branch_visits
-    own = (segment.hops * config.c_hop + segment.maps * config.c_map
-           + segment.tree_visits * config.c_tree)
-    return own + max(costs, default=0.0), maps, hops, visits
+    return result.cost_tree.walk(config.c_hop, config.c_map, config.c_tree)[0]
 
 
 def score(result: RoutingResult, oracle: int) -> tuple[float, float]:
@@ -116,7 +104,7 @@ def score(result: RoutingResult, oracle: int) -> tuple[float, float]:
 def query_metrics(query: Query, result: RoutingResult, oracle: int,
                   config: Config) -> QueryMetrics:
     precision, recall = score(result, oracle)
-    cost, maps, hops, visits = _walk(result.cost_tree, config)
+    cost, maps, hops, visits = result.cost_tree.walk(config.c_hop, config.c_map, config.c_tree)
     return QueryMetrics(
         query_id=query.id,
         response_time=cost,
@@ -191,7 +179,8 @@ def run_pipeline(config: Config, include_kb: bool = True,
     skipped and replay mode reconstructs the evaluation queries from the log
     records; a record whose origin peer is not in this network, or is not
     under its origin super-peer, or whose component count is not
-    `n_components`, raises ValueError.
+    `n_components`, or that has a component outside its origin peer's
+    expertise (every generated query draws from it), raises ValueError.
 
     Relevance is computed once per query with `relevant_mask`. The training
     workload's masks drive the training epoch and, in replay mode, are reused
@@ -222,6 +211,13 @@ def run_pipeline(config: Config, include_kb: bool = True,
                 raise ValueError(f"train log record {record.query_id}: "
                                  f"{len(record.components)} query components, but "
                                  f"n_components is {config.n_components}")
+        for record in train_log:  # the right shape may still hide another vocabulary
+            expertise = net.peers[record.origin_peer].expertise
+            for component in record.components:
+                if component not in expertise:
+                    raise ValueError(f"train log record {record.query_id}: component "
+                                     f"{component.render()} is not in the expertise of "
+                                     f"peer {record.origin_peer}")
 
     if config.workload_mode == "replay":
         if train_workload is not None:
@@ -291,42 +287,28 @@ def format_value(value) -> str:
 
 
 def metrics_rows(report: ExperimentReport) -> list[tuple]:
-    rows = []
-    for strategy in sorted(report.per_query):
-        for m in report.per_query[strategy]:
-            rows.append((strategy, m.query_id, m.response_time, m.precision,
-                         m.recall, m.sp_precision, m.mapping_ops, m.hops,
-                         m.tree_visits))
-    return rows
+    """`metrics.csv` rows: each strategy's per-query rows, strategies sorted."""
+    return [(strategy, *m) for strategy in sorted(report.per_query)
+            for m in report.per_query[strategy]]
+
+
+def _write_csv(path, columns: tuple[str, ...], rows: Iterable[tuple]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(format_value(v) for v in row) + "\n")
 
 
 def write_metrics_csv(report: ExperimentReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(METRICS_COLUMNS) + "\n")
-        for row in metrics_rows(report):
-            fh.write(",".join(format_value(v) for v in row) + "\n")
-
-
-def summary_row(summary: StrategySummary) -> tuple:
-    return (summary.strategy, summary.n_queries, summary.mean_response_time,
-            summary.mean_precision, summary.mean_recall, summary.mean_sp_precision,
-            summary.total_mapping_ops, summary.total_hops, summary.total_tree_visits)
+    _write_csv(path, METRICS_COLUMNS, metrics_rows(report))
 
 
 def write_summary_csv(report: ExperimentReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for strategy in sorted(report.summaries):
-            row = summary_row(report.summaries[strategy])
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+    _write_csv(path, SUMMARY_COLUMNS,
+               [report.summaries[strategy] for strategy in sorted(report.summaries)])
 
 
 def write_sweep_csv(reports: list[ExperimentReport], path) -> None:
-    columns = ("np", "nsp", "seed") + SUMMARY_COLUMNS
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for report in reports:
-            for strategy in sorted(report.summaries):
-                row = (report.config.np, report.config.nsp, report.config.seed)
-                row += summary_row(report.summaries[strategy])
-                fh.write(",".join(format_value(v) for v in row) + "\n")
+    _write_csv(path, ("np", "nsp", "seed") + SUMMARY_COLUMNS,
+               [(r.config.np, r.config.nsp, r.config.seed, *r.summaries[strategy])
+                for r in reports for strategy in sorted(r.summaries)])

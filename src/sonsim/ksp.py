@@ -5,10 +5,13 @@ Groups are the connected components of the super-peer graph thresholded by
 trust, so a super-peer joins a group as soon as one member shares enough
 expertise with it. Indices are trained with class labels spanning the whole
 network, which is what lets a group name relevant super-peers outside itself.
-Each group owns the instances its index was induced from; a log record is
-rendered once, and a refresh adds only the records routed since the last one.
-Index-driven routing replaces all super-peer-level capacity evaluations with
-one tree walk; only peer-level evaluations remain metered as mapping work.
+One function, `query_attributes`, turns a query into tree attributes, for
+training and for the walk alike. Each group owns the instances its index was
+induced from; a log record is rendered once, and a refresh adds only the
+records routed since the last one. Only `run_kb_epoch` decides when to
+refresh. Index-driven routing replaces all super-peer-level capacity
+evaluations with one tree walk; only peer-level evaluations remain metered as
+mapping work.
 As in the baseline, the cost tree is the only record of that work: a query's
 mapping operations, messages and tree visits are sums over it.
 Which peers of a searched community answer comes from the query's relevant
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 from .baseline import LogRecord, PathSegment, QueryLog, RoutingResult
 from .dtree import DecisionTree, Instance, Leaf, build_tree, class_counts, classify_traced, predict
-from .model import Query, SuperPeerId
+from .model import ExpertiseElement, Query, SuperPeerId
 from .model import capacity  # noqa: F401  benchmark/probe.py counts calls through ksp.capacity
 from .netgen import Network
 
@@ -90,14 +93,20 @@ def form_groups(net: Network, tau_trust: int) -> KspOverlay:
     return KspOverlay(groups=groups, sp_to_group=sp_to_group)
 
 
+def query_attributes(components: tuple[ExpertiseElement, ...]) -> tuple[str, ...]:
+    """The tree attributes of a query: its components rendered, in query
+    order, one attribute per position. Training rows and tree walks both come
+    from here. Values are interned, since groups keep their instances and
+    values repeat across records."""
+    return tuple([sys.intern(c.render()) for c in components])
+
+
 def instances_from_records(records) -> list[Instance]:
     """Training rows from log records: one instance per (query, answering
-    super-peer) pair, class labels in ascending order for determinism.
-    Attribute values are interned, since groups keep their instances and
-    values repeat across records."""
+    super-peer) pair, class labels in ascending order for determinism."""
     instances = []
     for record in records:
-        attributes = tuple(sys.intern(c.render()) for c in record.components)
+        attributes = query_attributes(record.components)
         for spid in sorted(record.answering_sps):
             instances.append(Instance(attributes=attributes, class_label=spid))
     return instances
@@ -115,8 +124,7 @@ def record_accuracy(tree: DecisionTree, records) -> float:
         raise ValueError("no records")
     hits = 0
     for record in records:
-        attributes = tuple(c.render() for c in record.components)
-        if predict(tree, attributes) in record.answering_sps:
+        if predict(tree, query_attributes(record.components)) in record.answering_sps:
             hits += 1
     return hits / len(records)
 
@@ -169,10 +177,9 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
     if group.index is None:
         raise ValueError("index not trained")
 
-    attributes = tuple(c.render() for c in query.components)
-    probabilities, tree_visits = classify_traced(group.index, attributes)
-    # Every label in the distribution is a candidate: zero counts are dropped.
-    targets = sorted(s for s in probabilities if s != sp and s in net.super_peers)
+    counts, tree_visits = classify_traced(group.index, query_attributes(query.components))
+    # Every class counted where the walk ends is a candidate.
+    targets = sorted(s for s in counts if s != sp and s in net.super_peers)
 
     answering_mask = 0
     answering_sps: set[SuperPeerId] = set()
@@ -199,15 +206,10 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
     )
 
 
-def refresh_knowledge(overlay: KspOverlay, records, every_r: int,
-                      queries_routed: int, min_leaf: int = 2) -> KspOverlay:
-    """After every `every_r` routed queries, append `records`, the queries
-    routed since the previous refresh, to their groups' instances and
-    re-induce every index; otherwise return the overlay itself."""
-    if every_r < 1:
-        raise ValueError("refresh period must be >= 1")
-    if queries_routed % every_r != 0:
-        return overlay
+def refresh_knowledge(overlay: KspOverlay, records, min_leaf: int = 2) -> KspOverlay:
+    """Append `records`, the queries routed since the previous refresh, to
+    their groups' instances and re-induce every index. Always returns a new
+    overlay; when to refresh is `run_kb_epoch`'s decision."""
     return _induce(overlay, records, min_leaf, keep=True)
 
 
@@ -232,6 +234,5 @@ def run_kb_epoch(net: Network, overlay: KspOverlay, workload: list[Query],
         results.append(result)
         records.append(LogRecord.routed(query, origin_sp, result))
         if refresh_every > 0 and routed % refresh_every == 0:
-            overlay = refresh_knowledge(overlay, records[-refresh_every:], refresh_every,
-                                        routed, min_leaf)
+            overlay = refresh_knowledge(overlay, records[-refresh_every:], min_leaf)
     return QueryLog(records), results, overlay

@@ -3,8 +3,9 @@
 Generation order matters: domains and super-peer expertise first, then friend
 links with expertise duplication (which is the only source of inter-community
 overlap, because each domain draws couples from its own token partition), then
-peers as subsets of their super-peer's final expertise. The correspondence
-matrix always equals the recomputed pairwise expertise intersections.
+peers as subsets of their super-peer's final expertise. A `Network` derives
+its correspondence matrix from its super-peers' expertise, so the matrix
+always equals the pairwise expertise intersections.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import dataclasses
 import math
 import string
 from dataclasses import dataclass, field
+from functools import cached_property
 from random import Random
 
 from .config import Config, substream
@@ -40,14 +42,11 @@ class Peer:
 class CorrespondenceMatrix:
     """Symmetric ``(i, j) -> shared expertise element count`` over super-peers.
 
-    Only nonzero entries are stored; keys are normalized to ``i < j``.
+    Only nonzero entries are stored, keyed ``(i, j)`` with ``i < j``.
     """
 
-    def __init__(self, entries: dict[tuple[int, int], int] | None = None):
-        self._entries: dict[tuple[int, int], int] = {}
-        for (i, j), count in (entries or {}).items():
-            if count:
-                self._entries[(min(i, j), max(i, j))] = count
+    def __init__(self, entries: dict[tuple[int, int], int]):
+        self._entries = entries
 
     @classmethod
     def from_expertise(cls, expertise_by_sp: dict[SuperPeerId, Expertise]) -> "CorrespondenceMatrix":
@@ -67,12 +66,6 @@ class CorrespondenceMatrix:
         """Nonzero entries as sorted ((i, j), count) tuples."""
         return sorted(self._entries.items())
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CorrespondenceMatrix) and self._entries == other._entries
-
-    def __repr__(self) -> str:
-        return f"CorrespondenceMatrix({self._entries!r})"
-
 
 @dataclass(frozen=True)
 class Network:
@@ -82,11 +75,12 @@ class Network:
 
     peers: dict[PeerId, Peer]
     super_peers: dict[SuperPeerId, SuperPeer]
-    cormat: CorrespondenceMatrix
     config: Config
-    # Peer sets as bitmasks (bit p for peer p), rebuilt on construction:
-    # element -> the peers holding it, read by the relevance kernel
-    # model.relevant_mask, and super-peer -> its members, read by the routers.
+    # Derived from the fields above, never passed in. Peer sets as bitmasks
+    # (bit p for peer p), rebuilt on construction: element -> the peers
+    # holding it, read by the relevance kernel model.relevant_mask, and
+    # super-peer -> its members, read by the routers. The trust matrix
+    # `cormat` is derived on first read.
     element_masks: dict[ExpertiseElement, int] = field(init=False, repr=False, compare=False)
     member_masks: dict[SuperPeerId, int] = field(init=False, repr=False, compare=False)
 
@@ -99,6 +93,14 @@ class Network:
         member_masks = {spid: mask_of(sp.members) for spid, sp in self.super_peers.items()}
         object.__setattr__(self, "element_masks", element_masks)
         object.__setattr__(self, "member_masks", member_masks)
+
+    @cached_property
+    def cormat(self) -> CorrespondenceMatrix:
+        """Pairwise expertise intersections of the super-peers, read by
+        ksp.form_groups. Lazy, because build_son constructs intermediate
+        networks whose matrix nothing reads."""
+        return CorrespondenceMatrix.from_expertise(
+            {spid: sp.expertise for spid, sp in self.super_peers.items()})
 
 
 def generate_domains(nsp: int, rng: Random) -> list[DomainLabel]:
@@ -166,11 +168,7 @@ def link_friends_and_duplicate(net: Network, friends_per_sp: int, dup_count: int
         )
         for spid in sps
     }
-    cormat = CorrespondenceMatrix.from_expertise(
-        {spid: sp.expertise for spid, sp in new_sps.items()}
-    )
-    return Network(peers=dict(net.peers), super_peers=new_sps, cormat=cormat,
-                   config=net.config)
+    return Network(peers=dict(net.peers), super_peers=new_sps, config=net.config)
 
 
 def generate_peer_expertise(sp: SuperPeer, min_size: int, rng: Random) -> Expertise:
@@ -202,7 +200,7 @@ def build_son(config: Config) -> Network:
         )
         for spid in range(config.nsp)
     }
-    net = Network(peers={}, super_peers=sps, cormat=CorrespondenceMatrix(), config=config)
+    net = Network(peers={}, super_peers=sps, config=config)
     net = link_friends_and_duplicate(net, config.friends_per_sp, config.dup_count, rng)
 
     peers: dict[int, Peer] = {}
@@ -218,7 +216,7 @@ def build_son(config: Config) -> Network:
         spid: dataclasses.replace(sp, members=frozenset(members[spid]))
         for spid, sp in net.super_peers.items()
     }
-    return Network(peers=peers, super_peers=final_sps, cormat=net.cormat, config=config)
+    return Network(peers=peers, super_peers=final_sps, config=config)
 
 
 def serialize_network(net: Network) -> str:

@@ -134,6 +134,21 @@ class TestRun:
         assert err.startswith("sonsim: error: train log record ")
         assert f"{problem} is not in this network" in err
 
+    def test_train_log_from_another_seed_rejected(self, tmp_path, capsys):
+        """Same peer count, super-peer count and round-robin attachment, so
+        every origin passes; the components come from another vocabulary."""
+        other = [*FAST[:-1], "9"]
+        run_cli("run", "--strategy", "baseline", *other, "--outdir", str(tmp_path / "other"))
+        capsys.readouterr()
+        code = run_cli("run", "--strategy", "both", *FAST,
+                       "--train-log", str(tmp_path / "other" / "train_log.tsv"),
+                       "--outdir", str(tmp_path / "run"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sonsim: error: train log record ")
+        assert "is not in the expertise of peer" in err
+        assert not (tmp_path / "run").exists()
+
     def test_train_log_with_other_component_count_rejected(self, tmp_path, capsys):
         run_cli("run", "--strategy", "baseline", *FAST, "--n-components", "3",
                 "--outdir", str(tmp_path / "other"))
@@ -292,6 +307,29 @@ class TestTrainIndexAndRender:
         assert code == 1
         assert "--holdout" in capsys.readouterr().err
         assert not (tmp_path / "idx").exists()
+
+    @pytest.mark.parametrize("min_leaf", ["0", "-3"])
+    def test_train_index_min_leaf_below_one_rejected(self, tmp_path, capsys, min_leaf):
+        run_cli("run", "--strategy", "baseline", *FAST, "--outdir", str(tmp_path))
+        capsys.readouterr()
+        code = run_cli("train-index", "--log", str(tmp_path / "train_log.tsv"),
+                       "--min-leaf", min_leaf, "--outdir", str(tmp_path / "idx"))
+        assert code == 1
+        assert "--min-leaf" in capsys.readouterr().err
+        assert not (tmp_path / "idx").exists()
+
+    @pytest.mark.parametrize("min_leaf", ["0", "-3"])
+    def test_render_tree_min_leaf_below_one_rejected(self, tmp_path, capsys, min_leaf):
+        run_cli("run", "--strategy", "baseline", *FAST, "--outdir", str(tmp_path))
+        run_cli("train-index", "--log", str(tmp_path / "train_log.tsv"),
+                "--outdir", str(tmp_path / "idx"))
+        capsys.readouterr()
+        code = run_cli("render-tree", "--arff", str(tmp_path / "idx" / "dataset.arff"),
+                       "--min-leaf", min_leaf)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "--min-leaf" in captured.err
+        assert captured.out == ""
 
     def test_zero_holdout_skips_held_out_accuracy(self, tmp_path, capsys):
         run_cli("run", "--strategy", "baseline", *FAST, "--outdir", str(tmp_path))

@@ -70,13 +70,11 @@ class TestFormGroups:
                                min_peer_expertise=1, seed=3))
         # Hand-build trust: share two elements between SP0 and SP1 only.
         import dataclasses
-        from sonsim.netgen import CorrespondenceMatrix, Network
+        from sonsim.netgen import Network
         shared = set(list(net.super_peers[0].expertise)[:2])
         sps = dict(net.super_peers)
         sps[1] = dataclasses.replace(sps[1], expertise=sps[1].expertise | shared)
-        cormat = CorrespondenceMatrix.from_expertise(
-            {spid: sp.expertise for spid, sp in sps.items()})
-        net = Network(peers=net.peers, super_peers=sps, cormat=cormat, config=net.config)
+        net = Network(peers=net.peers, super_peers=sps, config=net.config)
         overlay = form_groups(net, 1)
         members = {gid: group.members for gid, group in overlay.groups.items()}
         assert members[0] == frozenset({0, 1})
@@ -278,13 +276,24 @@ class TestRefresh:
         for gid in overlay.groups:
             assert overlay.groups[gid].index == again.groups[gid].index
 
-    def test_refresh_outside_period_is_noop(self):
-        net, log, _, config = net_and_log()
+    @pytest.mark.parametrize("refresh_every", [0, 1, 7, 30])
+    def test_epoch_refreshes_once_per_period(self, monkeypatch, refresh_every):
+        """run_kb_epoch alone decides when to refresh: once after every
+        `refresh_every` routed queries, never at 0, each call with the
+        records routed since the previous one."""
+        import sonsim.ksp
+        net, log, workload, config = net_and_log()
         overlay = train_indices(form_groups(net, config.tau_trust), log, 2)
-        assert refresh_knowledge(overlay, log, 10, 3) is overlay
+        replay = _reid(workload[:20], "e")
+        batches = []
 
-    def test_bad_period_rejected(self):
-        net, log, _, config = net_and_log()
-        overlay = train_indices(form_groups(net, config.tau_trust), log, 2)
-        with pytest.raises(ValueError):
-            refresh_knowledge(overlay, log, 0, 1)
+        def counting(overlay, records, min_leaf=2):
+            batches.append([r.query_id for r in records])
+            return refresh_knowledge(overlay, records, min_leaf)
+
+        monkeypatch.setattr(sonsim.ksp, "refresh_knowledge", counting)
+        run_kb_epoch(net, overlay, replay, relevance(net, replay, config.eps_acc),
+                     refresh_every=refresh_every)
+        calls = len(replay) // refresh_every if refresh_every else 0
+        assert batches == [[q.id for q in replay[k * refresh_every:(k + 1) * refresh_every]]
+                           for k in range(calls)]

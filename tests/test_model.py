@@ -15,7 +15,7 @@ from sonsim.model import (
     parse_element,
     relevant_mask,
 )
-from sonsim.netgen import CorrespondenceMatrix, Network, Peer, SuperPeer, build_son
+from sonsim.netgen import Network, Peer, SuperPeer, build_son
 
 
 def E(x, y):
@@ -137,7 +137,7 @@ class TestOracle:
         for n in range(1, 7):
             peers = {k: Peer(k, frozenset(comps[:k]), 0) for k in range(n + 1)}
             sp = SuperPeer(0, "aa", frozenset(comps), frozenset(), frozenset(peers))
-            net = Network(peers, {0: sp}, CorrespondenceMatrix(), Config())
+            net = Network(peers, {0: sp}, Config())
             query = Q(*comps[:n])
             for k in range(n + 1):
                 for eps in (math.nextafter(k / n, 0.0), k / n, math.nextafter(k / n, 1.0)):

@@ -46,10 +46,11 @@ from sonsim.model import (
     peers_of,
     relevant_mask,
 )
-from sonsim.netgen import CorrespondenceMatrix, Network, build_son
+from sonsim.netgen import Network, build_son
 from sonsim.ksp import (
     form_groups,
     instances_from_records,
+    query_attributes,
     route_kb,
     run_kb_epoch,
     train_indices,
@@ -279,7 +280,7 @@ def test_kb_counts_relays_and_tree_walk(key, drawn, tau):
     gid = overlay.sp_to_group[sp]
     targets = result.searched_sps - {sp}
     assert result.hops == 1 + sum(1 if overlay.sp_to_group[t] == gid else 2 for t in targets)
-    walk = classify_traced(overlay.groups[gid].index, tuple(c.render() for c in q.components))
+    walk = classify_traced(overlay.groups[gid].index, query_attributes(q.components))
     assert result.tree_visits == walk[1]
 
 
@@ -412,9 +413,7 @@ def test_grouping_invariant_under_sp_relabeling(key, tau, shift):
     }
     peers = {pid: dataclasses.replace(p, super_peer=rename[p.super_peer])
              for pid, p in net.peers.items()}
-    cormat = CorrespondenceMatrix.from_expertise(
-        {spid: sp.expertise for spid, sp in sps.items()})
-    relabeled = Network(peers=peers, super_peers=sps, cormat=cormat, config=net.config)
+    relabeled = Network(peers=peers, super_peers=sps, config=net.config)
 
     original = {frozenset(g.members) for g in form_groups(net, tau).groups.values()}
     mapped = {frozenset(rename[m] for m in members) for members in original}
