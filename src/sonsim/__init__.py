@@ -14,6 +14,7 @@ from .model import (
     ExpertiseElement,
     Query,
     capacity,
+    element,
     is_relevant,
     oracle_relevant_peers,
     relevant_mask,
@@ -34,7 +35,6 @@ from .dtree import (
     arff_export,
     arff_import,
     build_tree,
-    classify,
     entropy,
     gain_ratio,
     render_tree,
@@ -43,7 +43,6 @@ from .ksp import KspGroup, KspOverlay, form_groups, refresh_knowledge, route_kb,
 from .engine import (
     ExperimentReport,
     QueryMetrics,
-    response_time,
     score,
     sweep,
 )

@@ -241,14 +241,14 @@ def write_query_log(log: QueryLog, path) -> None:
         for record in log:
             answering = ",".join(str(s) for s in sorted(record.answering_sps)) or "-"
             fields = [record.query_id, str(record.origin_peer), str(record.origin_sp)]
-            fields.extend(c.render() for c in record.components)
+            fields.extend(record.components)
             fields.append(answering)
             fh.write("\t".join(fields) + "\n")
 
 
 def read_query_log(path) -> QueryLog:
     """Parse a log written by `write_query_log`; every record must have as
-    many query components as the first."""
+    many query components as the first. Every error names the file and line."""
     log = QueryLog()
     width = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -256,24 +256,27 @@ def read_query_log(path) -> QueryLog:
             line = raw.rstrip("\n")
             if not line:
                 continue
-            fields = line.split("\t")
-            if len(fields) < 5:
-                raise ValueError(f"{path}: line {lineno}: expected at least 5 fields")
-            components = tuple(parse_element(c) for c in fields[3:-1])
-            if width is None:
-                width = len(components)
-            elif len(components) != width:
-                raise ValueError(f"{path}: line {lineno}: {len(components)} query components, "
-                                 f"but the first record has {width}")
-            answering_field = fields[-1]
-            answering = frozenset(
-                int(s) for s in answering_field.split(",")
-            ) if answering_field != "-" else frozenset()
-            log.append(LogRecord(
-                query_id=fields[0],
-                origin_peer=int(fields[1]),
-                origin_sp=int(fields[2]),
-                components=components,
-                answering_sps=answering,
-            ))
+            try:
+                fields = line.split("\t")
+                if len(fields) < 5:
+                    raise ValueError("expected at least 5 fields")
+                components = tuple(parse_element(c) for c in fields[3:-1])
+                if width is None:
+                    width = len(components)
+                elif len(components) != width:
+                    raise ValueError(f"{len(components)} query components, "
+                                     f"but the first record has {width}")
+                answering_field = fields[-1]
+                answering = frozenset(
+                    int(s) for s in answering_field.split(",")
+                ) if answering_field != "-" else frozenset()
+                log.append(LogRecord(
+                    query_id=fields[0],
+                    origin_peer=int(fields[1]),
+                    origin_sp=int(fields[2]),
+                    components=components,
+                    answering_sps=answering,
+                ))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return log

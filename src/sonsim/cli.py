@@ -146,10 +146,11 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(":")
-        if len(parts) != 2:
-            raise ValueError(f"size {chunk!r} is not of form NP:NSP")
-        sizes.append((int(parts[0]), int(parts[1])))
+        try:
+            n_peers, n_sps = chunk.split(":")
+            sizes.append((int(n_peers), int(n_sps)))
+        except ValueError:
+            raise ValueError(f"size {chunk!r} is not of form NP:NSP") from None
     if not sizes:
         raise ValueError("no sizes given")
     if len(set(sizes)) != len(sizes):

@@ -23,8 +23,8 @@ CLASS_PREFIX = "SP"
 
 @dataclass(frozen=True)
 class Instance:
-    """One training row: rendered query components plus the answering
-    super-peer."""
+    """One training row: the query components (expertise element texts) plus
+    the answering super-peer."""
 
     attributes: tuple[str, ...]
     class_label: SuperPeerId
@@ -134,11 +134,6 @@ def build_tree(instances: Sequence[Instance], attrs: Sequence[int] | None = None
     return Node(attr_index=best_attr, branches=branches, counts=counts)
 
 
-def _normalize(counts: Mapping[SuperPeerId, int]) -> dict[SuperPeerId, float]:
-    total = sum(counts.values())
-    return {label: count / total for label, count in counts.items() if count}
-
-
 def _majority(counts: Mapping[SuperPeerId, int]) -> SuperPeerId:
     best = max(counts.values())
     return min(label for label, count in counts.items() if count == best)
@@ -149,7 +144,7 @@ def classify_traced(tree: DecisionTree,
     """Walk the tree: (class counts of the node the walk ends on, number of
     nodes visited). The walk ends at a leaf, or at an inner node whose tested
     value was never observed there in training; either way the node's counts
-    are the answer. `classify` and `predict` both read this one walk."""
+    are the answer. `route_kb` and `predict` both read this one walk."""
     node = tree
     visits = 1
     while isinstance(node, Node):
@@ -165,12 +160,6 @@ def classify_traced(tree: DecisionTree,
         node = child
         visits += 1
     return node.counts, visits
-
-
-def classify(tree: DecisionTree, attributes: Sequence[str]) -> dict[SuperPeerId, float]:
-    """Class label -> probability: the counts of `classify_traced`'s walk,
-    normalised; labels with a zero count are left out."""
-    return _normalize(classify_traced(tree, attributes)[0])
 
 
 def predict(tree: DecisionTree, attributes: Sequence[str]) -> SuperPeerId:

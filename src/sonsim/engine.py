@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .baseline import (
     QueryLog,
@@ -82,12 +82,6 @@ class ExperimentReport:
     summaries: dict[str, StrategySummary]
 
 
-def response_time(result: RoutingResult, config: Config) -> float:
-    """Critical-path cost of a routing result under the configuration's
-    costs per message (`c_hop`), mapping (`c_map`) and tree node (`c_tree`)."""
-    return result.cost_tree.walk(config.c_hop, config.c_map, config.c_tree)[0]
-
-
 def score(result: RoutingResult, oracle: int) -> tuple[float, float]:
     """(precision, recall) of the retrieved peers against the oracle mask.
 
@@ -145,10 +139,6 @@ def make_workload(net: Network, config: Config, stream_name: str,
     return workload
 
 
-def _reprefix(queries: list[Query], id_prefix: str) -> list[Query]:
-    return [dataclasses.replace(q, id=f"{id_prefix}{i}") for i, q in enumerate(queries)]
-
-
 def hops_limit(config: Config) -> int | None:
     return None if config.max_hops < 0 else config.max_hops
 
@@ -173,20 +163,24 @@ def run_pipeline(config: Config, include_kb: bool = True,
     """Build the network, produce the training log, train the knowledge layer,
     then route one evaluation workload through both strategies.
 
-    By default (replay mode) the evaluation workload repeats the training
-    queries under new query ids; in fresh mode it is drawn from its own
-    stream. When an external train_log is supplied the training epoch is
-    skipped and replay mode reconstructs the evaluation queries from the log
-    records; a record whose origin peer is not in this network, or is not
-    under its origin super-peer, or whose component count is not
-    `n_components`, or that has a component outside its origin peer's
-    expertise (every generated query draws from it), raises ValueError.
+    The training log is the log of a baseline epoch over a workload drawn
+    from its own stream, unless an external `train_log` is supplied; then the
+    training epoch is skipped. A record of an external log whose origin peer
+    is not in this network, or is not under its origin super-peer, or whose
+    component count is not `n_components`, or that has a component outside
+    its origin peer's expertise (every generated query draws from it), raises
+    ValueError.
+
+    In replay mode (the default) the evaluation workload is the training
+    log's queries, record by record under the ids "e0", "e1", ..., whether
+    the log was generated or read; in fresh mode it is drawn from its own
+    stream.
 
     Relevance is computed once per query with `relevant_mask`. The training
-    workload's masks drive the training epoch and, in replay mode, are reused
-    for the evaluation workload, whose queries are the same. The evaluation
-    masks feed the evaluation baseline epoch, the knowledge epoch and the
-    precision/recall oracle.
+    workload's masks drive the training epoch and, when replay evaluates that
+    same generated workload, are reused for it. The evaluation masks feed the
+    evaluation baseline epoch, the knowledge epoch and the precision/recall
+    oracle.
     """
     config.validate()
     net = build_son(config)
@@ -194,7 +188,6 @@ def run_pipeline(config: Config, include_kb: bool = True,
     def relevance(workload: list[Query]) -> list[int]:
         return [relevant_mask(net, q, config.eps_acc) for q in workload]
 
-    train_workload: list[Query] | None = None
     relevant: list[int] = []
     if train_log is None:
         train_workload = make_workload(net, config, "workload-baseline", "t")
@@ -216,20 +209,15 @@ def run_pipeline(config: Config, include_kb: bool = True,
             for component in record.components:
                 if component not in expertise:
                     raise ValueError(f"train log record {record.query_id}: component "
-                                     f"{component.render()} is not in the expertise of "
+                                     f"{component} is not in the expertise of "
                                      f"peer {record.origin_peer}")
 
     if config.workload_mode == "replay":
-        if train_workload is not None:
-            eval_workload = _reprefix(train_workload, "e")
-        else:
-            if len(train_log) == 0:
-                raise ValueError("replay mode needs a non-empty training log")
-            eval_workload = _reprefix(
-                [Query(id=r.query_id, origin_peer=r.origin_peer, components=r.components)
-                 for r in train_log],
-                "e",
-            )
+        if len(train_log) == 0:
+            raise ValueError("replay mode needs a non-empty training log")
+        eval_workload = [Query(id=f"e{i}", origin_peer=r.origin_peer, components=r.components)
+                         for i, r in enumerate(train_log)]
+        if not relevant:  # an external log: no training masks to reuse
             relevant = relevance(eval_workload)
     else:
         relevant = []  # free the training masks before building the evaluation ones
@@ -286,10 +274,12 @@ def format_value(value) -> str:
     return str(value)
 
 
-def metrics_rows(report: ExperimentReport) -> list[tuple]:
-    """`metrics.csv` rows: each strategy's per-query rows, strategies sorted."""
-    return [(strategy, *m) for strategy in sorted(report.per_query)
-            for m in report.per_query[strategy]]
+def metrics_rows(report: ExperimentReport) -> Iterator[tuple]:
+    """`metrics.csv` rows, yielded one at a time: each strategy's per-query
+    rows, strategies sorted."""
+    for strategy in sorted(report.per_query):
+        for m in report.per_query[strategy]:
+            yield (strategy, *m)
 
 
 def _write_csv(path, columns: tuple[str, ...], rows: Iterable[tuple]) -> None:

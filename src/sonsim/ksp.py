@@ -7,8 +7,8 @@ expertise with it. Indices are trained with class labels spanning the whole
 network, which is what lets a group name relevant super-peers outside itself.
 One function, `query_attributes`, turns a query into tree attributes, for
 training and for the walk alike. Each group owns the instances its index was
-induced from; a log record is rendered once, and a refresh adds only the
-records routed since the last one. Only `run_kb_epoch` decides when to
+induced from; a log record becomes its instances once, and a refresh adds
+only the records routed since the last one. Only `run_kb_epoch` decides when to
 refresh. Index-driven routing replaces all super-peer-level capacity
 evaluations with one tree walk; only peer-level evaluations remain metered as
 mapping work.
@@ -22,7 +22,6 @@ mask, which the engine computes once per query with the relevance kernel,
 from __future__ import annotations
 
 import dataclasses
-import sys
 from dataclasses import dataclass
 
 from .baseline import LogRecord, PathSegment, QueryLog, RoutingResult
@@ -37,7 +36,7 @@ KspId = int
 @dataclass(frozen=True)
 class KspGroup:
     """A domain group; `index` was induced from exactly `instances`, the
-    rendered log records of its members' queries in log order."""
+    instances of its members' log records in log order."""
 
     id: KspId
     members: frozenset[SuperPeerId]
@@ -63,11 +62,10 @@ def form_groups(net: Network, tau_trust: int) -> KspOverlay:
         raise ValueError("tau_trust must be >= 1")
     sp_ids = sorted(net.super_peers)
     adjacency: dict[int, list[int]] = {spid: [] for spid in sp_ids}
-    for a, i in enumerate(sp_ids):
-        for j in sp_ids[a + 1:]:
-            if net.cormat.entry(i, j) >= tau_trust:
-                adjacency[i].append(j)
-                adjacency[j].append(i)
+    for (i, j), shared in net.cormat.items():
+        if shared >= tau_trust:
+            adjacency[i].append(j)
+            adjacency[j].append(i)
 
     components: list[frozenset[int]] = []
     unvisited = set(sp_ids)
@@ -94,11 +92,11 @@ def form_groups(net: Network, tau_trust: int) -> KspOverlay:
 
 
 def query_attributes(components: tuple[ExpertiseElement, ...]) -> tuple[str, ...]:
-    """The tree attributes of a query: its components rendered, in query
-    order, one attribute per position. Training rows and tree walks both come
-    from here. Values are interned, since groups keep their instances and
-    values repeat across records."""
-    return tuple([sys.intern(c.render()) for c in components])
+    """The tree attributes of a query: its components, in query order, one
+    attribute per position; an element is its own text, so the values are
+    the strings the network holds. Training rows and tree walks both come
+    from here."""
+    return components
 
 
 def instances_from_records(records) -> list[Instance]:
@@ -140,9 +138,9 @@ def train_indices(overlay: KspOverlay, log: QueryLog, min_leaf: int = 2) -> KspO
 
 
 def _induce(overlay: KspOverlay, records, min_leaf: int, keep: bool) -> KspOverlay:
-    """Render each record once into its origin super-peer's group, after the
-    group's current instances if `keep`, and induce every group's index from
-    its instances. A record whose origin super-peer is in no group raises."""
+    """Add each record's instances once to its origin super-peer's group,
+    after the group's current instances if `keep`, and induce every group's
+    index from its instances. A record whose origin super-peer is in no group raises."""
     slices: dict[KspId, list[LogRecord]] = {gid: [] for gid in overlay.groups}
     for record in records:
         if record.origin_sp not in overlay.sp_to_group:

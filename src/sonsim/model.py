@@ -10,14 +10,20 @@ A set of peers travels as one int bitmask, bit `p` set for peer `p`
 (`mask_of` and `peers_of` convert), so intersections and counts are single
 big-int operations instead of per-peer set work.
 
+An expertise element is its own text, "x.y": the same string in routing, in
+trees, logs, ARFF files and the network dump, so nothing converts between
+forms. `element` is the only code that joins two tokens and `parse_element`
+the only code that reads one from outside the program.
+
 Everything here is an immutable value; the operations are pure functions, so
 they can be evaluated concurrently and give the same answer under replay.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, AbstractSet, Iterable, NamedTuple
+from typing import TYPE_CHECKING, AbstractSet, Iterable
 
 if TYPE_CHECKING:
     from .netgen import Network
@@ -25,27 +31,28 @@ if TYPE_CHECKING:
 PeerId = int
 SuperPeerId = int
 
-# Joins the two tokens of an element in files (ARFF, logs). Token labels
-# must therefore never contain it; the generators in netgen never emit it.
+# Joins the two tokens of an element. Token labels must therefore never
+# contain it; the generators in netgen never emit it. It sorts below every
+# token character ([a-z0-9]), so elements sort as their token couples do.
 ELEMENT_SEPARATOR = "."
 
+# An ordered token couple, the atomic unit of shareable knowledge, as its
+# text "x.y".
+ExpertiseElement = str
 
-class ExpertiseElement(NamedTuple):
-    """Ordered token couple; the atomic unit of shareable knowledge."""
 
-    x: str
-    y: str
-
-    def render(self) -> str:
-        return f"{self.x}{ELEMENT_SEPARATOR}{self.y}"
+def element(x: str, y: str) -> ExpertiseElement:
+    """The element of the token couple (x, y), e.g. ("k", "f") -> "k.f"."""
+    return f"{x}{ELEMENT_SEPARATOR}{y}"
 
 
 def parse_element(text: str) -> ExpertiseElement:
-    """Inverse of ExpertiseElement.render, e.g. "k.f" -> (k, f)."""
+    """Check that `text` from outside the program is one element, two
+    non-empty tokens joined by the separator, and return it interned."""
     parts = text.split(ELEMENT_SEPARATOR)
     if len(parts) != 2 or not parts[0] or not parts[1]:
         raise ValueError(f"malformed expertise element: {text!r}")
-    return ExpertiseElement(parts[0], parts[1])
+    return sys.intern(text)
 
 
 Expertise = frozenset[ExpertiseElement]

@@ -3,9 +3,11 @@
 Generation order matters: domains and super-peer expertise first, then friend
 links with expertise duplication (which is the only source of inter-community
 overlap, because each domain draws couples from its own token partition), then
-peers as subsets of their super-peer's final expertise. A `Network` derives
-its correspondence matrix from its super-peers' expertise, so the matrix
-always equals the pairwise expertise intersections.
+peers as subsets of their super-peer's final expertise. The stages pass the
+super-peer dict along and `build_son` constructs the one `Network` at the
+end. What a `Network` derives from its peers and super-peers (the peer masks
+and the correspondence matrix) it computes on first read, so it always
+agrees with them.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from __future__ import annotations
 import dataclasses
 import math
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from random import Random
 
 from .config import Config, substream
-from .model import Expertise, ExpertiseElement, PeerId, SuperPeerId, mask_of
+from .model import Expertise, ExpertiseElement, PeerId, SuperPeerId, element, mask_of
 
 DomainLabel = str
 
@@ -39,68 +41,49 @@ class Peer:
     super_peer: SuperPeerId
 
 
-class CorrespondenceMatrix:
-    """Symmetric ``(i, j) -> shared expertise element count`` over super-peers.
-
-    Only nonzero entries are stored, keyed ``(i, j)`` with ``i < j``.
-    """
-
-    def __init__(self, entries: dict[tuple[int, int], int]):
-        self._entries = entries
-
-    @classmethod
-    def from_expertise(cls, expertise_by_sp: dict[SuperPeerId, Expertise]) -> "CorrespondenceMatrix":
-        ids = sorted(expertise_by_sp)
-        entries = {}
-        for a, i in enumerate(ids):
-            for j in ids[a + 1:]:
-                shared = len(expertise_by_sp[i] & expertise_by_sp[j])
-                if shared:
-                    entries[(i, j)] = shared
-        return cls(entries)
-
-    def entry(self, i: SuperPeerId, j: SuperPeerId) -> int:
-        return self._entries.get((min(i, j), max(i, j)), 0)
-
-    def pairs(self):
-        """Nonzero entries as sorted ((i, j), count) tuples."""
-        return sorted(self._entries.items())
-
-
 @dataclass(frozen=True)
 class Network:
     """The full overlay: every peer belongs to exactly one community, and the
     inter-community structure lives in friend links plus the correspondence
-    matrix."""
+    matrix.
+
+    The peer sets and the matrix below are derived from the fields, never
+    passed in, and computed on first read. Peer sets are bitmasks (bit p for
+    peer p)."""
 
     peers: dict[PeerId, Peer]
     super_peers: dict[SuperPeerId, SuperPeer]
     config: Config
-    # Derived from the fields above, never passed in. Peer sets as bitmasks
-    # (bit p for peer p), rebuilt on construction: element -> the peers
-    # holding it, read by the relevance kernel model.relevant_mask, and
-    # super-peer -> its members, read by the routers. The trust matrix
-    # `cormat` is derived on first read.
-    element_masks: dict[ExpertiseElement, int] = field(init=False, repr=False, compare=False)
-    member_masks: dict[SuperPeerId, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        element_masks: dict[ExpertiseElement, int] = {}
-        for pid, peer in self.peers.items():
-            bit = 1 << pid
-            for element in peer.expertise:
-                element_masks[element] = element_masks.get(element, 0) | bit
-        member_masks = {spid: mask_of(sp.members) for spid, sp in self.super_peers.items()}
-        object.__setattr__(self, "element_masks", element_masks)
-        object.__setattr__(self, "member_masks", member_masks)
 
     @cached_property
-    def cormat(self) -> CorrespondenceMatrix:
-        """Pairwise expertise intersections of the super-peers, read by
-        ksp.form_groups. Lazy, because build_son constructs intermediate
-        networks whose matrix nothing reads."""
-        return CorrespondenceMatrix.from_expertise(
-            {spid: sp.expertise for spid, sp in self.super_peers.items()})
+    def element_masks(self) -> dict[ExpertiseElement, int]:
+        """Element -> the peers holding it, read by the relevance kernel
+        model.relevant_mask."""
+        masks: dict[ExpertiseElement, int] = {}
+        for pid, peer in self.peers.items():
+            bit = 1 << pid
+            for held in peer.expertise:
+                masks[held] = masks.get(held, 0) | bit
+        return masks
+
+    @cached_property
+    def member_masks(self) -> dict[SuperPeerId, int]:
+        """Super-peer -> its members, read by the routers."""
+        return {spid: mask_of(sp.members) for spid, sp in self.super_peers.items()}
+
+    @cached_property
+    def cormat(self) -> dict[tuple[SuperPeerId, SuperPeerId], int]:
+        """The correspondence matrix, read by ksp.form_groups: `(i, j) ->`
+        the number of expertise elements super-peers i < j share. Only
+        nonzero entries are kept, in ascending order of (i, j)."""
+        ids = sorted(self.super_peers)
+        cormat = {}
+        for a, i in enumerate(ids):
+            for j in ids[a + 1:]:
+                shared = len(self.super_peers[i].expertise & self.super_peers[j].expertise)
+                if shared:
+                    cormat[(i, j)] = shared
+        return cormat
 
 
 def generate_domains(nsp: int, rng: Random) -> list[DomainLabel]:
@@ -128,19 +111,19 @@ def generate_sp_expertise(domain: DomainLabel, size: int, rng: Random) -> Expert
         raise ValueError("expertise size must be >= 1")
     vocab_size = math.isqrt(size - 1) + 1  # smallest k with k * k >= size
     tokens = [f"{domain}{k}" for k in range(vocab_size)]
-    couples = [ExpertiseElement(a, b) for a in tokens for b in tokens]
+    couples = [element(a, b) for a in tokens for b in tokens]
     return frozenset(rng.sample(couples, size))
 
 
-def link_friends_and_duplicate(net: Network, friends_per_sp: int, dup_count: int,
-                               rng: Random) -> Network:
-    """Select friends per super-peer and duplicate expertise across each link.
+def link_friends_and_duplicate(sps: dict[SuperPeerId, SuperPeer], friends_per_sp: int,
+                               dup_count: int, rng: Random) -> dict[SuperPeerId, SuperPeer]:
+    """Select friends per super-peer and duplicate expertise across each link;
+    returns the super-peers with their new friends and expertise.
 
     Friendship is recorded symmetrically. Duplicating dup_count elements into
     every chosen friend guarantees each friend pair shares at least dup_count
     elements, i.e. a mapping exists between them.
     """
-    sps = net.super_peers
     nsp = len(sps)
     if friends_per_sp >= nsp:
         raise ValueError(f"friends_per_sp must be < number of super-peers ({nsp})")
@@ -160,7 +143,7 @@ def link_friends_and_duplicate(net: Network, friends_per_sp: int, dup_count: int
             friends[spid].add(friend)
             friends[friend].add(spid)
 
-    new_sps = {
+    return {
         spid: dataclasses.replace(
             sps[spid],
             expertise=frozenset(expertise[spid]),
@@ -168,7 +151,6 @@ def link_friends_and_duplicate(net: Network, friends_per_sp: int, dup_count: int
         )
         for spid in sps
     }
-    return Network(peers=dict(net.peers), super_peers=new_sps, config=net.config)
 
 
 def generate_peer_expertise(sp: SuperPeer, min_size: int, rng: Random) -> Expertise:
@@ -200,23 +182,19 @@ def build_son(config: Config) -> Network:
         )
         for spid in range(config.nsp)
     }
-    net = Network(peers={}, super_peers=sps, config=config)
-    net = link_friends_and_duplicate(net, config.friends_per_sp, config.dup_count, rng)
+    sps = link_friends_and_duplicate(sps, config.friends_per_sp, config.dup_count, rng)
 
     peers: dict[int, Peer] = {}
     members: dict[int, set[int]] = {spid: set() for spid in range(config.nsp)}
     for pid in range(config.np):
         spid = pid % config.nsp
-        expertise = generate_peer_expertise(net.super_peers[spid],
-                                            config.min_peer_expertise, rng)
+        expertise = generate_peer_expertise(sps[spid], config.min_peer_expertise, rng)
         peers[pid] = Peer(id=pid, expertise=expertise, super_peer=spid)
         members[spid].add(pid)
 
-    final_sps = {
-        spid: dataclasses.replace(sp, members=frozenset(members[spid]))
-        for spid, sp in net.super_peers.items()
-    }
-    return Network(peers=peers, super_peers=final_sps, config=config)
+    sps = {spid: dataclasses.replace(sp, members=frozenset(members[spid]))
+           for spid, sp in sps.items()}
+    return Network(peers=peers, super_peers=sps, config=config)
 
 
 def serialize_network(net: Network) -> str:
@@ -228,14 +206,14 @@ def serialize_network(net: Network) -> str:
     for spid in sorted(net.super_peers):
         sp = net.super_peers[spid]
         friends = ",".join(str(f) for f in sorted(sp.friends)) or "-"
-        expertise = ",".join(e.render() for e in sorted(sp.expertise))
+        expertise = ",".join(sorted(sp.expertise))
         lines.append(f"sp {spid} domain={sp.domain} friends={friends} expertise={expertise}")
     lines.append("[peers]")
     for pid in sorted(net.peers):
         peer = net.peers[pid]
-        expertise = ",".join(e.render() for e in sorted(peer.expertise))
+        expertise = ",".join(sorted(peer.expertise))
         lines.append(f"peer {pid} sp={peer.super_peer} expertise={expertise}")
     lines.append("[cormat]")
-    for (i, j), count in net.cormat.pairs():
+    for (i, j), count in net.cormat.items():
         lines.append(f"{i} {j} {count}")
     return "\n".join(lines) + "\n"

@@ -37,7 +37,7 @@ from sonsim.engine import (
     sweep,
 )
 from sonsim.ksp import form_groups, instances_from_records, record_accuracy, route_kb, train_indices
-from sonsim.model import ExpertiseElement, capacity, oracle_relevant_peers, relevant_mask
+from sonsim.model import capacity, element, oracle_relevant_peers, relevant_mask
 from sonsim.netgen import build_son
 
 
@@ -214,7 +214,7 @@ def test_criterion_07_determinism(tmp_path):
 # Criterion 8: randomized property suites, >= 100 generated cases each.
 
 TOKENS = ["a", "b", "c", "d", "e"]
-elements = st.builds(ExpertiseElement, st.sampled_from(TOKENS), st.sampled_from(TOKENS))
+elements = st.builds(element, st.sampled_from(TOKENS), st.sampled_from(TOKENS))
 
 
 @lru_cache(maxsize=256)

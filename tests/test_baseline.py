@@ -209,10 +209,8 @@ class TestEpochAndLog:
         assert loaded.records == log.records
 
     def test_unanswered_record_round_trips(self, tmp_path):
-        from sonsim.model import ExpertiseElement
-        record = LogRecord("q0", 1, 0,
-                           (ExpertiseElement("a", "b"), ExpertiseElement("c", "d")),
-                           frozenset())
+        from sonsim.model import element
+        record = LogRecord("q0", 1, 0, (element("a", "b"), element("c", "d")), frozenset())
         path = tmp_path / "log.tsv"
         write_query_log(QueryLog([record]), path)
         assert read_query_log(path).records == (record,)

@@ -117,6 +117,37 @@ class TestRun:
         assert code == 0
         assert (tmp_path / "second" / "metrics.csv").exists()
 
+    def test_replaying_own_train_log_writes_identical_files(self, tmp_path):
+        flags = [*FAST, "--refresh-every", "5"]
+        assert run_cli("run", "--strategy", "both", *flags,
+                       "--outdir", str(tmp_path / "first")) == 0
+        assert run_cli("run", "--strategy", "both", *flags,
+                       "--train-log", str(tmp_path / "first" / "train_log.tsv"),
+                       "--outdir", str(tmp_path / "second")) == 0
+        assert hash_dir(tmp_path / "second") == hash_dir(tmp_path / "first")
+
+    @pytest.mark.parametrize("field, value, problem", [
+        (1, "x", "invalid literal for int()"),
+        (2, "x", "invalid literal for int()"),
+        (-1, "0,y", "invalid literal for int()"),
+        (3, "kf", "malformed expertise element: 'kf'"),
+        (0, None, "duplicate query id in log: "),
+    ], ids=["peer", "super-peer", "answering", "element", "duplicate-id"])
+    def test_bad_log_field_names_file_and_line(self, tmp_path, capsys, field, value, problem):
+        run_cli("run", "--strategy", "baseline", *FAST, "--outdir", str(tmp_path / "log"))
+        lines = (tmp_path / "log" / "train_log.tsv").read_text().splitlines()
+        fields = lines[1].split("\t")
+        fields[field] = lines[0].split("\t")[0] if value is None else value
+        lines[1] = "\t".join(fields)
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli("run", *FAST, "--train-log", str(bad), "--outdir", str(tmp_path / "out"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"sonsim: error: {bad}: line 2: {problem}")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("np_, nsp, problem", [
         ("40", "3", "peer 24 under super-peer 0"),  # peers 24.. are not in a 24-peer run
         ("24", "4", "peer 3 under super-peer 3"),  # peer 3 is under super-peer 0 at nsp 3
@@ -267,6 +298,12 @@ class TestSweep:
 
     def test_malformed_sizes_rejected(self, tmp_path):
         assert run_cli("sweep", "--sizes", "20-2", "--outdir", str(tmp_path)) == 1
+
+    @pytest.mark.parametrize("chunk", ["a:10", "20:x", "20:2:1"])
+    def test_bad_size_is_named(self, tmp_path, capsys, chunk):
+        code = run_cli("sweep", "--sizes", f"20:2,{chunk}", "--outdir", str(tmp_path))
+        assert code == 1
+        assert f"size '{chunk}' is not of form NP:NSP" in capsys.readouterr().err
 
     def test_seed_derivation_is_stable(self):
         from sonsim.config import derive_seed

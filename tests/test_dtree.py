@@ -18,7 +18,6 @@ from sonsim.dtree import (
     arff_import,
     build_tree,
     class_counts,
-    classify,
     classify_traced,
     entropy,
     gain_ratio,
@@ -141,31 +140,32 @@ class TestBuildTree:
 class TestClassify:
     def test_leaf_tree_classifies_anything(self):
         tree = Leaf({0: 10})
-        result = classify(tree, ("whatever",))
-        assert result == {0: 1.0}
+        counts, _ = classify_traced(tree, ("whatever",))
+        assert counts == {0: 10}
 
     def test_memorized_instances_get_probability_one(self):
         instances = [Instance((f"v{c}", "x"), c) for c in range(3) for _ in range(4)]
         tree = build_tree(instances)
         for inst in instances:
-            assert classify(tree, inst.attributes) == {inst.class_label: 1.0}
+            assert classify_traced(tree, inst.attributes)[0] == {inst.class_label: 4}
 
     def test_unseen_value_falls_back_to_node_distribution(self):
         tree = build_tree(FIXTURE, min_leaf=1)
-        dist = classify(tree, ("hail", "hot", "high", "weak"))
-        assert dist[1] == pytest.approx(9 / 14)
-        assert dist[0] == pytest.approx(5 / 14)
+        counts, visits = classify_traced(tree, ("hail", "hot", "high", "weak"))
+        assert counts == {0: 5, 1: 9}
+        assert visits == 1
 
     def test_probabilities_always_sum_to_one(self):
         tree = build_tree(FIXTURE, min_leaf=1)
         for inst in FIXTURE:
-            dist = classify(tree, inst.attributes)
-            assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
+            counts = classify_traced(tree, inst.attributes)[0]
+            assert inst.class_label in counts
+            assert all(count > 0 for count in counts.values())
 
     def test_too_few_attributes_rejected(self):
         tree = build_tree(FIXTURE, min_leaf=1)
         with pytest.raises(ValueError):
-            classify(tree, ())
+            classify_traced(tree, ())
 
     def test_trace_counts_nodes_visited(self):
         tree = Leaf({0: 1})
@@ -180,22 +180,25 @@ class TestClassify:
 
 class TestRelevantSps:
     """The candidate super-peers a knowledge node names: the labels that
-    classify() gives nonzero probability."""
+    the walk of classify_traced ends on with a count."""
 
     def test_leaf_support_only(self):
-        assert set(classify(Leaf({0: 5}), ("a.b",))) == {0}
+        assert set(classify_traced(Leaf({0: 5}), ("a.b",))[0]) == {0}
 
     def test_zero_counts_are_not_candidates(self):
-        assert set(classify(Leaf({0: 5, 1: 0}), ("a.b",))) == {0}
+        tree = build_tree(FIXTURE, min_leaf=1)
+        walks = [inst.attributes for inst in FIXTURE] + [("n.0", "n.1", "n.2", "n.3")]
+        for attributes in walks:
+            assert 0 not in classify_traced(tree, attributes)[0].values()
 
     def test_fallback_distribution_support(self):
         tree = Node(0, {"seen": Leaf({1: 2})}, {0: 3, 2: 1})
-        assert set(classify(tree, ("zz.zz",))) == {0, 2}
+        assert set(classify_traced(tree, ("zz.zz",))[0]) == {0, 2}
 
     def test_never_empty(self):
         tree = build_tree(FIXTURE, min_leaf=1)
         unseen = tuple(f"n.{i}" for i in range(4))
-        assert classify(tree, unseen)
+        assert classify_traced(tree, unseen)[0]
 
 
 class TestRenderTree:

@@ -12,15 +12,15 @@ from sonsim.engine import (
     KSP,
     make_workload,
     metrics_rows,
+    query_metrics,
     relevant_peers_indexed,
-    response_time,
     run_pipeline,
     score,
     sweep,
 )
 from sonsim.baseline import generate_queries
 from sonsim.ksp import form_groups, run_kb_epoch, train_indices
-from sonsim.model import mask_of, oracle_relevant_peers, relevant_mask
+from sonsim.model import Query, mask_of, oracle_relevant_peers, relevant_mask
 from sonsim.netgen import build_son
 
 
@@ -29,6 +29,10 @@ def result_with(tree, **kw):
                     searched_sps=frozenset({0}), cost_tree=tree)
     defaults.update(kw)
     return RoutingResult(**defaults)
+
+
+def response_time(result, config):
+    return query_metrics(Query("q", 0, ()), result, 0, config).response_time
 
 
 class TestResponseTime:
@@ -231,7 +235,7 @@ class TestRunExperiment:
     def test_metrics_rows_are_column_ordered(self):
         report = run_pipeline(self._config(np=8, nsp=2, queries_per_peer=1,
                                            friends_per_sp=1)).report
-        rows = metrics_rows(report)
+        rows = list(metrics_rows(report))
         assert rows[0][0] == BASELINE
         assert len(rows[0]) == 9
 

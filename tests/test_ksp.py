@@ -13,7 +13,7 @@ from sonsim.ksp import (
     run_kb_epoch,
     train_indices,
 )
-from sonsim.model import ExpertiseElement, Query, relevant_mask
+from sonsim.model import Query, element, relevant_mask
 from sonsim.netgen import build_son
 
 
@@ -172,7 +172,7 @@ class TestRouteKb:
     def test_untrained_index_rejected(self):
         net, log, _, config = net_and_log()
         overlay = form_groups(net, config.tau_trust)
-        q = Query("x", 0, (ExpertiseElement("a", "b"),))
+        q = Query("x", 0, (element("a", "b"),))
         with pytest.raises(ValueError, match="index not trained"):
             route(net, overlay, q, 0, 0.5)
 

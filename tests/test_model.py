@@ -6,9 +6,9 @@ import pytest
 
 from sonsim.config import Config, substream
 from sonsim.model import (
-    ExpertiseElement,
     Query,
     capacity,
+    element,
     is_relevant,
     mask_of,
     oracle_relevant_peers,
@@ -19,7 +19,7 @@ from sonsim.netgen import Network, Peer, SuperPeer, build_son
 
 
 def E(x, y):
-    return ExpertiseElement(x, y)
+    return element(x, y)
 
 
 def Q(*components, origin=0, qid="q"):
@@ -28,9 +28,8 @@ def Q(*components, origin=0, qid="q"):
 
 class TestElements:
     def test_render_and_parse_round_trip(self):
-        element = E("k", "f")
-        assert element.render() == "k.f"
-        assert parse_element("k.f") == element
+        assert E("k", "f") == "k.f"
+        assert parse_element("k.f") == E("k", "f")
 
     def test_parse_rejects_malformed(self):
         for bad in ("kf", "k.f.g", ".f", "k.", ""):

@@ -1,10 +1,12 @@
 """Network synthesis: domains, expertise, friend links, peers, trust."""
 
+import dataclasses
+
 import pytest
 
 from sonsim.config import Config, substream
 from sonsim.netgen import (
-    CorrespondenceMatrix,
+    Network,
     build_son,
     generate_domains,
     generate_peer_expertise,
@@ -51,8 +53,9 @@ class TestGenerateSpExpertise:
 
     def test_tokens_carry_the_domain(self):
         for element in generate_sp_expertise("zz", 6, rng()):
-            assert element.x.startswith("zz")
-            assert element.y.startswith("zz")
+            x, y = element.split(".")
+            assert x.startswith("zz")
+            assert y.startswith("zz")
 
 
 class TestLinkFriends:
@@ -61,18 +64,22 @@ class TestLinkFriends:
                         friends_per_sp=0, min_peer_expertise=1, seed=seed)
         return build_son(config)
 
+    def _link(self, net, friends_per_sp, dup_count):
+        sps = link_friends_and_duplicate(net.super_peers, friends_per_sp, dup_count, rng())
+        return Network(peers={}, super_peers=sps, config=net.config)
+
     def test_two_sps_share_at_least_dup_count(self):
         net = self._sp_only_net(2)
         before = {spid: sp.expertise for spid, sp in net.super_peers.items()}
-        linked = link_friends_and_duplicate(net, 1, 2, rng())
-        assert linked.cormat.entry(0, 1) >= 2
+        linked = self._link(net, 1, 2)
+        assert linked.cormat[(0, 1)] >= 2
         for spid in (0, 1):
             grown = linked.super_peers[spid].expertise - before[spid]
             assert len(grown) <= 2
 
     def test_cormat_matches_recomputed_intersections(self):
         net = self._sp_only_net(10, size=8)
-        linked = link_friends_and_duplicate(net, 3, 2, rng())
+        linked = self._link(net, 3, 2)
         for i in range(10):
             assert len(linked.super_peers[i].friends) >= 3
             assert i not in linked.super_peers[i].friends
@@ -80,32 +87,32 @@ class TestLinkFriends:
             for j in range(i + 1, 10):
                 shared = len(linked.super_peers[i].expertise
                              & linked.super_peers[j].expertise)
-                assert linked.cormat.entry(i, j) == shared
+                assert linked.cormat.get((i, j), 0) == shared
                 if j in linked.super_peers[i].friends:
                     assert shared >= 2
 
     def test_friendship_is_symmetric(self):
         net = self._sp_only_net(6)
-        linked = link_friends_and_duplicate(net, 2, 1, rng())
+        linked = self._link(net, 2, 1)
         for spid, sp in linked.super_peers.items():
             for friend in sp.friends:
                 assert spid in linked.super_peers[friend].friends
 
     def test_zero_friends_leaves_empty_cormat(self):
         net = self._sp_only_net(4)
-        linked = link_friends_and_duplicate(net, 0, 2, rng())
-        assert linked.cormat.pairs() == []
+        linked = self._link(net, 0, 2)
+        assert linked.cormat == {}
         assert all(not sp.friends for sp in linked.super_peers.values())
 
     def test_zero_dup_count_rejected(self):
         net = self._sp_only_net(3)
         with pytest.raises(ValueError, match="dup_count"):
-            link_friends_and_duplicate(net, 1, 0, rng())
+            self._link(net, 1, 0)
 
     def test_too_many_friends_rejected(self):
         net = self._sp_only_net(3)
         with pytest.raises(ValueError):
-            link_friends_and_duplicate(net, 3, 1, rng())
+            self._link(net, 3, 1)
 
 
 class TestGeneratePeerExpertise:
@@ -149,7 +156,7 @@ class TestBuildSon:
                                min_peer_expertise=1, seed=1))
         assert len(net.peers) == 1
         assert len(net.super_peers) == 1
-        assert net.cormat.pairs() == []
+        assert net.cormat == {}
 
     def test_serialization_is_deterministic(self):
         config = Config(np=40, nsp=4, seed=77)
@@ -182,18 +189,19 @@ class TestTrust:
     def test_disjoint_expertise_gives_zero(self):
         net = build_son(Config(np=2, nsp=2, friends_per_sp=0,
                                min_peer_expertise=1, seed=5))
-        assert net.cormat.entry(0, 1) == 0
+        assert (0, 1) not in net.cormat
 
     def test_friend_pair_at_least_dup_count(self):
         net = build_son(Config(np=10, nsp=5, friends_per_sp=2, dup_count=2, seed=5))
         for spid, sp in net.super_peers.items():
             for friend in sp.friends:
-                assert net.cormat.entry(spid, friend) >= 2
+                assert net.cormat[(min(spid, friend), max(spid, friend))] >= 2
 
     def test_equal_expertise_counts_every_element(self):
         net = build_son(Config(np=2, nsp=2, friends_per_sp=0,
                                min_peer_expertise=1, sp_expertise_size=4, seed=5))
-        forced = CorrespondenceMatrix.from_expertise(
-            {0: net.super_peers[0].expertise, 1: net.super_peers[0].expertise}
-        )
-        assert forced.entry(0, 1) == 4
+        sp0 = net.super_peers[0]
+        forced = Network(peers={}, super_peers={
+            0: sp0, 1: dataclasses.replace(net.super_peers[1], expertise=sp0.expertise)},
+            config=net.config)
+        assert forced.cormat[(0, 1)] == 4
