@@ -246,6 +246,13 @@ def write_query_log(log: QueryLog, path) -> None:
             fh.write("\t".join(fields) + "\n")
 
 
+def _log_int(text: str, field: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{field} {text!r} is not an integer") from None
+
+
 def read_query_log(path) -> QueryLog:
     """Parse a log written by `write_query_log`; every record must have as
     many query components as the first. Every error names the file and line."""
@@ -268,12 +275,12 @@ def read_query_log(path) -> QueryLog:
                                      f"but the first record has {width}")
                 answering_field = fields[-1]
                 answering = frozenset(
-                    int(s) for s in answering_field.split(",")
+                    _log_int(s, "answering super-peer") for s in answering_field.split(",")
                 ) if answering_field != "-" else frozenset()
                 log.append(LogRecord(
                     query_id=fields[0],
-                    origin_peer=int(fields[1]),
-                    origin_sp=int(fields[2]),
+                    origin_peer=_log_int(fields[1], "origin peer"),
+                    origin_sp=_log_int(fields[2], "origin super-peer"),
                     components=components,
                     answering_sps=answering,
                 ))

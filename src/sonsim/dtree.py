@@ -4,6 +4,10 @@ Splits maximize gain ratio (information gain over split information), one
 branch per observed attribute value, no pruning, no numeric attributes.
 Every node keeps its class-count distribution so inference can fall back on
 it when classification meets an attribute value never seen at that node.
+Given the tree induced before some instances were appended, induction reuses
+every subtree none of the new instances reach, so a refresh re-induces only
+the subtrees its new records reach, and the result is the tree induced from
+scratch.
 Trees render in the same textual grammar the index dumps use, and datasets
 round-trip through ARFF.
 """
@@ -107,14 +111,28 @@ def gain_ratio(instances: Sequence[Instance], attr_index: int) -> float:
 
 
 def build_tree(instances: Sequence[Instance], attrs: Sequence[int] | None = None,
-               min_leaf: int = 1) -> DecisionTree:
+               min_leaf: int = 1, prior: DecisionTree | None = None,
+               new: int = 0) -> DecisionTree:
     """Induce a tree: leaf when pure, out of attributes, or below min_leaf;
     otherwise split on the gain-ratio-maximizing attribute (ties to the lowest
     index) with one branch per observed value, never reusing an attribute on
     a path. Each candidate attribute is partitioned once per node; the
-    winner's partition is the one its branches are built from."""
+    winner's partition is the one its branches are built from.
+
+    `prior`, if given, is the tree this function returned for all but the
+    last `new` instances, with the same `attrs` and `min_leaf`. A node none
+    of whose instances are new is the prior's node itself; a node that splits
+    on the prior node's attribute recurses into the prior's branches; any
+    other node is induced anew. A subtree depends only on its instances in
+    order, its remaining attributes and `min_leaf`, and partitioning keeps
+    order, so the result equals `build_tree(instances, attrs, min_leaf)`."""
     if not instances:
         raise ValueError("cannot induce a tree from zero instances")
+    if prior is not None:
+        if not 0 <= new <= len(instances):
+            raise ValueError(f"{new} new instances out of {len(instances)}")
+        if not new:
+            return prior
     attrs = tuple(range(len(instances[0].attributes)) if attrs is None else attrs)
     counts = class_counts(instances)
     if len(counts) == 1 or not attrs or len(instances) < min_leaf:
@@ -129,8 +147,15 @@ def build_tree(instances: Sequence[Instance], attrs: Sequence[int] | None = None
             best_attr, best_ratio, best_parts = attr_index, ratio, parts
 
     remaining = tuple(a for a in attrs if a != best_attr)
-    branches = {value: build_tree(part, remaining, min_leaf)
-                for value, part in sorted(best_parts.items())}
+    if isinstance(prior, Node) and prior.attr_index == best_attr:
+        # The new instances are the last ones of each part, as of the whole.
+        grown = _partition(instances[len(instances) - new:], best_attr)
+        branches = {value: build_tree(part, remaining, min_leaf,
+                                      prior.branches.get(value), len(grown.get(value, ())))
+                    for value, part in sorted(best_parts.items())}
+    else:
+        branches = {value: build_tree(part, remaining, min_leaf)
+                    for value, part in sorted(best_parts.items())}
     return Node(attr_index=best_attr, branches=branches, counts=counts)
 
 

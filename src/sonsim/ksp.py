@@ -8,10 +8,12 @@ network, which is what lets a group name relevant super-peers outside itself.
 One function, `query_attributes`, turns a query into tree attributes, for
 training and for the walk alike. Each group owns the instances its index was
 induced from; a log record becomes its instances once, and a refresh adds
-only the records routed since the last one. Only `run_kb_epoch` decides when to
-refresh. Index-driven routing replaces all super-peer-level capacity
-evaluations with one tree walk; only peer-level evaluations remain metered as
-mapping work.
+only the records routed since the last one. A refresh re-induces only the
+subtrees its new records reach: each index is the prior tree of the next
+induction, and a group that received no records is left as it is. Only
+`run_kb_epoch` decides when to refresh. Index-driven routing replaces all
+super-peer-level capacity evaluations with one tree walk; only peer-level
+evaluations remain metered as mapping work.
 As in the baseline, the cost tree is the only record of that work: a query's
 mapping operations, messages and tree visits are sums over it.
 Which peers of a searched community answer comes from the query's relevant
@@ -50,6 +52,7 @@ class KspOverlay:
 
     groups: dict[KspId, KspGroup]
     sp_to_group: dict[SuperPeerId, KspId]
+    min_leaf: int | None = None  # leaf-size floor the indices were induced with
 
 
 def form_groups(net: Network, tau_trust: int) -> KspOverlay:
@@ -140,22 +143,39 @@ def train_indices(overlay: KspOverlay, log: QueryLog, min_leaf: int = 2) -> KspO
 def _induce(overlay: KspOverlay, records, min_leaf: int, keep: bool) -> KspOverlay:
     """Add each record's instances once to its origin super-peer's group,
     after the group's current instances if `keep`, and induce every group's
-    index from its instances. A record whose origin super-peer is in no group raises."""
+    index from its instances. A record whose origin super-peer is in no group raises.
+
+    When `keep` and the indices were induced at this `min_leaf`, a group that
+    received no records keeps its index and instances as they are, and a
+    group that did passes its index to `build_tree` as the prior, so only the
+    subtrees its new instances reach are re-induced. A group without
+    instances gets the leaf over every group's class distribution; that leaf
+    is never a prior."""
     slices: dict[KspId, list[LogRecord]] = {gid: [] for gid in overlay.groups}
     for record in records:
         if record.origin_sp not in overlay.sp_to_group:
             raise ValueError(f"log record {record.query_id}: origin super-peer "
                              f"{record.origin_sp} is in no group")
         slices[overlay.sp_to_group[record.origin_sp]].append(record)
-    instances = {gid: (overlay.groups[gid].instances if keep else ())
-                 + tuple(instances_from_records(part)) for gid, part in slices.items()}
+    reuse = keep and overlay.min_leaf == min_leaf
     groups = {}
     for gid in sorted(overlay.groups):
-        own = instances[gid]
-        index = (build_tree(own, min_leaf=min_leaf) if own else
-                 Leaf(class_counts(inst for part in instances.values() for inst in part)))
-        groups[gid] = dataclasses.replace(overlay.groups[gid], index=index, instances=own)
-    return KspOverlay(groups=groups, sp_to_group=dict(overlay.sp_to_group))
+        group = overlay.groups[gid]
+        old = group.instances if keep else ()
+        new = tuple(instances_from_records(slices[gid]))
+        if reuse and old and not new:
+            groups[gid] = group
+            continue
+        own = old + new
+        prior = group.index if reuse and old else None
+        index = build_tree(own, min_leaf=min_leaf, prior=prior, new=len(new)) if own else None
+        groups[gid] = dataclasses.replace(group, index=index, instances=own)
+    empty = [gid for gid, group in groups.items() if not group.instances]
+    if empty:
+        fallback = Leaf(class_counts(inst for group in groups.values() for inst in group.instances))
+        for gid in empty:
+            groups[gid] = dataclasses.replace(groups[gid], index=fallback)
+    return KspOverlay(groups=groups, sp_to_group=dict(overlay.sp_to_group), min_leaf=min_leaf)
 
 
 def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
@@ -206,8 +226,10 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
 
 def refresh_knowledge(overlay: KspOverlay, records, min_leaf: int = 2) -> KspOverlay:
     """Append `records`, the queries routed since the previous refresh, to
-    their groups' instances and re-induce every index. Always returns a new
-    overlay; when to refresh is `run_kb_epoch`'s decision."""
+    their groups' instances and re-induce the subtrees of each index that the
+    new instances reach; each index equals the one induced from scratch.
+    Always returns a new overlay; when to refresh is `run_kb_epoch`'s
+    decision."""
     return _induce(overlay, records, min_leaf, keep=True)
 
 

@@ -127,9 +127,9 @@ class TestRun:
         assert hash_dir(tmp_path / "second") == hash_dir(tmp_path / "first")
 
     @pytest.mark.parametrize("field, value, problem", [
-        (1, "x", "invalid literal for int()"),
-        (2, "x", "invalid literal for int()"),
-        (-1, "0,y", "invalid literal for int()"),
+        (1, "x", "origin peer 'x' is not an integer"),
+        (2, "x", "origin super-peer 'x' is not an integer"),
+        (-1, "0,y", "answering super-peer 'y' is not an integer"),
         (3, "kf", "malformed expertise element: 'kf'"),
         (0, None, "duplicate query id in log: "),
     ], ids=["peer", "super-peer", "answering", "element", "duplicate-id"])

@@ -137,6 +137,46 @@ class TestBuildTree:
         assert build_tree(FIXTURE) == build_tree(list(FIXTURE))
 
 
+class TestPriorTree:
+    """Induction given the tree of all but the last `new` instances."""
+
+    def test_root_attribute_change_equals_from_scratch(self):
+        base = [Instance(("a", "x"), 0), Instance(("a", "y"), 0),
+                Instance(("b", "x"), 1), Instance(("b", "y"), 1)]
+        added = [Instance(("a", "x"), 1), Instance(("a", "x"), 1),
+                 Instance(("b", "y"), 0), Instance(("b", "y"), 0)]
+        prior = build_tree(base)
+        tree = build_tree(base + added, prior=prior, new=len(added))
+        assert prior.attr_index == 0 and tree.attr_index == 1
+        assert tree == build_tree(base + added)
+
+    def test_branches_no_new_instance_reaches_are_the_priors(self):
+        prior = build_tree(FIXTURE, min_leaf=1)
+        added = [Instance(("overcast", "mild", "high", "weak"), 1),
+                 Instance(("overcast", "cool", "high", "strong"), 1)]
+        tree = build_tree(FIXTURE + added, min_leaf=1, prior=prior, new=len(added))
+        assert tree == build_tree(FIXTURE + added, min_leaf=1)
+        assert tree.attr_index == prior.attr_index == 0
+        assert tree.branches["rain"] is prior.branches["rain"]
+        assert tree.branches["sunny"] is prior.branches["sunny"]
+        assert tree.branches["overcast"] == Leaf({1: 6})
+
+    def test_new_value_branch_is_induced(self):
+        prior = build_tree(FIXTURE, min_leaf=1)
+        added = [Instance(("hail", "cool", "high", "strong"), 0)]
+        tree = build_tree(FIXTURE + added, min_leaf=1, prior=prior, new=1)
+        assert tree == build_tree(FIXTURE + added, min_leaf=1)
+
+    def test_no_new_instances_returns_the_prior(self):
+        prior = build_tree(FIXTURE, min_leaf=1)
+        assert build_tree(FIXTURE, min_leaf=1, prior=prior, new=0) is prior
+
+    @pytest.mark.parametrize("new", [-1, len(FIXTURE) + 1])
+    def test_new_count_outside_the_instances_rejected(self, new):
+        with pytest.raises(ValueError, match="new instances out of"):
+            build_tree(FIXTURE, prior=build_tree(FIXTURE), new=new)
+
+
 class TestClassify:
     def test_leaf_tree_classifies_anything(self):
         tree = Leaf({0: 10})

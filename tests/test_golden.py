@@ -3,8 +3,10 @@ byte-identical files.
 
 The static replay digests were captured before the relevance kernel was
 shared by the oracle and both routers, the refresh digests before the
-knowledge indices kept their own training instances, the forwarding-depth
-digests before the routing counters were summed from the cost tree. A change
+knowledge indices kept their own training instances (the period-7 digests
+before a refresh re-induced only the subtrees its new records reach), the
+forwarding-depth digests before the routing counters were summed from the
+cost tree. A change
 that alters outputs on purpose re-pins them here, and says why.
 """
 
@@ -39,8 +41,9 @@ GOLDEN = {
 
 
 # Runs that refresh the indices while routing: the benchmark's refresh-300
-# workload (the same digests as its seed-9 entry in benchmark/digests.json)
-# and a fresh-mode run whose trust threshold forms seven groups.
+# workload (the same digests as its seed-9 entry in benchmark/digests.json),
+# a period of 7 that does not divide the epoch at min_leaf 1, and a
+# fresh-mode run whose trust threshold forms seven groups.
 REFRESH_GOLDEN = {
     "refresh-300": (
         ["--np", "300", "--nsp", "10", "--refresh-every", "20"],
@@ -52,6 +55,20 @@ REFRESH_GOLDEN = {
             "metrics.csv": "42686c3ac428e7b799397a97f920705ca406bad6830095201a279f1444fdc4b4",
             "network.txt": "77561e1ce41eba6cac2e85f35270dad9d98a109d657fcd6808ce607aa7fcddbc",
             "summary.csv": "aecced0058182a5c1343e423859687a193b25087fff3012a5d14d94be578601f",
+            "train_log.tsv": "14d80aefa30e4651d70b2f6544651fb8eccaf34a1e7c769b03107a82d8155a6f",
+        },
+    ),
+    "refresh-300-every-7-leaf-1": (
+        ["--np", "300", "--nsp", "10", "--tau-trust", "3", "--refresh-every", "7",
+         "--min-leaf", "1"],
+        {
+            "config.txt": "0e56ae21181c0581a63af75ba7506eaa4d47332065dcac295aa7f66599a1b195",
+            "group0.arff": "4ec11977a57f87a8d244929a71f0f914ad6e3097d6ceffd14ea0efc40b52e125",
+            "group0.tree.txt": "e972c9799e951f76616738d074e045705207053c66642aa53e68e1ede6f74812",
+            "ksp_log.tsv": "ce86feb0d046cf5ca6637166a90811ce7a71a04c60639e0be1b0e0f62c2803ae",
+            "metrics.csv": "d93ea35139fe02b9b6076c4043a7a115821236d0d921fa44aa8899d874b13d85",
+            "network.txt": "f0513b90c0406443c2636adec9a45ea1fc3994fff6f0a34b52609f314feb2f17",
+            "summary.csv": "2789b95b19d79ebb6c74080a8a994c4fdb32353930c86248f38a5f6c6a87d4d5",
             "train_log.tsv": "14d80aefa30e4651d70b2f6544651fb8eccaf34a1e7c769b03107a82d8155a6f",
         },
     ),

@@ -4,7 +4,7 @@ import pytest
 
 from sonsim.config import Config, substream
 from sonsim.baseline import LogRecord, QueryLog, generate_queries, run_baseline_epoch
-from sonsim.dtree import Leaf, build_tree
+from sonsim.dtree import Leaf, build_tree, class_counts
 from sonsim.ksp import (
     form_groups,
     instances_from_records,
@@ -268,6 +268,41 @@ class TestRefresh:
             own = [r for r in (*log, *kb_log) if r.origin_sp in group.members]
             assert group.instances == tuple(instances_from_records(own))
             assert group.index == build_tree(group.instances, min_leaf=2)
+
+    def test_group_without_records_is_left_as_it_is(self):
+        net, log, _, _ = net_and_log()
+        overlay = train_indices(form_groups(net, 10_000), log, 2)  # singletons
+        batch = [r for r in log if r.origin_sp == 0][:3]
+        after = refresh_knowledge(overlay, batch, 2)
+        assert after is not overlay
+        for gid, group in after.groups.items():
+            before = overlay.groups[gid]
+            if 0 in group.members:
+                assert group.instances == before.instances + tuple(instances_from_records(batch))
+                assert group.index == build_tree(group.instances, min_leaf=2)
+            else:
+                assert group.instances is before.instances
+                assert group.index is before.index
+
+    def test_groups_without_instances_share_one_global_leaf(self):
+        net, log, _, _ = net_and_log()
+        partial = QueryLog([r for r in log if r.origin_sp == 0])
+        overlay = train_indices(form_groups(net, 10_000), partial, 2)  # singletons
+        batch = [r for r in log if r.origin_sp == 1]
+        after = refresh_knowledge(overlay, batch, 2)
+        silent = [g.index for g in after.groups.values() if not g.instances]
+        assert len(silent) >= 2 and all(leaf is silent[0] for leaf in silent)
+        assert silent[0] == Leaf(class_counts(instances_from_records([*partial, *batch])))
+        # The fallback leaf SP1's group had before is not its prior.
+        grown = after.groups[after.sp_to_group[1]]
+        assert grown.index == build_tree(grown.instances, min_leaf=2)
+
+    def test_refresh_at_another_min_leaf_induces_every_index_anew(self):
+        net, log, _, _ = net_and_log()
+        overlay = train_indices(form_groups(net, 10_000), log, 1)  # singletons
+        after = refresh_knowledge(overlay, [r for r in log if r.origin_sp == 0][:3], 3)
+        for group in after.groups.values():
+            assert group.index == build_tree(group.instances, min_leaf=3)
 
     def test_retraining_on_same_log_is_identity(self):
         net, log, _, config = net_and_log()

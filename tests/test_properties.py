@@ -7,8 +7,9 @@ scoring agreeing with the set formula, both routers agreeing with a plain
 relevance scan of the communities they search, their message and mapping
 counts agreeing with where they searched, routing monotonicity in the
 threshold, distribution normalization, tree induction choosing the first best
-gain-ratio split, refreshed indices equal to from-scratch induction, and
-grouping stability under relabeling.
+gain-ratio split, trees grown from a prior tree and indices after each
+refresh equal to from-scratch induction, and grouping stability under
+relabeling.
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sonsim.config import Config
 from sonsim.baseline import (
+    LogRecord,
     PathSegment,
     RoutingResult,
     generate_queries,
@@ -50,6 +52,7 @@ from sonsim.ksp import (
     form_groups,
     instances_from_records,
     query_attributes,
+    refresh_knowledge,
     route_kb,
     run_kb_epoch,
     train_indices,
@@ -326,6 +329,42 @@ def test_refreshed_indices_equal_from_scratch_induction(key, tau, refresh_every,
             assert group.index == Leaf(class_counts(instances_from_records(seen)))
 
 
+@given(key=net_keys, tau=st.sampled_from([3, 4]), min_leaf=st.sampled_from([1, 2, 3]),
+       refresh_every=st.integers(min_value=1, max_value=7),
+       n_routed=st.integers(min_value=1, max_value=20),
+       seed=st.integers(min_value=0, max_value=1000))
+@settings(deadline=None)
+def test_every_refresh_equals_from_scratch_induction(key, tau, min_leaf, refresh_every,
+                                                     n_routed, seed):
+    """Refreshing step by step, after each refresh every group owns the
+    instances of every record seen so far and its index equals the one
+    induced from them anew, though the refresh re-induced only the subtrees
+    its new records reach."""
+    net = draw_net(key)
+    seen = list(flooded_log(key, 3))
+    overlay = train_indices(form_groups(net, tau), seen, min_leaf)
+    rng = substream(seed, "kb")
+    pids = sorted(net.peers)
+    batch = []
+    for i in range(n_routed):
+        query = generate_queries(net.peers[rng.choice(pids)], 1, 3, rng, id_prefix=f"e{i}-")[0]
+        sp = net.peers[query.origin_peer].super_peer
+        result = route_kb(net, overlay, query, sp, relevant_mask(net, query, 0.5))
+        batch.append(LogRecord.routed(query, sp, result))
+        if len(batch) < refresh_every:
+            continue
+        overlay = refresh_knowledge(overlay, batch, min_leaf)
+        seen += batch
+        batch = []
+        for group in overlay.groups.values():
+            own = tuple(instances_from_records(r for r in seen if r.origin_sp in group.members))
+            assert group.instances == own
+            if own:
+                assert group.index == build_tree(own, min_leaf=min_leaf)
+            else:
+                assert group.index == Leaf(class_counts(instances_from_records(seen)))
+
+
 @given(key=net_keys, seed=st.integers(min_value=0, max_value=1000))
 @settings(deadline=None)
 def test_raising_threshold_never_grows_answers(key, seed):
@@ -407,6 +446,18 @@ def assert_first_best_split(tree, instances, attrs, min_leaf):
 def test_every_node_splits_on_the_first_best_gain_ratio(instances, min_leaf):
     assert_first_best_split(build_tree(instances, min_leaf=min_leaf), instances,
                             [0, 1, 2], min_leaf)
+
+
+@given(instances=instance_sets, min_leaf=st.sampled_from([1, 2, 3]),
+       cuts=st.lists(st.integers(min_value=1, max_value=30), max_size=4))
+def test_tree_grown_from_priors_equals_from_scratch(instances, min_leaf, cuts):
+    """Growing a tree prefix by prefix, each from the previous one as its
+    prior, gives the tree induced from that prefix anew."""
+    ends = sorted({min(cut, len(instances)) for cut in cuts} | {len(instances)})
+    tree = build_tree(instances[:ends[0]], min_leaf=min_leaf)
+    for start, end in zip(ends, ends[1:]):
+        tree = build_tree(instances[:end], min_leaf=min_leaf, prior=tree, new=end - start)
+        assert tree == build_tree(instances[:end], min_leaf=min_leaf)
 
 
 @given(key=net_keys, tau=st.integers(min_value=1, max_value=4),
