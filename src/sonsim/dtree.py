@@ -111,16 +111,16 @@ def gain_ratio(instances: Sequence[Instance], attr_index: int) -> float:
 
 
 def build_tree(instances: Sequence[Instance], attrs: Sequence[int] | None = None,
-               min_leaf: int = 1, prior: DecisionTree | None = None,
-               new: int = 0) -> DecisionTree:
+               min_leaf: int = 1, prior: DecisionTree | None = None) -> DecisionTree:
     """Induce a tree: leaf when pure, out of attributes, or below min_leaf;
     otherwise split on the gain-ratio-maximizing attribute (ties to the lowest
     index) with one branch per observed value, never reusing an attribute on
     a path. Each candidate attribute is partitioned once per node; the
     winner's partition is the one its branches are built from.
 
-    `prior`, if given, is the tree this function returned for all but the
-    last `new` instances, with the same `attrs` and `min_leaf`. A node none
+    `prior`, if given, is the tree this function returned for a prefix of
+    `instances`, with the same `attrs` and `min_leaf`; every node counts the
+    instances it was induced from, so the rest are the new ones. A node none
     of whose instances are new is the prior's node itself; a node that splits
     on the prior node's attribute recurses into the prior's branches; any
     other node is induced anew. A subtree depends only on its instances in
@@ -129,9 +129,11 @@ def build_tree(instances: Sequence[Instance], attrs: Sequence[int] | None = None
     if not instances:
         raise ValueError("cannot induce a tree from zero instances")
     if prior is not None:
-        if not 0 <= new <= len(instances):
-            raise ValueError(f"{new} new instances out of {len(instances)}")
-        if not new:
+        induced = sum(prior.counts.values())
+        if induced > len(instances):
+            raise ValueError(f"prior induced from {induced} instances, "
+                             f"more than the {len(instances)} given")
+        if induced == len(instances):
             return prior
     attrs = tuple(range(len(instances[0].attributes)) if attrs is None else attrs)
     counts = class_counts(instances)
@@ -147,15 +149,9 @@ def build_tree(instances: Sequence[Instance], attrs: Sequence[int] | None = None
             best_attr, best_ratio, best_parts = attr_index, ratio, parts
 
     remaining = tuple(a for a in attrs if a != best_attr)
-    if isinstance(prior, Node) and prior.attr_index == best_attr:
-        # The new instances are the last ones of each part, as of the whole.
-        grown = _partition(instances[len(instances) - new:], best_attr)
-        branches = {value: build_tree(part, remaining, min_leaf,
-                                      prior.branches.get(value), len(grown.get(value, ())))
-                    for value, part in sorted(best_parts.items())}
-    else:
-        branches = {value: build_tree(part, remaining, min_leaf)
-                    for value, part in sorted(best_parts.items())}
+    reused = prior.branches if isinstance(prior, Node) and prior.attr_index == best_attr else {}
+    branches = {value: build_tree(part, remaining, min_leaf, reused.get(value))
+                for value, part in sorted(best_parts.items())}
     return Node(attr_index=best_attr, branches=branches, counts=counts)
 
 

@@ -52,7 +52,6 @@ class KspOverlay:
 
     groups: dict[KspId, KspGroup]
     sp_to_group: dict[SuperPeerId, KspId]
-    min_leaf: int | None = None  # leaf-size floor the indices were induced with
 
 
 def form_groups(net: Network, tau_trust: int) -> KspOverlay:
@@ -145,37 +144,36 @@ def _induce(overlay: KspOverlay, records, min_leaf: int, keep: bool) -> KspOverl
     after the group's current instances if `keep`, and induce every group's
     index from its instances. A record whose origin super-peer is in no group raises.
 
-    When `keep` and the indices were induced at this `min_leaf`, a group that
-    received no records keeps its index and instances as they are, and a
-    group that did passes its index to `build_tree` as the prior, so only the
-    subtrees its new instances reach are re-induced. A group without
-    instances gets the leaf over every group's class distribution; that leaf
-    is never a prior."""
+    When `keep`, a group that received no records keeps its index and
+    instances as they are, and a group that did passes its index to
+    `build_tree` as the prior, so only the subtrees its new instances reach
+    are re-induced; the indices must have been induced at this `min_leaf`. A
+    group without instances gets the leaf over every group's class
+    distribution; that leaf is never a prior."""
     slices: dict[KspId, list[LogRecord]] = {gid: [] for gid in overlay.groups}
     for record in records:
         if record.origin_sp not in overlay.sp_to_group:
             raise ValueError(f"log record {record.query_id}: origin super-peer "
                              f"{record.origin_sp} is in no group")
         slices[overlay.sp_to_group[record.origin_sp]].append(record)
-    reuse = keep and overlay.min_leaf == min_leaf
     groups = {}
     for gid in sorted(overlay.groups):
         group = overlay.groups[gid]
         old = group.instances if keep else ()
         new = tuple(instances_from_records(slices[gid]))
-        if reuse and old and not new:
+        if old and not new:
             groups[gid] = group
             continue
         own = old + new
-        prior = group.index if reuse and old else None
-        index = build_tree(own, min_leaf=min_leaf, prior=prior, new=len(new)) if own else None
+        prior = group.index if old else None
+        index = build_tree(own, min_leaf=min_leaf, prior=prior) if own else None
         groups[gid] = dataclasses.replace(group, index=index, instances=own)
     empty = [gid for gid, group in groups.items() if not group.instances]
     if empty:
         fallback = Leaf(class_counts(inst for group in groups.values() for inst in group.instances))
         for gid in empty:
             groups[gid] = dataclasses.replace(groups[gid], index=fallback)
-    return KspOverlay(groups=groups, sp_to_group=dict(overlay.sp_to_group), min_leaf=min_leaf)
+    return KspOverlay(groups=groups, sp_to_group=dict(overlay.sp_to_group))
 
 
 def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
@@ -227,8 +225,9 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
 def refresh_knowledge(overlay: KspOverlay, records, min_leaf: int = 2) -> KspOverlay:
     """Append `records`, the queries routed since the previous refresh, to
     their groups' instances and re-induce the subtrees of each index that the
-    new instances reach; each index equals the one induced from scratch.
-    Always returns a new overlay; when to refresh is `run_kb_epoch`'s
+    new instances reach; each index equals the one induced from scratch, as
+    long as `min_leaf` is the one the indices were trained with. Always
+    returns a new overlay; when to refresh is `run_kb_epoch`'s
     decision."""
     return _induce(overlay, records, min_leaf, keep=True)
 

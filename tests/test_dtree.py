@@ -138,7 +138,7 @@ class TestBuildTree:
 
 
 class TestPriorTree:
-    """Induction given the tree of all but the last `new` instances."""
+    """Induction given the tree of a prefix of the instances."""
 
     def test_root_attribute_change_equals_from_scratch(self):
         base = [Instance(("a", "x"), 0), Instance(("a", "y"), 0),
@@ -146,15 +146,26 @@ class TestPriorTree:
         added = [Instance(("a", "x"), 1), Instance(("a", "x"), 1),
                  Instance(("b", "y"), 0), Instance(("b", "y"), 0)]
         prior = build_tree(base)
-        tree = build_tree(base + added, prior=prior, new=len(added))
+        tree = build_tree(base + added, prior=prior)
         assert prior.attr_index == 0 and tree.attr_index == 1
+        assert tree == build_tree(base + added)
+
+    def test_prior_branches_under_another_attribute_are_not_reused(self):
+        # Both attributes take the values a and b, so the prior's branch "a"
+        # (attribute 1) must not stand in for the new root's branch "a"
+        # (attribute 0), though both were induced from one instance.
+        base = [Instance(("b", "b"), 0), Instance(("b", "b"), 1), Instance(("b", "a"), 0)]
+        added = [Instance(("a", "b"), 1)]
+        prior = build_tree(base)
+        tree = build_tree(base + added, prior=prior)
+        assert prior.attr_index == 1 and tree.attr_index == 0
         assert tree == build_tree(base + added)
 
     def test_branches_no_new_instance_reaches_are_the_priors(self):
         prior = build_tree(FIXTURE, min_leaf=1)
         added = [Instance(("overcast", "mild", "high", "weak"), 1),
                  Instance(("overcast", "cool", "high", "strong"), 1)]
-        tree = build_tree(FIXTURE + added, min_leaf=1, prior=prior, new=len(added))
+        tree = build_tree(FIXTURE + added, min_leaf=1, prior=prior)
         assert tree == build_tree(FIXTURE + added, min_leaf=1)
         assert tree.attr_index == prior.attr_index == 0
         assert tree.branches["rain"] is prior.branches["rain"]
@@ -164,17 +175,16 @@ class TestPriorTree:
     def test_new_value_branch_is_induced(self):
         prior = build_tree(FIXTURE, min_leaf=1)
         added = [Instance(("hail", "cool", "high", "strong"), 0)]
-        tree = build_tree(FIXTURE + added, min_leaf=1, prior=prior, new=1)
+        tree = build_tree(FIXTURE + added, min_leaf=1, prior=prior)
         assert tree == build_tree(FIXTURE + added, min_leaf=1)
 
     def test_no_new_instances_returns_the_prior(self):
         prior = build_tree(FIXTURE, min_leaf=1)
-        assert build_tree(FIXTURE, min_leaf=1, prior=prior, new=0) is prior
+        assert build_tree(FIXTURE, min_leaf=1, prior=prior) is prior
 
-    @pytest.mark.parametrize("new", [-1, len(FIXTURE) + 1])
-    def test_new_count_outside_the_instances_rejected(self, new):
-        with pytest.raises(ValueError, match="new instances out of"):
-            build_tree(FIXTURE, prior=build_tree(FIXTURE), new=new)
+    def test_prior_from_more_instances_rejected(self):
+        with pytest.raises(ValueError, match="more than the 13 given"):
+            build_tree(FIXTURE[:-1], prior=build_tree(FIXTURE))
 
 
 class TestClassify:

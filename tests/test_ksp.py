@@ -297,13 +297,6 @@ class TestRefresh:
         grown = after.groups[after.sp_to_group[1]]
         assert grown.index == build_tree(grown.instances, min_leaf=2)
 
-    def test_refresh_at_another_min_leaf_induces_every_index_anew(self):
-        net, log, _, _ = net_and_log()
-        overlay = train_indices(form_groups(net, 10_000), log, 1)  # singletons
-        after = refresh_knowledge(overlay, [r for r in log if r.origin_sp == 0][:3], 3)
-        for group in after.groups.values():
-            assert group.index == build_tree(group.instances, min_leaf=3)
-
     def test_retraining_on_same_log_is_identity(self):
         net, log, _, config = net_and_log()
         overlay = train_indices(form_groups(net, config.tau_trust), log, 2)

@@ -455,8 +455,8 @@ def test_tree_grown_from_priors_equals_from_scratch(instances, min_leaf, cuts):
     prior, gives the tree induced from that prefix anew."""
     ends = sorted({min(cut, len(instances)) for cut in cuts} | {len(instances)})
     tree = build_tree(instances[:ends[0]], min_leaf=min_leaf)
-    for start, end in zip(ends, ends[1:]):
-        tree = build_tree(instances[:end], min_leaf=min_leaf, prior=tree, new=end - start)
+    for end in ends[1:]:
+        tree = build_tree(instances[:end], min_leaf=min_leaf, prior=tree)
         assert tree == build_tree(instances[:end], min_leaf=min_leaf)
 
 
