@@ -149,9 +149,12 @@ def build_tree(instances: Sequence[Instance], attrs: Sequence[int] | None = None
             best_attr, best_ratio, best_parts = attr_index, ratio, parts
 
     remaining = tuple(a for a in attrs if a != best_attr)
-    reused = prior.branches if isinstance(prior, Node) and prior.attr_index == best_attr else {}
-    branches = {value: build_tree(part, remaining, min_leaf, reused.get(value))
-                for value, part in sorted(best_parts.items())}
+    if isinstance(prior, Node) and prior.attr_index == best_attr:
+        branches = {value: build_tree(part, remaining, min_leaf, prior.branches.get(value))
+                    for value, part in sorted(best_parts.items())}
+    else:
+        branches = {value: build_tree(part, remaining, min_leaf)
+                    for value, part in sorted(best_parts.items())}
     return Node(attr_index=best_attr, branches=branches, counts=counts)
 
 
