@@ -9,7 +9,12 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import string
 from dataclasses import dataclass
+
+# Super-peer domains carry distinct two-letter labels, so there are at most
+# this many super-peers.
+MAX_NSP = len(string.ascii_lowercase) ** 2
 
 
 class ConfigError(ValueError):
@@ -44,6 +49,9 @@ class Config:
     def validate(self) -> None:
         if self.nsp < 1:
             raise ConfigError("nsp", "at least one super-peer is required")
+        if self.nsp > MAX_NSP:
+            raise ConfigError("nsp", f"at most {MAX_NSP} super-peers (distinct two-letter "
+                                     f"domain labels), got {self.nsp}")
         if self.np < self.nsp:
             raise ConfigError("np", f"need np >= nsp, got np={self.np} nsp={self.nsp}")
         if self.sp_expertise_size < 1:

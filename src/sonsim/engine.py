@@ -18,6 +18,7 @@ precision and recall are scored against, by counting bits.
 from __future__ import annotations
 
 import dataclasses
+import gc
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -182,76 +183,86 @@ def run_pipeline(config: Config, include_kb: bool = True,
     evaluation baseline epoch, the knowledge epoch and the precision/recall
     oracle.
     """
-    config.validate()
-    net = build_son(config)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        config.validate()
+        net = build_son(config)
 
-    def relevance(workload: list[Query]) -> list[int]:
-        return [relevant_mask(net, q, config.eps_acc) for q in workload]
+        def relevance(workload: list[Query]) -> list[int]:
+            return [relevant_mask(net, q, config.eps_acc) for q in workload]
 
-    relevant: list[int] = []
-    if train_log is None:
-        train_workload = make_workload(net, config, "workload-baseline", "t")
-        relevant = relevance(train_workload)
-        train_log = run_baseline_epoch(net, train_workload, relevant, config.eps_acc,
-                                       hops_limit(config))[0]
-    else:
-        for record in train_log:
-            peer = net.peers.get(record.origin_peer)
-            if peer is None or peer.super_peer != record.origin_sp:
-                raise ValueError(f"train log record {record.query_id}: peer {record.origin_peer} "
-                                 f"under super-peer {record.origin_sp} is not in this network")
-            if len(record.components) != config.n_components:
-                raise ValueError(f"train log record {record.query_id}: "
-                                 f"{len(record.components)} query components, but "
-                                 f"n_components is {config.n_components}")
-        for record in train_log:  # the right shape may still hide another vocabulary
-            expertise = net.peers[record.origin_peer].expertise
-            for component in record.components:
-                if component not in expertise:
-                    raise ValueError(f"train log record {record.query_id}: component "
-                                     f"{component} is not in the expertise of "
-                                     f"peer {record.origin_peer}")
+        relevant: list[int] = []
+        if train_log is None:
+            train_workload = make_workload(net, config, "workload-baseline", "t")
+            relevant = relevance(train_workload)
+            train_log = run_baseline_epoch(net, train_workload, relevant, config.eps_acc,
+                                           hops_limit(config))[0]
+        else:
+            for record in train_log:
+                peer = net.peers.get(record.origin_peer)
+                if peer is None or peer.super_peer != record.origin_sp:
+                    raise ValueError(f"train log record {record.query_id}: "
+                                     f"peer {record.origin_peer} under super-peer "
+                                     f"{record.origin_sp} is not in this network")
+                if len(record.components) != config.n_components:
+                    raise ValueError(f"train log record {record.query_id}: "
+                                     f"{len(record.components)} query components, but "
+                                     f"n_components is {config.n_components}")
+            for record in train_log:  # the right shape may still hide another vocabulary
+                expertise = net.peers[record.origin_peer].expertise
+                for component in record.components:
+                    if component not in expertise:
+                        raise ValueError(f"train log record {record.query_id}: component "
+                                         f"{component} is not in the expertise of "
+                                         f"peer {record.origin_peer}")
 
-    if config.workload_mode == "replay":
-        if len(train_log) == 0:
-            raise ValueError("replay mode needs a non-empty training log")
-        eval_workload = [Query(id=f"e{i}", origin_peer=r.origin_peer, components=r.components)
-                         for i, r in enumerate(train_log)]
-        if not relevant:  # an external log: no training masks to reuse
+        if config.workload_mode == "replay":
+            if len(train_log) == 0:
+                raise ValueError("replay mode needs a non-empty training log")
+            eval_workload = [Query(id=f"e{i}", origin_peer=r.origin_peer, components=r.components)
+                             for i, r in enumerate(train_log)]
+            if not relevant:  # an external log: no training masks to reuse
+                relevant = relevance(eval_workload)
+        else:
+            relevant = []  # free the training masks before building the evaluation ones
+            eval_workload = make_workload(net, config, "workload-kb", "e")
             relevant = relevance(eval_workload)
-    else:
-        relevant = []  # free the training masks before building the evaluation ones
-        eval_workload = make_workload(net, config, "workload-kb", "e")
-        relevant = relevance(eval_workload)
 
-    _, baseline_results = run_baseline_epoch(net, eval_workload, relevant, config.eps_acc,
-                                             hops_limit(config))
+        _, baseline_results = run_baseline_epoch(net, eval_workload, relevant, config.eps_acc,
+                                                 hops_limit(config))
 
-    overlay = None
-    kb_results = None
-    kb_log = None
-    if include_kb:
-        overlay = form_groups(net, config.tau_trust)
-        overlay = train_indices(overlay, train_log, config.min_leaf)
-        kb_log, kb_results, overlay = run_kb_epoch(
-            net, overlay, eval_workload, relevant,
-            refresh_every=config.refresh_every, min_leaf=config.min_leaf,
+        overlay = None
+        kb_results = None
+        kb_log = None
+        if include_kb:
+            overlay = form_groups(net, config.tau_trust)
+            overlay = train_indices(overlay, train_log, config.min_leaf)
+            kb_log, kb_results, overlay = run_kb_epoch(
+                net, overlay, eval_workload, relevant,
+                refresh_every=config.refresh_every, min_leaf=config.min_leaf,
+            )
+
+        rows: dict[str, list[QueryMetrics]] = {}
+        rows[BASELINE] = [query_metrics(q, r, oracle, config)
+                          for q, r, oracle in zip(eval_workload, baseline_results, relevant)]
+        if kb_results is not None:
+            rows[KSP] = [query_metrics(q, r, oracle, config)
+                         for q, r, oracle in zip(eval_workload, kb_results, relevant)]
+        summaries = {name: summarize(name, rs) for name, rs in rows.items()}
+        report = ExperimentReport(config=config.replace(), per_query=rows,
+                                  summaries=summaries)
+        return PipelineArtifacts(
+            config=config, net=net, train_log=train_log, overlay=overlay,
+            eval_workload=eval_workload, baseline_results=baseline_results,
+            kb_results=kb_results, kb_log=kb_log, report=report,
         )
-
-    rows: dict[str, list[QueryMetrics]] = {}
-    rows[BASELINE] = [query_metrics(q, r, oracle, config)
-                      for q, r, oracle in zip(eval_workload, baseline_results, relevant)]
-    if kb_results is not None:
-        rows[KSP] = [query_metrics(q, r, oracle, config)
-                     for q, r, oracle in zip(eval_workload, kb_results, relevant)]
-    summaries = {name: summarize(name, rs) for name, rs in rows.items()}
-    report = ExperimentReport(config=config.replace(), per_query=rows,
-                              summaries=summaries)
-    return PipelineArtifacts(
-        config=config, net=net, train_log=train_log, overlay=overlay,
-        eval_workload=eval_workload, baseline_results=baseline_results,
-        kb_results=kb_results, kb_log=kb_log, report=report,
-    )
+    finally:
+        if not gc.get_freeze_count():  # never thaw what the caller froze
+            gc.freeze()  # move the run's objects to the oldest generation unscanned
+            gc.unfreeze()
+        if gc_was_enabled:
+            gc.enable()
 
 
 def sweep(base_config: Config, sizes: list[tuple[int, int]]) -> list[ExperimentReport]:

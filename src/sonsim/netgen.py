@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from random import Random
 
-from .config import Config, substream
+from .config import MAX_NSP, Config, substream
 from .model import Expertise, ExpertiseElement, PeerId, SuperPeerId, element, mask_of
 
 DomainLabel = str
@@ -88,8 +88,8 @@ class Network:
 
 def generate_domains(nsp: int, rng: Random) -> list[DomainLabel]:
     """Draw nsp pairwise-distinct two-letter domain labels."""
-    if nsp < 1:
-        raise ValueError("need at least one domain")
+    if not 1 <= nsp <= MAX_NSP:
+        raise ValueError(f"need between 1 and {MAX_NSP} domains, got {nsp}")
     labels: list[DomainLabel] = []
     seen = set()
     while len(labels) < nsp:

@@ -1,10 +1,14 @@
 """Command-line surface: subcommands, config round-trip, determinism, errors."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sonsim
 from sonsim.cli import main
 from sonsim.config import Config, ConfigError, read_config, write_config
 
@@ -40,6 +44,12 @@ class TestConfigFile:
     def test_validation_names_the_field(self):
         with pytest.raises(ConfigError, match="eps_acc"):
             Config(eps_acc=2.0).validate()
+
+    def test_nsp_beyond_the_two_letter_domain_labels_rejected(self):
+        Config(np=700, nsp=676).validate()  # 26 * 26 labels: the largest valid count
+        with pytest.raises(ConfigError, match="676") as excinfo:
+            Config(np=700, nsp=677).validate()
+        assert excinfo.value.field == "nsp"
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "config.txt"
@@ -390,3 +400,13 @@ class TestTrainIndexAndRender:
     def test_missing_log_fails_cleanly(self, tmp_path):
         assert run_cli("train-index", "--log", str(tmp_path / "missing.tsv"),
                        "--outdir", str(tmp_path)) == 1
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(sonsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "sonsim", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "usage: sonsim" in done.stdout

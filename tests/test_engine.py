@@ -1,12 +1,13 @@
 """Response time, scoring, paired experiment runs and sweeps."""
 
 import dataclasses
+import gc
 
 import pytest
 
 import sonsim.engine
 from sonsim.config import Config, ConfigError, substream
-from sonsim.baseline import PathSegment, RoutingResult, run_baseline_epoch
+from sonsim.baseline import PathSegment, QueryLog, RoutingResult, run_baseline_epoch
 from sonsim.engine import (
     BASELINE,
     KSP,
@@ -173,6 +174,76 @@ class TestRelevanceSharing:
         for wrong in (relevant[:-1], relevant + [0]):
             with pytest.raises(ValueError):
                 run_kb_epoch(net, overlay, replay, wrong)
+
+
+class TestCollectorPause:
+    """run_pipeline pauses automatic cyclic garbage collection for the run,
+    which is sound only while a run builds no reference cycles."""
+
+    @pytest.fixture
+    def collector_off(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        yield
+        if was_enabled:
+            gc.enable()
+
+    @pytest.mark.parametrize("changes, external_log", [
+        ({}, False),
+        (dict(np=600, nsp=12, tau_trust=4, workload_mode="fresh"), False),
+        (dict(refresh_every=20), False),
+        (dict(max_hops=-1), False),
+        ({}, True),
+    ], ids=["replay", "fresh-groups", "refresh", "flood", "external-log"])
+    def test_a_run_leaves_no_cyclic_garbage(self, collector_off, changes, external_log):
+        config = Config(np=300, nsp=10, seed=9).replace(**changes)
+        train_log = run_pipeline(config, include_kb=False).train_log if external_log else None
+        gc.collect()
+        artifacts = run_pipeline(config, train_log=train_log)
+        del artifacts
+        assert gc.collect() == 0
+
+    def test_collector_is_paused_during_the_run(self, monkeypatch):
+        seen = []
+        original = sonsim.engine.build_son
+
+        def recording(config):
+            seen.append(gc.isenabled())
+            return original(config)
+
+        monkeypatch.setattr(sonsim.engine, "build_son", recording)
+        assert gc.isenabled()
+        run_pipeline(Config(np=40, nsp=4, seed=51, queries_per_peer=2))
+        assert seen == [False]
+
+    @pytest.mark.parametrize("enabled, raises", [(True, False), (False, False), (True, True)],
+                             ids=["collector-on", "collector-off", "raising-run"])
+    def test_caller_collector_state_survives(self, enabled, raises):
+        config = Config(np=40, nsp=4, seed=51, queries_per_peer=2)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        frozen = gc.get_freeze_count()
+        try:
+            if raises:
+                with pytest.raises(ValueError, match="non-empty training log"):
+                    run_pipeline(config, train_log=QueryLog())
+            else:
+                run_pipeline(config)
+            assert gc.isenabled() == enabled
+            assert gc.get_freeze_count() == frozen
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_objects_the_caller_froze_stay_frozen(self):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen > 0
+            run_pipeline(Config(np=40, nsp=4, seed=51, queries_per_peer=2))
+            assert gc.get_freeze_count() == frozen
+            assert gc.isenabled()
+        finally:
+            gc.unfreeze()
 
 
 class TestRunExperiment:

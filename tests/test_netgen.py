@@ -1,6 +1,7 @@
 """Network synthesis: domains, expertise, friend links, peers, trust."""
 
 import dataclasses
+from random import Random
 
 import pytest
 
@@ -35,6 +36,21 @@ class TestGenerateDomains:
     def test_needs_at_least_one(self):
         with pytest.raises(ValueError):
             generate_domains(0, rng())
+
+    def test_every_two_letter_label_can_be_drawn(self):
+        assert len(set(generate_domains(26 * 26, rng()))) == 26 * 26
+
+    def test_more_domains_than_two_letter_labels_rejected(self):
+        class Bounded(Random):  # fail, rather than hang, if the labels are drawn anyway
+            draws = 0
+
+            def choice(self, seq):
+                self.draws += 1
+                assert self.draws < 10**6, "drew labels that cannot all be distinct"
+                return super().choice(seq)
+
+        with pytest.raises(ValueError, match="676"):
+            generate_domains(26 * 26 + 1, Bounded(5))
 
 
 class TestGenerateSpExpertise:
