@@ -216,12 +216,15 @@ class TestCollectorPause:
         run_pipeline(Config(np=40, nsp=4, seed=51, queries_per_peer=2))
         assert seen == [False]
 
-    @pytest.mark.parametrize("enabled, raises", [(True, False), (False, False), (True, True)],
-                             ids=["collector-on", "collector-off", "raising-run"])
-    def test_caller_collector_state_survives(self, enabled, raises):
+    @pytest.mark.parametrize("enabled, raises, freeze", [
+        (True, False, False), (False, False, False), (True, True, False), (True, False, True),
+    ], ids=["collector-on", "collector-off", "raising-run", "caller-froze-objects"])
+    def test_caller_collector_state_survives(self, enabled, raises, freeze):
         config = Config(np=40, nsp=4, seed=51, queries_per_peer=2)
         was_enabled = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
+        if freeze:
+            gc.freeze()
         frozen = gc.get_freeze_count()
         try:
             if raises:
@@ -232,18 +235,9 @@ class TestCollectorPause:
             assert gc.isenabled() == enabled
             assert gc.get_freeze_count() == frozen
         finally:
+            if freeze:
+                gc.unfreeze()
             (gc.enable if was_enabled else gc.disable)()
-
-    def test_objects_the_caller_froze_stay_frozen(self):
-        gc.freeze()
-        try:
-            frozen = gc.get_freeze_count()
-            assert frozen > 0
-            run_pipeline(Config(np=40, nsp=4, seed=51, queries_per_peer=2))
-            assert gc.get_freeze_count() == frozen
-            assert gc.isenabled()
-        finally:
-            gc.unfreeze()
 
 
 class TestRunExperiment:
