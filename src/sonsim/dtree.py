@@ -5,9 +5,11 @@ branch per observed attribute value, no pruning, no numeric attributes.
 Every node keeps its class-count distribution so inference can fall back on
 it when classification meets an attribute value never seen at that node.
 Given the tree induced before some instances were appended, induction reuses
-every subtree none of the new instances reach, so a refresh re-induces only
-the subtrees its new records reach, and the result is the tree induced from
-scratch.
+every subtree none of the new instances reach, and the root advances the
+per-attribute count tables it kept by the new instances alone instead of
+re-partitioning all of them; so a refresh reads old instances only in the
+subtrees below the root that its new records reach, and the result is the
+tree induced from scratch.
 Trees render in the same textual grammar the index dumps use, and datasets
 round-trip through ARFF.
 """
@@ -15,7 +17,7 @@ round-trip through ARFF.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, Union
 
 from .model import SuperPeerId
@@ -44,6 +46,9 @@ class Node:
     attr_index: int
     branches: dict[str, "DecisionTree"]
     counts: dict[SuperPeerId, int]  # fallback distribution for unseen values
+    # Split statistics of a root induced from a prior (see build_tree); they
+    # are no part of the tree's value.
+    tables: _SplitTables | None = field(default=None, compare=False, repr=False)
 
 
 DecisionTree = Union[Leaf, Node]
@@ -54,8 +59,12 @@ def entropy(class_counts: Mapping[object, int]) -> float:
     total = sum(class_counts.values())
     if total < 1:
         raise ValueError("entropy needs at least one counted instance")
+    return _entropy(class_counts.values(), total)
+
+
+def _entropy(counts: Iterable[int], total: int) -> float:
     result = 0.0
-    for count in class_counts.values():
+    for count in counts:
         if count:
             p = count / total
             result -= p * math.log2(p)
@@ -76,38 +85,83 @@ def _partition(instances: Sequence[Instance], attr_index: int) -> dict[str, list
     return parts
 
 
-def _information_gain(parts: Mapping[str, Sequence[Instance]], total: int,
-                      parent_entropy: float) -> float:
+def _gains(table: Mapping[str, Mapping[SuperPeerId, int]], total: int,
+           parent_entropy: float) -> tuple[float, float]:
+    """(information gain, split information) of the split whose value ->
+    class -> count table covers `total` instances."""
     gain = parent_entropy
-    for part in parts.values():
-        gain -= len(part) / total * entropy(class_counts(part))
-    return gain
+    sizes = []
+    for counts in table.values():
+        size = sum(counts.values())
+        sizes.append(size)
+        gain -= size / total * _entropy(counts.values(), size)
+    return gain, _entropy(sizes, total)
 
 
-def _gain_ratio(parts: Mapping[str, Sequence[Instance]], total: int,
+def _gain_ratio(table: Mapping[str, Mapping[SuperPeerId, int]], total: int,
                 parent_entropy: float) -> float:
-    split_info = entropy({value: len(part) for value, part in parts.items()})
+    gain, split_info = _gains(table, total, parent_entropy)
     if split_info == 0.0:
         return 0.0
-    return _information_gain(parts, total, parent_entropy) / split_info
+    return gain / split_info
+
+
+def _split_table(instances: Sequence[Instance], attr_index: int):
+    if not instances:
+        raise ValueError("no instances")
+    table = {value: class_counts(part) for value, part in _partition(instances, attr_index).items()}
+    return table, len(instances), entropy(class_counts(instances))
 
 
 def information_gain(instances: Sequence[Instance], attr_index: int) -> float:
     """Parent entropy minus the size-weighted entropy of the value partitions."""
-    if not instances:
-        raise ValueError("no instances")
-    return _information_gain(_partition(instances, attr_index), len(instances),
-                             entropy(class_counts(instances)))
+    return _gains(*_split_table(instances, attr_index))[0]
 
 
 def gain_ratio(instances: Sequence[Instance], attr_index: int) -> float:
     """Information gain normalized by split information, the entropy of the
     attribute's own value distribution; 0 when the attribute takes a single
     value."""
-    if not instances:
-        raise ValueError("no instances")
-    return _gain_ratio(_partition(instances, attr_index), len(instances),
-                       entropy(class_counts(instances)))
+    return _gain_ratio(*_split_table(instances, attr_index))
+
+
+class _SplitTables:
+    """What a root induced from a prior keeps so that the next induction from
+    it reads only the appended instances: per attribute, a value -> class ->
+    count table, and the partition by value of the attribute `split_attr`.
+    Both cover the first `covered` instances in order and are advanced in
+    place, so dict insertion order is the order of a from-scratch scan."""
+
+    __slots__ = ("covered", "by_attr", "split_attr", "parts")
+
+    def __init__(self, attrs: Iterable[int]) -> None:
+        self.covered = 0
+        self.by_attr: dict[int, dict[str, dict[SuperPeerId, int]]] = {a: {} for a in attrs}
+        self.split_attr = -1
+        self.parts: dict[str, list[Instance]] = {}
+
+    def advance(self, instances: Sequence[Instance]) -> None:
+        """Count instances[covered:] into every table and the partition."""
+        new = instances[self.covered:]
+        self.covered = -1  # matches no prior until every table is advanced
+        for inst in new:
+            label, values = inst.class_label, inst.attributes
+            for attr, table in self.by_attr.items():
+                row = table.get(values[attr])
+                if row is None:
+                    table[values[attr]] = {label: 1}
+                else:
+                    row[label] = row.get(label, 0) + 1
+        if self.split_attr >= 0:
+            for inst in new:
+                self.parts.setdefault(inst.attributes[self.split_attr], []).append(inst)
+        self.covered = len(instances)
+
+    def partition(self, instances: Sequence[Instance], attr_index: int) -> dict[str, list[Instance]]:
+        """The partition of `instances`, the ones counted, by `attr_index`."""
+        if attr_index != self.split_attr:
+            self.split_attr, self.parts = attr_index, _partition(instances, attr_index)
+        return self.parts
 
 
 def build_tree(instances: Sequence[Instance], attrs: Sequence[int] | None = None,
@@ -115,47 +169,96 @@ def build_tree(instances: Sequence[Instance], attrs: Sequence[int] | None = None
     """Induce a tree: leaf when pure, out of attributes, or below min_leaf;
     otherwise split on the gain-ratio-maximizing attribute (ties to the lowest
     index) with one branch per observed value, never reusing an attribute on
-    a path. Each candidate attribute is partitioned once per node; the
-    winner's partition is the one its branches are built from.
+    a path. Without a prior, each candidate attribute is partitioned once per
+    node; the winner's partition is the one its branches are built from.
 
     `prior`, if given, is the tree this function returned for a prefix of
     `instances`, with the same `attrs` and `min_leaf`; every node counts the
     instances it was induced from, so the rest are the new ones. A node none
     of whose instances are new is the prior's node itself; a node that splits
     on the prior node's attribute recurses into the prior's branches; any
-    other node is induced anew. A subtree depends only on its instances in
-    order, its remaining attributes and `min_leaf`, and partitioning keeps
-    order, so the result equals `build_tree(instances, attrs, min_leaf)`."""
+    other node below the root is induced anew. The root's split is chosen
+    from a value -> class count table per attribute, which the root keeps
+    with the partition by its split attribute (`Node.tables`, no part of
+    the tree's value). If the prior root's tables cover exactly the prior's
+    instances, they and the partition are advanced in place by the new
+    instances alone; otherwise (the prior has no tables, or a later
+    induction from it already advanced them) they are counted from all the
+    instances. A tree built without a prior keeps no tables. Instances are
+    only appended, so the tables order values and classes as a scan from
+    scratch does, and gain ratios are the same floats. A subtree depends
+    only on its instances in order, its remaining attributes and
+    `min_leaf`, and partitioning keeps order, so the result equals
+    `build_tree(instances, attrs, min_leaf)`."""
     if not instances:
         raise ValueError("cannot induce a tree from zero instances")
-    if prior is not None:
-        induced = sum(prior.counts.values())
-        if induced > len(instances):
-            raise ValueError(f"prior induced from {induced} instances, "
-                             f"more than the {len(instances)} given")
-        if induced == len(instances):
-            return prior
     attrs = tuple(range(len(instances[0].attributes)) if attrs is None else attrs)
+    if prior is None:
+        return _induce(instances, attrs, min_leaf, None)
+    induced = _induced(prior, instances)
+    if induced == len(instances):
+        return prior
+    counts = dict(prior.counts)
+    for inst in instances[induced:]:
+        counts[inst.class_label] = counts.get(inst.class_label, 0) + 1
+    if _is_leaf(counts, attrs, len(instances), min_leaf):
+        return Leaf(counts)
+
+    tables = prior.tables if isinstance(prior, Node) else None
+    if tables is None or tables.covered != induced:
+        tables = _SplitTables(attrs)
+    tables.advance(instances)
+    parent_entropy = entropy(counts)
+    best_attr = max(sorted(attrs), key=lambda attr_index: _gain_ratio(
+        tables.by_attr[attr_index], len(instances), parent_entropy))
+    return _split(best_attr, tables.partition(instances, best_attr), attrs, min_leaf,
+                  counts, prior, tables)
+
+
+def _induced(prior: DecisionTree, instances: Sequence[Instance]) -> int:
+    induced = sum(prior.counts.values())
+    if induced > len(instances):
+        raise ValueError(f"prior induced from {induced} instances, "
+                         f"more than the {len(instances)} given")
+    return induced
+
+
+def _is_leaf(counts: Mapping[SuperPeerId, int], attrs: Sequence[int], size: int,
+             min_leaf: int) -> bool:
+    return len(counts) == 1 or not attrs or size < min_leaf
+
+
+def _induce(instances: Sequence[Instance], attrs: tuple[int, ...], min_leaf: int,
+            prior: DecisionTree | None) -> DecisionTree:
+    """`build_tree` below the root, and at a root without a prior."""
+    if prior is not None and _induced(prior, instances) == len(instances):
+        return prior
     counts = class_counts(instances)
-    if len(counts) == 1 or not attrs or len(instances) < min_leaf:
+    if _is_leaf(counts, attrs, len(instances), min_leaf):
         return Leaf(counts)
 
     parent_entropy = entropy(counts)
     best_ratio = -1.0  # below every gain ratio, so the first attribute sets best_*
     for attr_index in sorted(attrs):
         parts = _partition(instances, attr_index)
-        ratio = _gain_ratio(parts, len(instances), parent_entropy)
+        table = {value: class_counts(part) for value, part in parts.items()}
+        ratio = _gain_ratio(table, len(instances), parent_entropy)
         if ratio > best_ratio:
             best_attr, best_ratio, best_parts = attr_index, ratio, parts
+    return _split(best_attr, best_parts, attrs, min_leaf, counts, prior)
 
-    remaining = tuple(a for a in attrs if a != best_attr)
-    if isinstance(prior, Node) and prior.attr_index == best_attr:
-        branches = {value: build_tree(part, remaining, min_leaf, prior.branches.get(value))
-                    for value, part in sorted(best_parts.items())}
-    else:
-        branches = {value: build_tree(part, remaining, min_leaf)
-                    for value, part in sorted(best_parts.items())}
-    return Node(attr_index=best_attr, branches=branches, counts=counts)
+
+def _split(attr_index: int, parts: Mapping[str, Sequence[Instance]], attrs: tuple[int, ...],
+           min_leaf: int, counts: dict[SuperPeerId, int], prior: DecisionTree | None,
+           tables: _SplitTables | None = None) -> Node:
+    """The node splitting on `attr_index`, one branch per value of `parts`
+    in sorted order; the branches recurse into the prior's when it split on
+    the same attribute."""
+    remaining = tuple(a for a in attrs if a != attr_index)
+    reused = prior.branches if isinstance(prior, Node) and prior.attr_index == attr_index else {}
+    branches = {value: _induce(part, remaining, min_leaf, reused.get(value))
+                for value, part in sorted(parts.items())}
+    return Node(attr_index, branches, counts, tables)
 
 
 def _majority(counts: Mapping[SuperPeerId, int]) -> SuperPeerId:
