@@ -106,7 +106,9 @@ def _gain_ratio(table: Mapping[str, Mapping[SuperPeerId, int]], total: int,
     return gain / split_info
 
 
-def _split_table(instances: Sequence[Instance], attr_index: int):
+def _split_table(instances: Sequence[Instance], attr_index: int
+                 ) -> tuple[dict[str, dict[SuperPeerId, int]], int, float]:
+    """The arguments of `_gains` for splitting `instances` on `attr_index`."""
     if not instances:
         raise ValueError("no instances")
     table = {value: class_counts(part) for value, part in _partition(instances, attr_index).items()}
@@ -241,8 +243,11 @@ def _induce(instances: Sequence[Instance], attrs: tuple[int, ...], min_leaf: int
     best_ratio = -1.0  # below every gain ratio, so the first attribute sets best_*
     for attr_index in sorted(attrs):
         parts = _partition(instances, attr_index)
-        table = {value: class_counts(part) for value, part in parts.items()}
-        ratio = _gain_ratio(table, len(instances), parent_entropy)
+        if len(parts) == 1:
+            ratio = 0.0  # what _gain_ratio gives one value, without counting its classes
+        else:
+            table = {value: class_counts(part) for value, part in parts.items()}
+            ratio = _gain_ratio(table, len(instances), parent_entropy)
         if ratio > best_ratio:
             best_attr, best_ratio, best_parts = attr_index, ratio, parts
     return _split(best_attr, best_parts, attrs, min_leaf, counts, prior)

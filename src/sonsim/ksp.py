@@ -149,9 +149,8 @@ def _induce(overlay: KspOverlay, records, min_leaf: int, keep: bool) -> KspOverl
     `build_tree` as the prior: the root counts only the new instances into
     the split tables it keeps, and below it only the subtrees the new
     instances reach are re-induced; the indices must have been induced at
-    this `min_leaf`. A
-    group without instances gets the leaf over every group's class
-    distribution; that leaf is never a prior."""
+    this `min_leaf`. A group without instances gets the leaf over every
+    group's class distribution; that leaf is never a prior."""
     slices: dict[KspId, list[LogRecord]] = {gid: [] for gid in overlay.groups}
     for record in records:
         if record.origin_sp not in overlay.sp_to_group:

@@ -187,6 +187,42 @@ class TestPriorTree:
             build_tree(FIXTURE[:-1], prior=build_tree(FIXTURE))
 
 
+class TestRootTables:
+    """The split count tables a root induced from a prior keeps."""
+
+    def test_building_twice_from_one_stale_prior_equals_from_scratch(self):
+        prior = build_tree(FIXTURE, min_leaf=1, prior=build_tree(FIXTURE[:10], min_leaf=1))
+        assert prior.tables is not None
+        for added in ([Instance(("overcast", "mild", "high", "weak"), 0)] * 3,
+                      [Instance(("sunny", "hot", "normal", "weak"), 1)] * 3):
+            tree = build_tree(FIXTURE + added, min_leaf=1, prior=prior)
+            assert tree == build_tree(FIXTURE + added, min_leaf=1)
+            counted = build_tree(FIXTURE + added, min_leaf=1, prior=build_tree(FIXTURE, min_leaf=1))
+            assert tree.tables.by_attr == counted.tables.by_attr
+            assert tree.tables.parts == counted.tables.parts
+
+    def test_tables_are_advanced_in_place(self):
+        prior = build_tree(FIXTURE[:12], min_leaf=1, prior=build_tree(FIXTURE[:10], min_leaf=1))
+        tree = build_tree(FIXTURE, min_leaf=1, prior=prior)
+        assert tree.tables is prior.tables
+        assert tree.tables.covered == len(FIXTURE)
+
+    def test_tree_built_without_prior_keeps_no_tables(self):
+        nodes = [build_tree(FIXTURE, min_leaf=1)]
+        while nodes:
+            node = nodes.pop()
+            assert node.tables is None
+            nodes.extend(child for child in node.branches.values() if isinstance(child, Node))
+
+    def test_tables_change_neither_equality_nor_rendering(self):
+        grown = build_tree(FIXTURE, min_leaf=1, prior=build_tree(FIXTURE[:10], min_leaf=1))
+        scratch = build_tree(FIXTURE, min_leaf=1)
+        assert grown.tables is not None and scratch.tables is None
+        assert grown == scratch
+        assert render_tree(grown) == render_tree(scratch)
+        assert repr(grown) == repr(scratch)
+
+
 class TestClassify:
     def test_leaf_tree_classifies_anything(self):
         tree = Leaf({0: 10})

@@ -8,8 +8,8 @@ relevance scan of the communities they search, their message and mapping
 counts agreeing with where they searched, routing monotonicity in the
 threshold, distribution normalization, tree induction choosing the first best
 gain-ratio split, trees grown from a prior tree and indices after each
-refresh equal to from-scratch induction, and grouping stability under
-relabeling.
+refresh equal to from-scratch induction, the root's count tables equal to
+counts from scratch, and grouping stability under relabeling.
 """
 
 import dataclasses
@@ -30,6 +30,7 @@ from sonsim.baseline import (
 from sonsim.dtree import (
     Instance,
     Leaf,
+    Node,
     build_tree,
     class_counts,
     classify_traced,
@@ -458,6 +459,61 @@ def test_tree_grown_from_priors_equals_from_scratch(instances, min_leaf, cuts):
     for end in ends[1:]:
         tree = build_tree(instances[:end], min_leaf=min_leaf, prior=tree)
         assert tree == build_tree(instances[:end], min_leaf=min_leaf)
+
+
+def in_order(tables):
+    """A value -> class -> count table per attribute as nested lists of
+    pairs, so that comparing two compares key order at both levels too."""
+    return {attr: [(value, list(row.items())) for value, row in table.items()]
+            for attr, table in tables.items()}
+
+
+def counted_tables(instances):
+    tables = {}
+    for inst in instances:
+        for attr, value in enumerate(inst.attributes):
+            row = tables.setdefault(attr, {}).setdefault(value, {})
+            row[inst.class_label] = row.get(inst.class_label, 0) + 1
+    return tables
+
+
+GROWN_TOKENS = [f"{a}.{b}" for a in "ab" for b in "abcd"]
+
+grown_rows = st.tuples(st.tuples(*[st.sampled_from(GROWN_TOKENS) for _ in range(4)]),
+                       st.integers(min_value=0, max_value=5))
+# The size is drawn first, so large sets are drawn as often as small ones.
+grown_instance_sets = st.integers(min_value=1, max_value=200).flatmap(
+    lambda n: st.lists(grown_rows, min_size=n, max_size=n)
+).map(lambda rows: [Instance(attributes=a, class_label=c) for a, c in rows])
+
+
+@given(instances=grown_instance_sets, min_leaf=st.sampled_from([1, 2, 3]),
+       cuts=st.lists(st.integers(min_value=1, max_value=200), min_size=4, max_size=6))
+@settings(deadline=None)
+def test_root_tables_grown_from_priors_equal_counts_from_scratch(instances, min_leaf, cuts):
+    """After every build from a prior, the root's count tables and partition
+    are those counted over all its instances, in the same key order, no node
+    below the root keeps tables, and the tree is the one induced anew."""
+    ends = sorted({min(cut, len(instances)) for cut in cuts} | {len(instances)})
+    tree = build_tree(instances[:ends[0]], min_leaf=min_leaf)
+    for end in ends[1:]:
+        grown = instances[:end]
+        tree = build_tree(grown, min_leaf=min_leaf, prior=tree)
+        assert tree == build_tree(grown, min_leaf=min_leaf)
+        if isinstance(tree, Leaf):
+            continue
+        assert tree.tables.covered == end
+        assert in_order(tree.tables.by_attr) == in_order(counted_tables(grown))
+        assert tree.tables.split_attr == tree.attr_index
+        parts = {}
+        for inst in grown:
+            parts.setdefault(inst.attributes[tree.attr_index], []).append(inst)
+        assert list(tree.tables.parts.items()) == list(parts.items())
+        below = [child for child in tree.branches.values() if isinstance(child, Node)]
+        while below:
+            node = below.pop()
+            assert node.tables is None
+            below.extend(child for child in node.branches.values() if isinstance(child, Node))
 
 
 @given(key=net_keys, tau=st.integers(min_value=1, max_value=4),
