@@ -106,7 +106,7 @@ def _gain_ratio(table: Mapping[str, Mapping[SuperPeerId, int]], total: int,
     return gain / split_info
 
 
-def _split_table(instances: Sequence[Instance], attr_index: int
+def _gain_args(instances: Sequence[Instance], attr_index: int
                  ) -> tuple[dict[str, dict[SuperPeerId, int]], int, float]:
     """The arguments of `_gains` for splitting `instances` on `attr_index`."""
     if not instances:
@@ -117,14 +117,14 @@ def _split_table(instances: Sequence[Instance], attr_index: int
 
 def information_gain(instances: Sequence[Instance], attr_index: int) -> float:
     """Parent entropy minus the size-weighted entropy of the value partitions."""
-    return _gains(*_split_table(instances, attr_index))[0]
+    return _gains(*_gain_args(instances, attr_index))[0]
 
 
 def gain_ratio(instances: Sequence[Instance], attr_index: int) -> float:
     """Information gain normalized by split information, the entropy of the
     attribute's own value distribution; 0 when the attribute takes a single
     value."""
-    return _gain_ratio(*_split_table(instances, attr_index))
+    return _gain_ratio(*_gain_args(instances, attr_index))
 
 
 class _SplitTables:
