@@ -7,16 +7,18 @@ answers with that mask intersected with its member mask. Global search
 evaluates each friend super-peer's expertise against the query and forwards
 to the qualifying ones, breadth-first, each super-peer processing a given
 query at most once.
-The forwarding tree, one cost segment per searched super-peer, is the only
-record of a query's work: its mapping operations (the members and friends
-probed, one mapping each) and messages are sums over the tree, and response
-time is costed along its critical path. `PathSegment.walk` is the one walk
-of a cost tree that yields both.
+A query's work is counted and costed while it is routed: its mapping
+operations (the members and friends probed, one mapping each) and messages
+are totals over the super-peers it searched, and its response time is the
+critical path of its forwarding, one segment per searched super-peer.
+`segment_cost` is the one rule for costing a segment, and both routers
+apply it.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 from random import Random
 
@@ -32,63 +34,40 @@ from .model import (
 from .netgen import Network, Peer
 
 
-@dataclass(frozen=True)
-class PathSegment:
-    """Sequential cost segment of a forwarding tree: messages to reach it,
-    mapping operations and tree nodes visited in it. Branches run in
-    parallel after it."""
+# (c_hop, c_map, c_tree): the cost of one message, one mapping operation and
+# one tree node visited.
+Costs = tuple[float, float, float]
 
-    hops: int = 0
-    maps: int = 0
-    tree_visits: int = 0
-    branches: tuple["PathSegment", ...] = ()
 
-    def walk(self, c_hop: float = 0.0, c_map: float = 0.0,
-             c_tree: float = 0.0) -> tuple[float, int, int, int]:
-        """(critical-path cost, mapping operations, hops, tree visits) of this
-        segment and every segment below it, in one walk. A segment costs
-        `c_hop` per message, `c_map` per mapping and `c_tree` per tree node
-        visited, plus its costliest branch, since branches run in parallel;
-        with the default zero costs only the three sums mean anything."""
-        maps, hops, visits = self.maps, self.hops, self.tree_visits
-        costs = []
-        for branch in self.branches:
-            cost, branch_maps, branch_hops, branch_visits = branch.walk(c_hop, c_map, c_tree)
-            costs.append(cost)
-            maps += branch_maps
-            hops += branch_hops
-            visits += branch_visits
-        own = self.hops * c_hop + self.maps * c_map + self.tree_visits * c_tree
-        return own + max(costs, default=0.0), maps, hops, visits
+def segment_cost(costs: Costs, hops: int, maps: int, tree_visits: int,
+                 branches: Iterable[float]) -> float:
+    """Critical-path cost of one sequential segment of a query's forwarding:
+    `hops` messages to reach it, `maps` mapping operations and `tree_visits`
+    tree nodes visited in it, plus the costliest of `branches`, the costs of
+    the segments that run in parallel after it (0.0 when there are none)."""
+    c_hop, c_map, c_tree = costs
+    return hops * c_hop + maps * c_map + tree_visits * c_tree + max(branches, default=0.0)
 
 
 @dataclass(frozen=True)
 class RoutingResult:
-    """What a routed query found and where it searched; `cost_tree` is the
-    only record of the work it cost, and the counters are sums over it.
-    The answering peers are stored as a mask (bit `p` for peer `p`)."""
+    """What a routed query found, where it searched and what that cost: the
+    critical-path response time and the total mapping operations, messages
+    and tree nodes visited. The answering peers are stored as a mask (bit `p`
+    for peer `p`)."""
 
     query_id: str
     answering_mask: int
     answering_sps: frozenset[SuperPeerId]
     searched_sps: frozenset[SuperPeerId]
-    cost_tree: PathSegment
+    response_time: float
+    mapping_ops: int
+    hops: int
+    tree_visits: int
 
     @property
     def answering_peers(self) -> frozenset[PeerId]:
         return frozenset(peers_of(self.answering_mask))
-
-    @property
-    def mapping_ops(self) -> int:
-        return self.cost_tree.walk()[1]
-
-    @property
-    def hops(self) -> int:
-        return self.cost_tree.walk()[2]
-
-    @property
-    def tree_visits(self) -> int:
-        return self.cost_tree.walk()[3]
 
 
 @dataclass(frozen=True)
@@ -154,7 +133,7 @@ def generate_queries(peer: Peer, count: int, n_components: int, rng: Random,
 
 
 def route_baseline(net: Network, query: Query, sp: SuperPeerId,
-                   relevant: int, eps_acc: float,
+                   relevant: int, eps_acc: float, costs: Costs,
                    max_hops: int | None = 1) -> RoutingResult:
     """Route one query from super-peer `sp` (the origin peer's community head).
 
@@ -163,7 +142,7 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
     `eps_acc` still decides which friend super-peers qualify. max_hops bounds
     the forwarding depth: 0 is local-only, 1 reaches direct friends, None
     floods until no unvisited qualifying super-peer remains. Each searched
-    super-peer is one segment of the cost tree.
+    super-peer is one segment of the forwarding, costed at `costs`.
     """
     if sp not in net.super_peers:
         raise ValueError(f"unknown super-peer {sp}")
@@ -200,24 +179,27 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
                 children.append(friend)
                 queue.append((friend, depth + 1))
 
-    segments: dict[SuperPeerId, PathSegment] = {}
-    for spid in reversed(maps):  # reverse search order: forwards are built first
-        segments[spid] = PathSegment(hops=0 if spid == sp else 1, maps=maps[spid], branches=tuple(
-            [segments[friend] for friend in forwarded.get(spid, ())]))
+    cost: dict[SuperPeerId, float] = {}
+    for spid in reversed(maps):  # reverse search order: forwards are costed first
+        cost[spid] = segment_cost(costs, 0 if spid == sp else 1, maps[spid], 0,
+                                  [cost[friend] for friend in forwarded.get(spid, ())])
 
     return RoutingResult(
         query_id=query.id,
         answering_mask=answering_mask,
         answering_sps=frozenset(answering_sps),
         searched_sps=frozenset(processed),
-        cost_tree=segments[sp],
+        response_time=cost[sp],
+        mapping_ops=sum(maps.values()),
+        hops=len(maps) - 1,  # one message reaches each searched super-peer but the origin
+        tree_visits=0,
     )
 
 
 def run_baseline_epoch(net: Network, workload: list[Query],
-                       relevant: list[int], eps_acc: float,
+                       relevant: list[int], eps_acc: float, costs: Costs,
                        max_hops: int | None = 1) -> tuple[QueryLog, list[RoutingResult]]:
-    """Route every query in order; one log record per query.
+    """Route every query in order, costed at `costs`; one log record per query.
 
     relevant[i] is the relevant peer mask of workload[i]; a length mismatch
     raises ValueError.
@@ -228,7 +210,7 @@ def run_baseline_epoch(net: Network, workload: list[Query],
     results = []
     for query, query_relevant in zip(workload, relevant, strict=True):
         origin_sp = net.peers[query.origin_peer].super_peer
-        result = route_baseline(net, query, origin_sp, query_relevant, eps_acc, max_hops)
+        result = route_baseline(net, query, origin_sp, query_relevant, eps_acc, costs, max_hops)
         results.append(result)
         log.append(LogRecord.routed(query, origin_sp, result))
     return log, results

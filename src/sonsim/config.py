@@ -8,6 +8,7 @@ stage makes cannot perturb another stage.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import string
 from dataclasses import dataclass
@@ -79,8 +80,9 @@ class Config:
         if self.refresh_every < 0:
             raise ConfigError("refresh_every", "must be >= 0 (0 disables refresh)")
         for name in ("c_hop", "c_map", "c_tree"):
-            if getattr(self, name) < 0:
-                raise ConfigError(name, "costs must be >= 0")
+            cost = getattr(self, name)
+            if not math.isfinite(cost) or cost < 0:  # 0 * inf is nan in every response time
+                raise ConfigError(name, f"costs must be finite and >= 0, got {cost}")
         if self.workload_mode not in ("fresh", "replay"):
             raise ConfigError("workload_mode", f"must be 'fresh' or 'replay', got {self.workload_mode!r}")
 

@@ -1,12 +1,13 @@
 """Experiment driver: per-query metrics, paired strategy runs and
 scalability sweeps.
 
-Response time is costed along the critical path of a result's forwarding
-tree: sequential segments add up, parallel branches contribute their maximum.
-The costs per message, per mapping and per tree node visited are the `Config`
-keys `c_hop`, `c_map` and `c_tree`; the counters reported beside response
-time are sums over the same tree. Both come from one walk of the tree,
-`baseline.PathSegment.walk`.
+Response time is costed along the critical path of a query's forwarding
+while the query is routed: sequential segments add up, parallel branches
+contribute their maximum (`baseline.segment_cost`). The costs per message,
+per mapping and per tree node visited are the `Config` keys `c_hop`, `c_map`
+and `c_tree`, which `run_pipeline` hands to both epochs; each routing result
+carries its response time and the counters reported beside it, and a
+per-query row copies them.
 A per-query row and a strategy summary are named tuples whose fields are
 their CSV columns, so the column lists derive from the types.
 The engine runs the relevance kernel in `model` (`relevant_mask`, which the
@@ -15,11 +16,10 @@ one peer mask is what both routers search communities with and what
 precision and recall are scored against, by counting bits.
 
 `run_pipeline` pauses automatic cyclic garbage collection for the run. A
-5000-peer run ends with about 600,000 tracked objects alive (tree nodes,
-instances, results, cost segments), and each full collection would scan
-them all to find nothing, because a run builds no reference cycles: its
-objects are freed by reference counting alone. That condition is what
-makes the pause safe, and
+5000-peer run ends with about 430,000 tracked objects alive (tree nodes,
+instances, results), and each full collection would scan them all to find
+nothing, because a run builds no reference cycles: its objects are freed by
+reference counting alone. That condition is what makes the pause safe, and
 `tests/test_engine.py::TestCollectorPause::test_a_run_leaves_no_cyclic_garbage`
 pins it; code that adds a reference cycle per query or per node must drop
 the pause. On exit the caller's collector is left as it was found, enabled
@@ -109,19 +109,17 @@ def score(result: RoutingResult, oracle: int) -> tuple[float, float]:
     return precision, recall
 
 
-def query_metrics(query: Query, result: RoutingResult, oracle: int,
-                  config: Config) -> QueryMetrics:
+def query_metrics(query: Query, result: RoutingResult, oracle: int) -> QueryMetrics:
     precision, recall = score(result, oracle)
-    cost, maps, hops, visits = result.cost_tree.walk(config.c_hop, config.c_map, config.c_tree)
     return QueryMetrics(
         query_id=query.id,
-        response_time=cost,
+        response_time=result.response_time,
         precision=precision,
         recall=recall,
         sp_precision=len(result.answering_sps) / len(result.searched_sps),
-        mapping_ops=maps,
-        hops=hops,
-        tree_visits=visits,
+        mapping_ops=result.mapping_ops,
+        hops=result.hops,
+        tree_visits=result.tree_visits,
     )
 
 
@@ -201,6 +199,7 @@ def run_pipeline(config: Config, include_kb: bool = True,
     try:
         config.validate()
         net = build_son(config)
+        costs = (config.c_hop, config.c_map, config.c_tree)
 
         def relevance(workload: list[Query]) -> list[int]:
             return [relevant_mask(net, q, config.eps_acc) for q in workload]
@@ -210,7 +209,7 @@ def run_pipeline(config: Config, include_kb: bool = True,
             train_workload = make_workload(net, config, "workload-baseline", "t")
             relevant = relevance(train_workload)
             train_log = run_baseline_epoch(net, train_workload, relevant, config.eps_acc,
-                                           hops_limit(config))[0]
+                                           costs, hops_limit(config))[0]
         else:
             for record in train_log:
                 peer = net.peers.get(record.origin_peer)
@@ -243,7 +242,7 @@ def run_pipeline(config: Config, include_kb: bool = True,
             relevant = relevance(eval_workload)
 
         _, baseline_results = run_baseline_epoch(net, eval_workload, relevant, config.eps_acc,
-                                                 hops_limit(config))
+                                                 costs, hops_limit(config))
 
         overlay = None
         kb_results = None
@@ -252,15 +251,15 @@ def run_pipeline(config: Config, include_kb: bool = True,
             overlay = form_groups(net, config.tau_trust)
             overlay = train_indices(overlay, train_log, config.min_leaf)
             kb_log, kb_results, overlay = run_kb_epoch(
-                net, overlay, eval_workload, relevant,
+                net, overlay, eval_workload, relevant, costs,
                 refresh_every=config.refresh_every, min_leaf=config.min_leaf,
             )
 
         rows: dict[str, list[QueryMetrics]] = {}
-        rows[BASELINE] = [query_metrics(q, r, oracle, config)
+        rows[BASELINE] = [query_metrics(q, r, oracle)
                           for q, r, oracle in zip(eval_workload, baseline_results, relevant)]
         if kb_results is not None:
-            rows[KSP] = [query_metrics(q, r, oracle, config)
+            rows[KSP] = [query_metrics(q, r, oracle)
                          for q, r, oracle in zip(eval_workload, kb_results, relevant)]
         summaries = {name: summarize(name, rs) for name, rs in rows.items()}
         report = ExperimentReport(config=config.replace(), per_query=rows,

@@ -14,8 +14,10 @@ induction, and a group that received no records is left as it is. Only
 `run_kb_epoch` decides when to refresh. Index-driven routing replaces all
 super-peer-level capacity evaluations with one tree walk; only peer-level
 evaluations remain metered as mapping work.
-As in the baseline, the cost tree is the only record of that work: a query's
-mapping operations, messages and tree visits are sums over it.
+As in the baseline, that work is counted and costed while the query is
+routed, with the baseline's `segment_cost` rule: the origin community's scan
+runs in parallel with the index consult, after which the arrivals at the
+candidates run in parallel.
 Which peers of a searched community answer comes from the query's relevant
 mask, which the engine computes once per query with the relevance kernel,
 `model.relevant_mask`, and passes in.
@@ -26,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .baseline import LogRecord, PathSegment, QueryLog, RoutingResult
+from .baseline import Costs, LogRecord, QueryLog, RoutingResult, segment_cost
 from .dtree import DecisionTree, Instance, Leaf, build_tree, class_counts, classify_traced, predict
 from .model import ExpertiseElement, Query, SuperPeerId
 from .model import capacity  # noqa: F401  benchmark/probe.py counts calls through ksp.capacity
@@ -178,7 +180,7 @@ def _induce(overlay: KspOverlay, records, min_leaf: int, keep: bool) -> KspOverl
 
 
 def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
-             relevant: int) -> RoutingResult:
+             relevant: int, costs: Costs) -> RoutingResult:
     """Index-driven routing.
 
     The origin community is searched locally while the query travels one hop
@@ -187,6 +189,7 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
     away; foreign ones are relayed through their own group's knowledge node
     (two hops). Every candidate community is then searched locally: its
     answers are its members in `relevant`, the query's relevant peer mask.
+    The route is costed at `costs`.
     """
     if sp not in net.super_peers:
         raise ValueError(f"unknown super-peer {sp}")
@@ -208,18 +211,19 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
             answering_mask |= hits
             answering_sps.add(spid)
 
-    arrivals = tuple([PathSegment(hops=1 if overlay.sp_to_group[t] == group.id else 2,
-                                  maps=maps[t]) for t in targets])
-    cost_tree = PathSegment(branches=(
-        PathSegment(maps=maps[sp]),
-        PathSegment(hops=1, tree_visits=tree_visits, branches=arrivals),
-    ))
+    relays = [1 if overlay.sp_to_group[t] == group.id else 2 for t in targets]
+    local = segment_cost(costs, 0, maps[sp], 0, ())
+    consult = segment_cost(costs, 1, 0, tree_visits, [
+        segment_cost(costs, relay, maps[t], 0, ()) for t, relay in zip(targets, relays)])
     return RoutingResult(
         query_id=query.id,
         answering_mask=answering_mask,
         answering_sps=frozenset(answering_sps),
         searched_sps=frozenset({sp, *targets}),
-        cost_tree=cost_tree,
+        response_time=segment_cost(costs, 0, 0, 0, (local, consult)),
+        mapping_ops=sum(maps.values()),
+        hops=1 + sum(relays),  # one message to the knowledge node, then the relays
+        tree_visits=tree_visits,
     )
 
 
@@ -234,10 +238,11 @@ def refresh_knowledge(overlay: KspOverlay, records, min_leaf: int = 2) -> KspOve
 
 
 def run_kb_epoch(net: Network, overlay: KspOverlay, workload: list[Query],
-                 relevant: list[int], refresh_every: int = 0,
+                 relevant: list[int], costs: Costs, refresh_every: int = 0,
                  min_leaf: int = 2) -> tuple[QueryLog, list[RoutingResult], KspOverlay]:
-    """Route a workload with the knowledge strategy and log it, refreshing
-    the indices with the newly logged records every `refresh_every` queries.
+    """Route a workload with the knowledge strategy, costed at `costs`, and
+    log it, refreshing the indices with the newly logged records every
+    `refresh_every` queries.
 
     relevant[i] is the relevant peer mask of workload[i]; a length mismatch
     raises ValueError. refresh_every = 0 keeps the knowledge static for the
@@ -250,7 +255,7 @@ def run_kb_epoch(net: Network, overlay: KspOverlay, workload: list[Query],
     pairs = zip(workload, relevant, strict=True)
     for routed, (query, query_relevant) in enumerate(pairs, start=1):
         origin_sp = net.peers[query.origin_peer].super_peer
-        result = route_kb(net, overlay, query, origin_sp, query_relevant)
+        result = route_kb(net, overlay, query, origin_sp, query_relevant, costs)
         results.append(result)
         records.append(LogRecord.routed(query, origin_sp, result))
         if refresh_every > 0 and routed % refresh_every == 0:

@@ -40,6 +40,8 @@ from sonsim.ksp import form_groups, instances_from_records, record_accuracy, rou
 from sonsim.model import capacity, element, oracle_relevant_peers, relevant_mask
 from sonsim.netgen import build_son
 
+COSTS = (10.0, 1.0, 0.1)  # (c_hop, c_map, c_tree) at their Config defaults
+
 
 def check(number, description, ok, detail):
     print(f"CRITERION {number} {'PASS' if ok else 'FAIL'}: {description} [{detail}]")
@@ -144,7 +146,7 @@ def test_criterion_05_oracle_equivalence_under_flooding():
         pid = rng.randrange(100)
         query = generate_queries(net.peers[pid], 1, 4, rng, id_prefix="f")[0]
         result = route_baseline(net, query, net.peers[pid].super_peer,
-                                relevant_mask(net, query, 0.0), 0.0, max_hops=None)
+                                relevant_mask(net, query, 0.0), 0.0, COSTS, max_hops=None)
         if result.answering_peers != oracle_relevant_peers(net, query, 0.0):
             failures.append(seed)
     check(5, "flooding at zero threshold retrieves exactly the oracle set on 20 seeds",
@@ -233,7 +235,7 @@ def _trained(nsp, friends, dup, seed):
                                           id_prefix=f"w{pid}-")]
     from sonsim.baseline import run_baseline_epoch
     relevant = [relevant_mask(net, q, 0.5) for q in workload]
-    log, _ = run_baseline_epoch(net, workload, relevant, 0.5, 1)
+    log, _ = run_baseline_epoch(net, workload, relevant, 0.5, COSTS, 1)
     overlay = train_indices(form_groups(net, 1), log, 2)
     return net, overlay
 
@@ -272,7 +274,7 @@ def test_criterion_08b_flood_completeness(raw, seed):
     assume(_friend_graph_connected(net))
     q = _query_from(net, seed)
     result = route_baseline(net, q, net.peers[q.origin_peer].super_peer,
-                            relevant_mask(net, q, 0.0), 0.0, max_hops=None)
+                            relevant_mask(net, q, 0.0), 0.0, COSTS, max_hops=None)
     assert result.answering_peers == set(net.peers)
 
 
@@ -285,7 +287,7 @@ def test_criterion_08c_hop_monotonicity(raw, seed):
     relevant = relevant_mask(net, q, 0.5)
     previous = None
     for hops in (0, 1, 2, 3, None):
-        answers = route_baseline(net, q, sp, relevant, 0.5, max_hops=hops).answering_peers
+        answers = route_baseline(net, q, sp, relevant, 0.5, COSTS, max_hops=hops).answering_peers
         if previous is not None:
             assert answers >= previous
         previous = answers
@@ -321,7 +323,7 @@ def test_criterion_08f_kb_routing_has_no_sp_level_mappings(raw, seed):
     net, overlay = _trained(*_key(raw))
     q = _query_from(net, seed)
     sp = net.peers[q.origin_peer].super_peer
-    result = route_kb(net, overlay, q, sp, relevant_mask(net, q, 0.5))
+    result = route_kb(net, overlay, q, sp, relevant_mask(net, q, 0.5), COSTS)
     peer_level = sum(len(net.super_peers[s].members) for s in result.searched_sps)
     assert result.mapping_ops == peer_level
 

@@ -21,6 +21,8 @@ from sonsim.model import (
 )
 from sonsim.netgen import build_son
 
+COSTS = (10.0, 1.0, 0.1)  # (c_hop, c_map, c_tree) at their Config defaults
+
 
 def small_net(np=40, nsp=4, seed=21, **kw):
     return build_son(Config(np=np, nsp=nsp, seed=seed, **kw))
@@ -33,12 +35,12 @@ def queries_for(net, pid, count=3, n=4, seed=5, prefix="q"):
 
 def route(net, q, sp, eps, max_hops=1):
     """route_baseline with the query's relevant mask computed as the engine does."""
-    return route_baseline(net, q, sp, relevant_mask(net, q, eps), eps, max_hops)
+    return route_baseline(net, q, sp, relevant_mask(net, q, eps), eps, COSTS, max_hops)
 
 
 def epoch(net, workload, eps):
     return run_baseline_epoch(net, workload,
-                              [relevant_mask(net, q, eps) for q in workload], eps)
+                              [relevant_mask(net, q, eps) for q in workload], eps, COSTS)
 
 
 class TestGenerateQueries:
@@ -166,10 +168,9 @@ class TestCostTree:
     def test_local_only_tree_has_no_branches(self):
         net = small_net(np=10, nsp=1, friends_per_sp=0)
         q = queries_for(net, 0, count=1)[0]
-        result = route(net, q, 0, 0.5)
-        assert result.cost_tree.branches == ()
-        assert result.cost_tree.maps == result.mapping_ops
-        assert result.cost_tree.hops == 0
+        result = route(net, q, 0, 0.5, max_hops=0)
+        assert result.response_time == result.mapping_ops * COSTS[1]
+        assert result.hops == 0
 
 
 class TestEpochAndLog:
@@ -190,7 +191,7 @@ class TestEpochAndLog:
     def test_empty_workload_rejected(self):
         net = small_net()
         with pytest.raises(ValueError):
-            run_baseline_epoch(net, [], [], 0.5)
+            run_baseline_epoch(net, [], [], 0.5, COSTS)
 
     def test_duplicate_query_ids_rejected(self):
         record = LogRecord("q1", 0, 0, (), frozenset())

@@ -249,6 +249,13 @@ class TestRun:
         assert code == 1
         assert "train log" in capsys.readouterr().err
 
+    def test_non_finite_cost_rejected(self, tmp_path, capsys):
+        code = run_cli("run", "--np", "100", "--nsp", "5", "--c-tree", "inf",
+                       "--outdir", str(tmp_path / "out"))
+        assert code == 2
+        assert "c_tree" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_with_overrides(self, tmp_path):
         config_path = tmp_path / "config.txt"
         write_config(Config(np=24, nsp=3, friends_per_sp=2, queries_per_peer=2,

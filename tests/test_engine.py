@@ -7,13 +7,12 @@ import pytest
 
 import sonsim.engine
 from sonsim.config import Config, ConfigError, substream
-from sonsim.baseline import PathSegment, QueryLog, RoutingResult, run_baseline_epoch
+from sonsim.baseline import QueryLog, RoutingResult, run_baseline_epoch, segment_cost
 from sonsim.engine import (
     BASELINE,
     KSP,
     make_workload,
     metrics_rows,
-    query_metrics,
     relevant_peers_indexed,
     run_pipeline,
     score,
@@ -21,64 +20,75 @@ from sonsim.engine import (
 )
 from sonsim.baseline import generate_queries
 from sonsim.ksp import form_groups, run_kb_epoch, train_indices
-from sonsim.model import Query, mask_of, oracle_relevant_peers, relevant_mask
+from sonsim.model import mask_of, oracle_relevant_peers, relevant_mask
 from sonsim.netgen import build_son
 
 
-def result_with(tree, **kw):
+COSTS = (10.0, 1.0, 0.1)  # (c_hop, c_map, c_tree) at their Config defaults
+
+
+def result_with(**kw):
     defaults = dict(query_id="q", answering_mask=0, answering_sps=frozenset(),
-                    searched_sps=frozenset({0}), cost_tree=tree)
+                    searched_sps=frozenset({0}), response_time=0.0, mapping_ops=0,
+                    hops=0, tree_visits=0)
     defaults.update(kw)
     return RoutingResult(**defaults)
 
 
-def response_time(result, config):
-    return query_metrics(Query("q", 0, ()), result, 0, config).response_time
+def costs_of(config):
+    return (config.c_hop, config.c_map, config.c_tree)
 
 
 class TestResponseTime:
     def test_local_only_maps_cost(self):
-        result = result_with(PathSegment(maps=30))
-        assert response_time(result, Config(c_hop=10, c_map=1, c_tree=0)) == 30
+        costs = costs_of(Config(c_hop=10, c_map=1, c_tree=0))
+        assert segment_cost(costs, 0, 30, 0, ()) == 30
 
     def test_all_costs_zero(self):
-        tree = PathSegment(hops=2, maps=5, branches=(PathSegment(hops=1, maps=3),))
-        assert response_time(result_with(tree), Config(c_hop=0, c_map=0, c_tree=0)) == 0.0
+        costs = costs_of(Config(c_hop=0, c_map=0, c_tree=0))
+        assert segment_cost(costs, 2, 5, 0, [segment_cost(costs, 1, 3, 0, ())]) == 0.0
 
     def test_max_over_parallel_branches(self):
-        tree = PathSegment(maps=3, branches=(
-            PathSegment(maps=10),
-            PathSegment(maps=7),
-        ))
-        assert response_time(result_with(tree), Config(c_hop=0, c_map=1, c_tree=0)) == 13
+        costs = costs_of(Config(c_hop=0, c_map=1, c_tree=0))
+        assert segment_cost(costs, 0, 3, 0, [
+            segment_cost(costs, 0, 10, 0, ()),
+            segment_cost(costs, 0, 7, 0, ()),
+        ]) == 13
 
     def test_additive_in_each_coefficient_on_a_chain(self):
-        tree = PathSegment(hops=2, maps=5, tree_visits=3,
-                           branches=(PathSegment(hops=1, maps=4, tree_visits=2),))
+        def chain(config):
+            costs = costs_of(config)
+            return segment_cost(costs, 2, 5, 3, [segment_cost(costs, 1, 4, 2, ())])
+
         base = Config(c_hop=10, c_map=1, c_tree=0.1)
-        t0 = response_time(result_with(tree), base)
-        t_map2 = response_time(result_with(tree), base.replace(c_map=2))
+        t0 = chain(base)
+        t_map2 = chain(base.replace(c_map=2))
         assert t_map2 - t0 == pytest.approx(9 * 1)  # doubled c_map adds maps*c_map
-        t_hop2 = response_time(result_with(tree), base.replace(c_hop=20))
+        t_hop2 = chain(base.replace(c_hop=20))
         assert t_hop2 - t0 == pytest.approx(3 * 10)
 
     def test_homogeneous_under_scaling(self):
-        tree = PathSegment(hops=1, maps=2, branches=(
-            PathSegment(hops=3, maps=1), PathSegment(maps=9),
-        ))
+        def tree(config):
+            costs = costs_of(config)
+            return segment_cost(costs, 1, 2, 0, [
+                segment_cost(costs, 3, 1, 0, ()), segment_cost(costs, 0, 9, 0, ()),
+            ])
+
         base = Config(c_hop=7, c_map=2, c_tree=0.5)
         doubled = Config(c_hop=14, c_map=4, c_tree=1.0)
-        assert response_time(result_with(tree), doubled) == \
-            pytest.approx(2 * response_time(result_with(tree), base))
+        assert tree(doubled) == pytest.approx(2 * tree(base))
 
     def test_negative_costs_rejected(self):
-        with pytest.raises(ConfigError):
-            Config(c_hop=-1).validate()
+        # A non-finite cost would turn every response time into nan (0 * inf).
+        for cost in (dict(c_hop=-1), dict(c_tree=float("inf")), dict(c_map=float("nan")),
+                     dict(c_hop=float("-inf"))):
+            with pytest.raises(ConfigError):
+                Config(**cost).validate()
 
 
 class TestScore:
     def _r(self, peers):
-        return result_with(PathSegment(), answering_mask=mask_of(peers))
+        return result_with(answering_mask=mask_of(peers))
 
     def test_exact_match(self):
         assert score(self._r({1, 2}), mask_of({1, 2})) == (1.0, 1.0)
@@ -164,16 +174,16 @@ class TestRelevanceSharing:
         config, net, workload, relevant = self._network_and_workload()
         for wrong in (relevant[:-1], relevant + [0]):
             with pytest.raises(ValueError):
-                run_baseline_epoch(net, workload, wrong, config.eps_acc)
+                run_baseline_epoch(net, workload, wrong, config.eps_acc, COSTS)
 
     def test_kb_epoch_rejects_misaligned_relevance(self):
         config, net, workload, relevant = self._network_and_workload()
-        log, _ = run_baseline_epoch(net, workload, relevant, config.eps_acc)
+        log, _ = run_baseline_epoch(net, workload, relevant, config.eps_acc, COSTS)
         overlay = train_indices(form_groups(net, config.tau_trust), log)
         replay = [dataclasses.replace(q, id=f"e{i}") for i, q in enumerate(workload)]
         for wrong in (relevant[:-1], relevant + [0]):
             with pytest.raises(ValueError):
-                run_kb_epoch(net, overlay, replay, wrong)
+                run_kb_epoch(net, overlay, replay, wrong, COSTS)
 
 
 class TestCollectorPause:

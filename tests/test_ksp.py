@@ -16,6 +16,8 @@ from sonsim.ksp import (
 from sonsim.model import Query, element, relevant_mask
 from sonsim.netgen import build_son
 
+COSTS = (10.0, 1.0, 0.1)  # (c_hop, c_map, c_tree) at their Config defaults
+
 
 def relevance(net, workload, eps):
     """Relevant peer masks of a workload, as the engine computes them."""
@@ -24,7 +26,7 @@ def relevance(net, workload, eps):
 
 def route(net, overlay, q, sp, eps):
     """route_kb with the query's relevant mask computed as the engine does."""
-    return route_kb(net, overlay, q, sp, relevant_mask(net, q, eps))
+    return route_kb(net, overlay, q, sp, relevant_mask(net, q, eps), COSTS)
 
 
 def net_and_log(np=60, nsp=6, seed=31, queries=2, **kw):
@@ -37,7 +39,7 @@ def net_and_log(np=60, nsp=6, seed=31, queries=2, **kw):
                                          config.n_components, rng,
                                          id_prefix=f"t{pid}-"))
     log, _ = run_baseline_epoch(net, workload, relevance(net, workload, config.eps_acc),
-                                config.eps_acc, config.max_hops)
+                                config.eps_acc, COSTS, config.max_hops)
     return net, log, workload, config
 
 
@@ -252,7 +254,7 @@ class TestRefresh:
         overlay = train_indices(form_groups(net, config.tau_trust), log, 2)
         replay = _reid(workload[:10], "e")
         _, _, after = run_kb_epoch(net, overlay, replay,
-                                   relevance(net, replay, config.eps_acc),
+                                   relevance(net, replay, config.eps_acc), COSTS,
                                    refresh_every=0)
         assert after is overlay
 
@@ -261,7 +263,7 @@ class TestRefresh:
         overlay = train_indices(form_groups(net, config.tau_trust), log, 2)
         replay = _reid(workload[:5], "e")
         kb_log, _, after = run_kb_epoch(net, overlay, replay,
-                                        relevance(net, replay, config.eps_acc),
+                                        relevance(net, replay, config.eps_acc), COSTS,
                                         refresh_every=1)
         assert [r.query_id for r in kb_log] == [q.id for q in replay]
         for gid, group in after.groups.items():
@@ -320,7 +322,7 @@ class TestRefresh:
             return refresh_knowledge(overlay, records, min_leaf)
 
         monkeypatch.setattr(sonsim.ksp, "refresh_knowledge", counting)
-        run_kb_epoch(net, overlay, replay, relevance(net, replay, config.eps_acc),
+        run_kb_epoch(net, overlay, replay, relevance(net, replay, config.eps_acc), COSTS,
                      refresh_every=refresh_every)
         calls = len(replay) // refresh_every if refresh_every else 0
         assert batches == [[q.id for q in replay[k * refresh_every:(k + 1) * refresh_every]]

@@ -16,12 +16,12 @@ import dataclasses
 import math
 from functools import lru_cache
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sonsim.config import Config
 from sonsim.baseline import (
     LogRecord,
-    PathSegment,
     RoutingResult,
     generate_queries,
     route_baseline,
@@ -138,6 +138,9 @@ router_queries = st.tuples(
     st.booleans(),
 )
 thresholds = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+# (c_hop, c_map, c_tree), each non-negative and finite.
+cost_weights = st.tuples(*[st.floats(min_value=0.0, max_value=100.0)] * 3)
+COSTS = (10.0, 1.0, 0.1)  # the Config defaults
 
 
 def router_query(net, drawn):
@@ -187,7 +190,7 @@ def test_score_counts_bits_as_the_set_formula(retrieved, oracle):
     """Popcount scoring equals precision and recall over decoded peer sets."""
     got, truth = set(peers_of(retrieved)), set(peers_of(oracle))
     assert mask_of(got) == retrieved
-    result = RoutingResult("q", retrieved, frozenset(), frozenset({0}), PathSegment())
+    result = RoutingResult("q", retrieved, frozenset(), frozenset({0}), 0.0, 0, 0, 0)
     hits = len(got & truth)
     assert result.answering_peers == got
     assert score(result, oracle) == (hits / len(got) if got else 1.0,
@@ -219,24 +222,50 @@ def forwarding_depths(net, query, sp, eps, max_hops):
     return depths
 
 
+def forwarding_parents(net, sp, depths):
+    """The super-peer each searched one but the origin is forwarded from: of
+    the super-peers one level up, the first in search order that has it as a
+    friend. A level is searched in the order its parents were, each parent's
+    friends in ascending id order."""
+    parents, level = {}, [sp]
+    while level:
+        below = []
+        for s in level:
+            for f in sorted(net.super_peers[s].friends):
+                if depths.get(f) == depths[s] + 1 and f not in parents:
+                    parents[f] = s
+                    below.append(f)
+        level = below
+    return parents
+
+
 @given(key=net_keys, drawn=router_queries, eps=thresholds,
-       max_hops=st.sampled_from([0, 1, 2, None]))
+       max_hops=st.sampled_from([0, 1, 2, None]), costs=cost_weights)
 @settings(deadline=None)
 def test_baseline_counts_one_message_per_forward_and_one_mapping_per_probe(
-        key, drawn, eps, max_hops):
+        key, drawn, eps, max_hops, costs):
     """One message reaches each searched super-peer but the origin; each
     searched super-peer maps its members, and each one short of max_hops
-    also maps its friends."""
+    also maps its friends. Response time is the costliest path from the
+    origin down the forwarding tree."""
     net = draw_net(key)
     q = router_query(net, drawn)
     sp = net.peers[q.origin_peer].super_peer
-    result = route_baseline(net, q, sp, relevant_mask(net, q, eps), eps, max_hops)
+    result = route_baseline(net, q, sp, relevant_mask(net, q, eps), eps, costs, max_hops)
     depths = forwarding_depths(net, q, sp, eps, max_hops)
     assert result.searched_sps == set(depths)
     assert result.hops == len(result.searched_sps) - 1
     expanded = [s for s, d in depths.items() if max_hops is None or d < max_hops]
     assert result.mapping_ops == (sum(len(net.super_peers[s].members) for s in depths)
                                   + sum(len(net.super_peers[s].friends) for s in expanded))
+    c_hop, c_map, _ = costs
+    maps = {s: len(net.super_peers[s].members)
+            + (len(net.super_peers[s].friends) if s in expanded else 0) for s in depths}
+    parents = forwarding_parents(net, sp, depths)
+    path = {sp: maps[sp] * c_map}
+    for s in sorted(parents, key=depths.get):  # a parent's path is known before its children's
+        path[s] = path[parents[s]] + c_hop + maps[s] * c_map
+    assert result.response_time == pytest.approx(max(path.values()), rel=1e-9, abs=1e-12)
 
 
 @lru_cache(maxsize=256)
@@ -248,7 +277,7 @@ def flooded_log(key, n_components):
     workload = [q for pid in sorted(net.peers)
                 for q in generate_queries(net.peers[pid], 2, n_components, rng, id_prefix="t")]
     relevant = [relevant_mask(net, q, 0.5) for q in workload]
-    return run_baseline_epoch(net, workload, relevant, 0.5, max_hops=None)[0]
+    return run_baseline_epoch(net, workload, relevant, 0.5, COSTS, max_hops=None)[0]
 
 
 @lru_cache(maxsize=256)
@@ -267,7 +296,7 @@ def test_baseline_answers_match_plain_scan(key, drawn, eps, max_hops):
     q = router_query(net, drawn)
     sp = net.peers[q.origin_peer].super_peer
     result = route_baseline(net, q, sp, relevant=relevant_mask(net, q, eps),
-                            eps_acc=eps, max_hops=max_hops)
+                            eps_acc=eps, costs=COSTS, max_hops=max_hops)
     assert_answers_match_plain_scan(net, q, eps, result)
 
 
@@ -279,26 +308,35 @@ def test_kb_answers_match_plain_scan(key, drawn, eps, tau):
     overlay = cached_overlay(key, tau, len(q.components))
     assume(len(overlay.groups) > 1)
     sp = net.peers[q.origin_peer].super_peer
-    result = route_kb(net, overlay, q, sp, relevant=relevant_mask(net, q, eps))
+    result = route_kb(net, overlay, q, sp, relevant=relevant_mask(net, q, eps), costs=COSTS)
     assert_answers_match_plain_scan(net, q, eps, result)
 
 
-@given(key=net_keys, drawn=router_queries, tau=st.sampled_from([3, 4]))
+@given(key=net_keys, drawn=router_queries, tau=st.sampled_from([3, 4]), costs=cost_weights)
 @settings(deadline=None)
-def test_kb_counts_relays_and_tree_walk(key, drawn, tau):
+def test_kb_counts_relays_and_tree_walk(key, drawn, tau, costs):
     """One message to the knowledge node, then one per same-group target and
-    two per foreign target; the tree visits are those of the walk."""
+    two per foreign target; the tree visits are those of the walk. Response
+    time is the larger of the origin's local scan and the consult followed
+    by the costliest arrival."""
     net = draw_net(key)
     q = router_query(net, drawn)
     overlay = cached_overlay(key, tau, len(q.components))
     assume(len(overlay.groups) > 1)
     sp = net.peers[q.origin_peer].super_peer
-    result = route_kb(net, overlay, q, sp, relevant_mask(net, q, 0.5))
+    result = route_kb(net, overlay, q, sp, relevant_mask(net, q, 0.5), costs)
     gid = overlay.sp_to_group[sp]
     targets = result.searched_sps - {sp}
-    assert result.hops == 1 + sum(1 if overlay.sp_to_group[t] == gid else 2 for t in targets)
+    relays = {t: 1 if overlay.sp_to_group[t] == gid else 2 for t in targets}
+    assert result.hops == 1 + sum(relays.values())
     walk = classify_traced(overlay.groups[gid].index, query_attributes(q.components))
     assert result.tree_visits == walk[1]
+    c_hop, c_map, c_tree = costs
+    local = len(net.super_peers[sp].members) * c_map
+    arrival = max((relay * c_hop + len(net.super_peers[t].members) * c_map
+                   for t, relay in relays.items()), default=0.0)
+    consult = c_hop + walk[1] * c_tree + arrival
+    assert result.response_time == pytest.approx(max(local, consult), rel=1e-9, abs=1e-12)
 
 
 @given(key=net_keys, tau=st.sampled_from([3, 4]),
@@ -319,7 +357,8 @@ def test_refreshed_indices_equal_from_scratch_induction(key, tau, refresh_every,
     workload = [generate_queries(net.peers[rng.choice(pids)], 1, 3, rng, id_prefix=f"e{i}-")[0]
                 for i in range(n_routed)]
     relevant = [relevant_mask(net, q, 0.5) for q in workload]
-    kb_log, _, after = run_kb_epoch(net, overlay, workload, relevant, refresh_every=refresh_every)
+    kb_log, _, after = run_kb_epoch(net, overlay, workload, relevant, COSTS,
+                                    refresh_every=refresh_every)
     seen = [*log, *kb_log.records[:n_routed - n_routed % refresh_every]]
     for group in after.groups.values():
         own = tuple(instances_from_records(r for r in seen if r.origin_sp in group.members))
@@ -350,7 +389,7 @@ def test_every_refresh_equals_from_scratch_induction(key, tau, min_leaf, refresh
     for i in range(n_routed):
         query = generate_queries(net.peers[rng.choice(pids)], 1, 3, rng, id_prefix=f"e{i}-")[0]
         sp = net.peers[query.origin_peer].super_peer
-        result = route_kb(net, overlay, query, sp, relevant_mask(net, query, 0.5))
+        result = route_kb(net, overlay, query, sp, relevant_mask(net, query, 0.5), COSTS)
         batch.append(LogRecord.routed(query, sp, result))
         if len(batch) < refresh_every:
             continue
@@ -375,7 +414,7 @@ def test_raising_threshold_never_grows_answers(key, seed):
     previous = None
     for eps in (0.0, 0.25, 0.5, 0.75, 1.0):
         relevant = relevant_mask(net, q, eps)
-        answers = route_baseline(net, q, sp, relevant, eps, max_hops=1).answering_peers
+        answers = route_baseline(net, q, sp, relevant, eps, COSTS, max_hops=1).answering_peers
         if previous is not None:
             assert answers <= previous
         previous = answers
