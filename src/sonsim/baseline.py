@@ -56,7 +56,6 @@ class RoutingResult:
     and tree nodes visited. The answering peers are stored as a mask (bit `p`
     for peer `p`)."""
 
-    query_id: str
     answering_mask: int
     answering_sps: frozenset[SuperPeerId]
     searched_sps: frozenset[SuperPeerId]
@@ -185,7 +184,6 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
                                   [cost[friend] for friend in forwarded.get(spid, ())])
 
     return RoutingResult(
-        query_id=query.id,
         answering_mask=answering_mask,
         answering_sps=frozenset(answering_sps),
         searched_sps=frozenset(processed),

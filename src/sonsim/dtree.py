@@ -4,12 +4,16 @@ Splits maximize gain ratio (information gain over split information), one
 branch per observed attribute value, no pruning, no numeric attributes.
 Every node keeps its class-count distribution so inference can fall back on
 it when classification meets an attribute value never seen at that node.
-Given the tree induced before some instances were appended, induction reuses
-every subtree none of the new instances reach, and the root advances the
-per-attribute count tables it kept by the new instances alone instead of
-re-partitioning all of them; so a refresh reads old instances only in the
-subtrees below the root that its new records reach, and the result is the
-tree induced from scratch.
+One routine induces every node, the root included: it counts one value ->
+class -> count table per attribute (`_count`, the only code that counts a
+split table), splits on the best gain ratio over those tables and
+partitions its instances by the winning attribute alone. Given the tree
+induced before some instances were appended, induction reuses every
+subtree none of the new instances reach, and every node it re-induces takes
+its prior's class counts plus its new instances. Only the root keeps its
+count tables, and the next induction advances them by the new instances
+alone; so a refresh reads old instances only in the subtrees below the root
+that its new records reach, and the result is the tree induced from scratch.
 Trees render in the same textual grammar the index dumps use, and datasets
 round-trip through ARFF.
 """
@@ -72,14 +76,38 @@ def _entropy(counts: Iterable[int], total: int) -> float:
 
 
 def class_counts(instances: Iterable[Instance]) -> dict[SuperPeerId, int]:
-    counts: dict[SuperPeerId, int] = {}
+    return _add_classes({}, instances)
+
+
+def _add_classes(counts: dict[SuperPeerId, int],
+                 instances: Iterable[Instance]) -> dict[SuperPeerId, int]:
+    """Count the class labels of `instances` into `counts`, in place."""
     for inst in instances:
         counts[inst.class_label] = counts.get(inst.class_label, 0) + 1
     return counts
 
 
-def _partition(instances: Sequence[Instance], attr_index: int) -> dict[str, list[Instance]]:
-    parts: dict[str, list[Instance]] = {}
+def _count(instances: Iterable[Instance], attr_index: int,
+           table: dict[str, dict[SuperPeerId, int]]) -> dict[str, dict[SuperPeerId, int]]:
+    """Count `instances` into `table`, attribute `attr_index`'s value ->
+    class -> count table, in place: the one place a split table is counted.
+    Values and classes enter in the order they first occur."""
+    get = table.get
+    for inst in instances:
+        value = inst.attributes[attr_index]
+        row = get(value)
+        if row is None:
+            table[value] = {inst.class_label: 1}
+        else:
+            label = inst.class_label
+            row[label] = row.get(label, 0) + 1
+    return table
+
+
+def _partition(instances: Iterable[Instance], attr_index: int,
+               parts: dict[str, list[Instance]]) -> dict[str, list[Instance]]:
+    """Append `instances` to `parts`, their partition by value of
+    `attr_index`, in place."""
     for inst in instances:
         parts.setdefault(inst.attributes[attr_index], []).append(inst)
     return parts
@@ -100,9 +128,9 @@ def _gains(table: Mapping[str, Mapping[SuperPeerId, int]], total: int,
 
 def _gain_ratio(table: Mapping[str, Mapping[SuperPeerId, int]], total: int,
                 parent_entropy: float) -> float:
+    if len(table) == 1:
+        return 0.0  # no split information to normalize by
     gain, split_info = _gains(table, total, parent_entropy)
-    if split_info == 0.0:
-        return 0.0
     return gain / split_info
 
 
@@ -111,8 +139,7 @@ def _gain_args(instances: Sequence[Instance], attr_index: int
     """The arguments of `_gains` for splitting `instances` on `attr_index`."""
     if not instances:
         raise ValueError("no instances")
-    table = {value: class_counts(part) for value, part in _partition(instances, attr_index).items()}
-    return table, len(instances), entropy(class_counts(instances))
+    return _count(instances, attr_index, {}), len(instances), entropy(class_counts(instances))
 
 
 def information_gain(instances: Sequence[Instance], attr_index: int) -> float:
@@ -128,42 +155,20 @@ def gain_ratio(instances: Sequence[Instance], attr_index: int) -> float:
 
 
 class _SplitTables:
-    """What a root induced from a prior keeps so that the next induction from
-    it reads only the appended instances: per attribute, a value -> class ->
-    count table, and the partition by value of the attribute `split_attr`.
-    Both cover the first `covered` instances in order and are advanced in
-    place, so dict insertion order is the order of a from-scratch scan."""
+    """What the root of a tree built from a prior keeps so that the next
+    build from that tree counts only the appended instances: `by_attr`, a
+    value -> class -> count table per attribute, and `parts`, the partition
+    by value of attribute `split_attr`, both over the first `covered`
+    instances. They are advanced in place, so dict insertion order is the
+    order of a from-scratch scan."""
 
     __slots__ = ("covered", "by_attr", "split_attr", "parts")
 
-    def __init__(self, attrs: Iterable[int]) -> None:
+    def __init__(self, by_attr: dict[int, dict[str, dict[SuperPeerId, int]]]) -> None:
         self.covered = 0
-        self.by_attr: dict[int, dict[str, dict[SuperPeerId, int]]] = {a: {} for a in attrs}
+        self.by_attr = by_attr
         self.split_attr = -1
         self.parts: dict[str, list[Instance]] = {}
-
-    def advance(self, instances: Sequence[Instance]) -> None:
-        """Count instances[covered:] into every table and the partition."""
-        new = instances[self.covered:]
-        self.covered = -1  # matches no prior until every table is advanced
-        for inst in new:
-            label, values = inst.class_label, inst.attributes
-            for attr, table in self.by_attr.items():
-                row = table.get(values[attr])
-                if row is None:
-                    table[values[attr]] = {label: 1}
-                else:
-                    row[label] = row.get(label, 0) + 1
-        if self.split_attr >= 0:
-            for inst in new:
-                self.parts.setdefault(inst.attributes[self.split_attr], []).append(inst)
-        self.covered = len(instances)
-
-    def partition(self, instances: Sequence[Instance], attr_index: int) -> dict[str, list[Instance]]:
-        """The partition of `instances`, the ones counted, by `attr_index`."""
-        if attr_index != self.split_attr:
-            self.split_attr, self.parts = attr_index, _partition(instances, attr_index)
-        return self.parts
 
 
 def build_tree(instances: Sequence[Instance], attrs: Sequence[int] | None = None,
@@ -171,99 +176,72 @@ def build_tree(instances: Sequence[Instance], attrs: Sequence[int] | None = None
     """Induce a tree: leaf when pure, out of attributes, or below min_leaf;
     otherwise split on the gain-ratio-maximizing attribute (ties to the lowest
     index) with one branch per observed value, never reusing an attribute on
-    a path. Without a prior, each candidate attribute is partitioned once per
-    node; the winner's partition is the one its branches are built from.
+    a path. Every node, the root included, is induced by one routine: it
+    counts a value -> class -> count table per attribute, chooses the split
+    from the tables and partitions its instances by the winner alone.
 
     `prior`, if given, is the tree this function returned for a prefix of
     `instances`, with the same `attrs` and `min_leaf`; every node counts the
     instances it was induced from, so the rest are the new ones. A node none
-    of whose instances are new is the prior's node itself; a node that splits
-    on the prior node's attribute recurses into the prior's branches; any
-    other node below the root is induced anew. The root's split is chosen
-    from a value -> class count table per attribute, which the root keeps
-    with the partition by its split attribute (`Node.tables`, no part of
-    the tree's value). If the prior root's tables cover exactly the prior's
-    instances, they and the partition are advanced in place by the new
-    instances alone; otherwise (the prior has no tables, or a later
-    induction from it already advanced them) they are counted from all the
-    instances. A tree built without a prior keeps no tables. Instances are
-    only appended, so the tables order values and classes as a scan from
-    scratch does, and gain ratios are the same floats. A subtree depends
-    only on its instances in order, its remaining attributes and
-    `min_leaf`, and partitioning keeps order, so the result equals
-    `build_tree(instances, attrs, min_leaf)`."""
+    of whose instances are new is the prior's node itself. Any other node
+    takes the prior node's class counts plus its new instances, and recurses
+    into the prior's branches if it splits on the prior node's attribute.
+    Only the root of a tree built from a prior keeps its count tables and
+    the partition by its split attribute (`Node.tables`, no part of the
+    tree's value); every other node drops them once its branches are built.
+    If the prior root's tables cover exactly the prior's instances, they are
+    advanced in place by the new instances alone; otherwise (the prior has
+    no tables, or a later build from it already advanced them) they are
+    counted from all the instances. Instances are only appended, so counts
+    and tables order classes and values as a scan from scratch does, and
+    gain ratios are the same floats. A subtree depends only on its instances
+    in order, its remaining attributes and `min_leaf`, and partitioning
+    keeps order, so the result equals `build_tree(instances, attrs,
+    min_leaf)`."""
     if not instances:
         raise ValueError("cannot induce a tree from zero instances")
     attrs = tuple(range(len(instances[0].attributes)) if attrs is None else attrs)
-    if prior is None:
-        return _induce(instances, attrs, min_leaf, None)
-    induced = _induced(prior, instances)
-    if induced == len(instances):
-        return prior
-    counts = dict(prior.counts)
-    for inst in instances[induced:]:
-        counts[inst.class_label] = counts.get(inst.class_label, 0) + 1
-    if _is_leaf(counts, attrs, len(instances), min_leaf):
-        return Leaf(counts)
-
-    tables = prior.tables if isinstance(prior, Node) else None
-    if tables is None or tables.covered != induced:
-        tables = _SplitTables(attrs)
-    tables.advance(instances)
-    parent_entropy = entropy(counts)
-    best_attr = max(sorted(attrs), key=lambda attr_index: _gain_ratio(
-        tables.by_attr[attr_index], len(instances), parent_entropy))
-    return _split(best_attr, tables.partition(instances, best_attr), attrs, min_leaf,
-                  counts, prior, tables)
-
-
-def _induced(prior: DecisionTree, instances: Sequence[Instance]) -> int:
-    induced = sum(prior.counts.values())
-    if induced > len(instances):
-        raise ValueError(f"prior induced from {induced} instances, "
-                         f"more than the {len(instances)} given")
-    return induced
-
-
-def _is_leaf(counts: Mapping[SuperPeerId, int], attrs: Sequence[int], size: int,
-             min_leaf: int) -> bool:
-    return len(counts) == 1 or not attrs or size < min_leaf
+    return _induce(instances, attrs, min_leaf, prior, prior is not None)
 
 
 def _induce(instances: Sequence[Instance], attrs: tuple[int, ...], min_leaf: int,
-            prior: DecisionTree | None) -> DecisionTree:
-    """`build_tree` below the root, and at a root without a prior."""
-    if prior is not None and _induced(prior, instances) == len(instances):
+            prior: DecisionTree | None, keep: bool) -> DecisionTree:
+    """`build_tree` at one node, which keeps its split tables if `keep`."""
+    induced = 0 if prior is None else sum(prior.counts.values())
+    if induced > len(instances):
+        raise ValueError(f"prior induced from {induced} instances, "
+                         f"more than the {len(instances)} given")
+    if induced == len(instances):
         return prior
-    counts = class_counts(instances)
-    if _is_leaf(counts, attrs, len(instances), min_leaf):
+    new = instances[induced:] if induced else instances
+    counts = _add_classes({} if prior is None else dict(prior.counts), new)
+    if len(counts) == 1 or not attrs or len(instances) < min_leaf:
         return Leaf(counts)
 
+    tables = prior.tables if keep and isinstance(prior, Node) else None
+    if tables is not None and tables.covered == induced:
+        tables.covered = -1  # matches no prior until it is advanced
+        by_attr = tables.by_attr
+    else:  # fresh tables, to which every instance is new
+        by_attr, new = {attr: {} for attr in attrs}, instances
+        tables = _SplitTables(by_attr) if keep else None
+    for attr_index, table in by_attr.items():
+        _count(new, attr_index, table)
     parent_entropy = entropy(counts)
-    best_ratio = -1.0  # below every gain ratio, so the first attribute sets best_*
-    for attr_index in sorted(attrs):
-        parts = _partition(instances, attr_index)
-        if len(parts) == 1:
-            ratio = 0.0  # what _gain_ratio gives one value, without counting its classes
-        else:
-            table = {value: class_counts(part) for value, part in parts.items()}
-            ratio = _gain_ratio(table, len(instances), parent_entropy)
-        if ratio > best_ratio:
-            best_attr, best_ratio, best_parts = attr_index, ratio, parts
-    return _split(best_attr, best_parts, attrs, min_leaf, counts, prior)
+    best_attr = max(sorted(attrs), key=lambda attr_index: _gain_ratio(
+        by_attr[attr_index], len(instances), parent_entropy))
+    if tables is None or tables.split_attr != best_attr:
+        parts = _partition(instances, best_attr, {})
+    else:
+        parts = _partition(new, best_attr, tables.parts)
+    if tables is not None:
+        tables.covered, tables.split_attr, tables.parts = len(instances), best_attr, parts
 
-
-def _split(attr_index: int, parts: Mapping[str, Sequence[Instance]], attrs: tuple[int, ...],
-           min_leaf: int, counts: dict[SuperPeerId, int], prior: DecisionTree | None,
-           tables: _SplitTables | None = None) -> Node:
-    """The node splitting on `attr_index`, one branch per value of `parts`
-    in sorted order; the branches recurse into the prior's when it split on
-    the same attribute."""
-    remaining = tuple(a for a in attrs if a != attr_index)
-    reused = prior.branches if isinstance(prior, Node) and prior.attr_index == attr_index else {}
-    branches = {value: _induce(part, remaining, min_leaf, reused.get(value))
+    remaining = tuple(a for a in attrs if a != best_attr)
+    reused = prior.branches if isinstance(prior, Node) and prior.attr_index == best_attr else {}
+    branches = {value: _induce(part, remaining, min_leaf, reused.get(value), False)
                 for value, part in sorted(parts.items())}
-    return Node(attr_index, branches, counts, tables)
+    return Node(best_attr, branches, counts, tables)
 
 
 def _majority(counts: Mapping[SuperPeerId, int]) -> SuperPeerId:

@@ -135,9 +135,10 @@ def train_indices(overlay: KspOverlay, log: QueryLog, min_leaf: int = 2) -> KspO
     """Train every group's index on the instances of its slice of the log
     (records whose origin super-peer is a member), replacing any it had. A
     group whose members never submitted queries keeps a degenerate leaf over
-    the global class distribution."""
-    if len(log) == 0:
-        raise ValueError("query log is empty")
+    the global class distribution. A log in which no query was answered, an
+    empty one included, has no class to learn and is rejected."""
+    if not any(record.answering_sps for record in log):
+        raise ValueError("log contains no answered queries to learn from")
     return _induce(overlay, log, min_leaf, keep=False)
 
 
@@ -216,7 +217,6 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
     consult = segment_cost(costs, 1, 0, tree_visits, [
         segment_cost(costs, relay, maps[t], 0, ()) for t, relay in zip(targets, relays)])
     return RoutingResult(
-        query_id=query.id,
         answering_mask=answering_mask,
         answering_sps=frozenset(answering_sps),
         searched_sps=frozenset({sp, *targets}),

@@ -241,6 +241,19 @@ class TestRun:
         trained = len((tmp_path / "train_log.tsv").read_text().splitlines())
         assert len(rendered) == len(set(rendered)) == trained + routed - routed % 5
 
+    def test_train_log_without_answered_queries_rejected(self, tmp_path, capsys):
+        run_cli("run", "--strategy", "baseline", *FAST, "--outdir", str(tmp_path / "log"))
+        lines = (tmp_path / "log" / "train_log.tsv").read_text().splitlines()
+        unanswered = tmp_path / "unanswered.tsv"
+        unanswered.write_text("".join(line.rsplit("\t", 1)[0] + "\t-\n" for line in lines))
+        capsys.readouterr()
+        code = run_cli("run", *FAST, "--train-log", str(unanswered),
+                       "--outdir", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "sonsim: error: log contains no answered queries to learn from")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_train_log_fails(self, tmp_path, capsys):
         code = run_cli("run", "--strategy", "ksp", *FAST,
                        "--workload-mode", "replay",

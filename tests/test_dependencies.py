@@ -1,5 +1,6 @@
 """Runtime dependencies stay stdlib-only: every module `src/sonsim` imports
-is in the standard library or is `sonsim` itself."""
+is in the standard library or is `sonsim` itself. No module imports a name
+it does not use."""
 
 import ast
 import sys
@@ -24,3 +25,52 @@ def test_every_import_is_stdlib_or_sonsim():
     foreign = {f"{path.name}: {root}" for path in sources for root in _imported_roots(path)
                if root != "sonsim" and root not in sys.stdlib_module_names}
     assert foreign == set()
+
+
+def _annotation_names(tree: ast.AST) -> set[str]:
+    """Names referenced inside string annotations, such as "DecisionTree" in
+    `dict[str, "DecisionTree"]`."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations.extend(arg.annotation for arg in (
+                *args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+                if arg is not None)
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = set()
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parsed = ast.parse(node.value, mode="eval")
+                names.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return names
+
+
+def _unused_imports(path: Path) -> set[str]:
+    """Names `path` imports and never references, except `__future__`
+    features and imports on a line marked `# noqa: F401`."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text, filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _annotation_names(tree)
+    return {f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used}
+
+
+def test_every_imported_name_is_used():
+    sources = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    assert sources
+    assert set().union(*map(_unused_imports, sources)) == set()

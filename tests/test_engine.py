@@ -28,7 +28,7 @@ COSTS = (10.0, 1.0, 0.1)  # (c_hop, c_map, c_tree) at their Config defaults
 
 
 def result_with(**kw):
-    defaults = dict(query_id="q", answering_mask=0, answering_sps=frozenset(),
+    defaults = dict(answering_mask=0, answering_sps=frozenset(),
                     searched_sps=frozenset({0}), response_time=0.0, mapping_ops=0,
                     hops=0, tree_visits=0)
     defaults.update(kw)

@@ -1,5 +1,7 @@
 """Domain-group formation, index training, knowledge routing and refresh."""
 
+import dataclasses
+
 import pytest
 
 from sonsim.config import Config, substream
@@ -155,6 +157,12 @@ class TestTrainIndices:
         net, _, _, _ = net_and_log()
         with pytest.raises(ValueError):
             train_indices(form_groups(net, 2), QueryLog(), 2)
+
+    def test_log_without_answered_queries_rejected(self):
+        net, log, _, _ = net_and_log()
+        unanswered = QueryLog([dataclasses.replace(r, answering_sps=frozenset()) for r in log])
+        with pytest.raises(ValueError, match="no answered queries"):
+            train_indices(form_groups(net, 2), unanswered, 2)
 
     def test_record_from_unknown_super_peer_rejected(self):
         net, log, _, _ = net_and_log()

@@ -190,7 +190,7 @@ def test_score_counts_bits_as_the_set_formula(retrieved, oracle):
     """Popcount scoring equals precision and recall over decoded peer sets."""
     got, truth = set(peers_of(retrieved)), set(peers_of(oracle))
     assert mask_of(got) == retrieved
-    result = RoutingResult("q", retrieved, frozenset(), frozenset({0}), 0.0, 0, 0, 0)
+    result = RoutingResult(retrieved, frozenset(), frozenset({0}), 0.0, 0, 0, 0)
     hits = len(got & truth)
     assert result.answering_peers == got
     assert score(result, oracle) == (hits / len(got) if got else 1.0,
@@ -492,12 +492,27 @@ def test_every_node_splits_on_the_first_best_gain_ratio(instances, min_leaf):
        cuts=st.lists(st.integers(min_value=1, max_value=30), max_size=4))
 def test_tree_grown_from_priors_equals_from_scratch(instances, min_leaf, cuts):
     """Growing a tree prefix by prefix, each from the previous one as its
-    prior, gives the tree induced from that prefix anew."""
+    prior, gives the tree induced from that prefix anew, with every node's
+    class counts in the same key order: `==` ignores dict order, but
+    entropies are summed in it."""
     ends = sorted({min(cut, len(instances)) for cut in cuts} | {len(instances)})
     tree = build_tree(instances[:ends[0]], min_leaf=min_leaf)
     for end in ends[1:]:
         tree = build_tree(instances[:end], min_leaf=min_leaf, prior=tree)
-        assert tree == build_tree(instances[:end], min_leaf=min_leaf)
+        scratch = build_tree(instances[:end], min_leaf=min_leaf)
+        assert tree == scratch
+        assert counts_in_order(tree) == counts_in_order(scratch)
+
+
+def counts_in_order(tree):
+    """Every node's class counts as a list of pairs, nodes in walk order."""
+    nodes, found = [tree], []
+    while nodes:
+        node = nodes.pop()
+        found.append(list(node.counts.items()))
+        if isinstance(node, Node):
+            nodes.extend(node.branches.values())
+    return found
 
 
 def in_order(tables):
