@@ -1,18 +1,19 @@
 """Two-level semantic query routing and the global query log it produces.
 
-Local search covers the whole origin community: its answers are the members
-in the query's relevant mask, which the engine computes once per query with
-the relevance kernel, `model.relevant_mask`, and passes in; a community
-answers with that mask intersected with its member mask. Global search
-evaluates each friend super-peer's expertise against the query and forwards
-to the qualifying ones, breadth-first, each super-peer processing a given
-query at most once.
-A query's work is counted and costed while it is routed: its mapping
-operations (the members and friends probed, one mapping each) and messages
-are totals over the super-peers it searched, and its response time is the
-critical path of its forwarding, one segment per searched super-peer.
-`segment_cost` is the one rule for costing a segment, and both routers
-apply it.
+Local search covers the whole origin community. Global search evaluates
+each friend super-peer's expertise against the query and forwards to the
+qualifying ones, breadth-first, each super-peer processing a given query at
+most once.
+A router only chooses which communities to search and counts the mapping
+operations each one performs (the members and friends probed, one mapping
+each). One constructor, `RoutingResult.searched`, derives the rest from
+those communities for both routers: each answers with its members in the
+query's relevant mask, which the engine computes once per query with the
+relevance kernel, `model.relevant_mask`, and passes in; the searched set is
+the communities themselves and the mapping total is the sum of their
+operations. Each router costs its route while routing it, as the critical
+path of its forwarding, one segment per searched super-peer:
+`segment_cost` is the one rule for costing a segment.
 """
 
 from __future__ import annotations
@@ -63,6 +64,24 @@ class RoutingResult:
     mapping_ops: int
     hops: int
     tree_visits: int
+
+    @classmethod
+    def searched(cls, net: Network, relevant: int, maps: dict[SuperPeerId, int],
+                 response_time: float, hops: int, tree_visits: int) -> RoutingResult:
+        """The result of a route that searched the communities of the
+        super-peers in `maps`, each mapped to the mapping operations it
+        performed, in search order. A community answers with its members in
+        `relevant`, the query's relevant peer mask, and only if that is not
+        empty."""
+        answering_mask = 0
+        answering_sps = []
+        for spid in maps:
+            hits = relevant & net.member_masks[spid]
+            if hits:
+                answering_mask |= hits
+                answering_sps.append(spid)
+        return cls(answering_mask, frozenset(answering_sps), frozenset(maps),
+                   response_time, sum(maps.values()), hops, tree_visits)
 
     @property
     def answering_peers(self) -> frozenset[PeerId]:
@@ -150,8 +169,6 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
     if max_hops is not None and max_hops < 0:
         raise ValueError("max_hops must be >= 0 or None for unbounded")
 
-    answering_mask = 0
-    answering_sps: set[SuperPeerId] = set()
     maps: dict[SuperPeerId, int] = {}
     forwarded: dict[SuperPeerId, list[SuperPeerId]] = {}
 
@@ -160,12 +177,7 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
 
     while queue:
         spid, depth = queue.popleft()
-        local_hits = relevant & net.member_masks[spid]
         maps[spid] = len(net.super_peers[spid].members)
-        if local_hits:
-            answering_mask |= local_hits
-            answering_sps.add(spid)
-
         if max_hops is not None and depth >= max_hops:
             continue
         friends = sorted(net.super_peers[spid].friends)
@@ -183,15 +195,8 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
         cost[spid] = segment_cost(costs, 0 if spid == sp else 1, maps[spid], 0,
                                   [cost[friend] for friend in forwarded.get(spid, ())])
 
-    return RoutingResult(
-        answering_mask=answering_mask,
-        answering_sps=frozenset(answering_sps),
-        searched_sps=frozenset(processed),
-        response_time=cost[sp],
-        mapping_ops=sum(maps.values()),
-        hops=len(maps) - 1,  # one message reaches each searched super-peer but the origin
-        tree_visits=0,
-    )
+    # One message reaches each searched super-peer but the origin.
+    return RoutingResult.searched(net, relevant, maps, cost[sp], len(maps) - 1, 0)
 
 
 def run_baseline_epoch(net: Network, workload: list[Query],

@@ -171,8 +171,8 @@ class _SplitTables:
         self.parts: dict[str, list[Instance]] = {}
 
 
-def build_tree(instances: Sequence[Instance], attrs: Sequence[int] | None = None,
-               min_leaf: int = 1, prior: DecisionTree | None = None) -> DecisionTree:
+def build_tree(instances: Sequence[Instance], min_leaf: int = 1,
+               prior: DecisionTree | None = None) -> DecisionTree:
     """Induce a tree: leaf when pure, out of attributes, or below min_leaf;
     otherwise split on the gain-ratio-maximizing attribute (ties to the lowest
     index) with one branch per observed value, never reusing an attribute on
@@ -181,9 +181,9 @@ def build_tree(instances: Sequence[Instance], attrs: Sequence[int] | None = None
     from the tables and partitions its instances by the winner alone.
 
     `prior`, if given, is the tree this function returned for a prefix of
-    `instances`, with the same `attrs` and `min_leaf`; every node counts the
-    instances it was induced from, so the rest are the new ones. A node none
-    of whose instances are new is the prior's node itself. Any other node
+    `instances`, with the same `min_leaf`; every node counts the instances
+    it was induced from, so the rest are the new ones. A node none of whose
+    instances are new is the prior's node itself. Any other node
     takes the prior node's class counts plus its new instances, and recurses
     into the prior's branches if it splits on the prior node's attribute.
     Only the root of a tree built from a prior keeps its count tables and
@@ -196,11 +196,10 @@ def build_tree(instances: Sequence[Instance], attrs: Sequence[int] | None = None
     and tables order classes and values as a scan from scratch does, and
     gain ratios are the same floats. A subtree depends only on its instances
     in order, its remaining attributes and `min_leaf`, and partitioning
-    keeps order, so the result equals `build_tree(instances, attrs,
-    min_leaf)`."""
+    keeps order, so the result equals `build_tree(instances, min_leaf)`."""
     if not instances:
         raise ValueError("cannot induce a tree from zero instances")
-    attrs = tuple(range(len(instances[0].attributes)) if attrs is None else attrs)
+    attrs = tuple(range(len(instances[0].attributes)))
     return _induce(instances, attrs, min_leaf, prior, prior is not None)
 
 

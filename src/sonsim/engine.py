@@ -179,8 +179,9 @@ def run_pipeline(config: Config, include_kb: bool = True,
     from its own stream, unless an external `train_log` is supplied; then the
     training epoch is skipped. A record of an external log whose origin peer
     is not in this network, or is not under its origin super-peer, or whose
-    component count is not `n_components`, or that has a component outside
-    its origin peer's expertise (every generated query draws from it), raises
+    component count is not `n_components`, or that names an answering
+    super-peer outside this network, or that has a component outside its
+    origin peer's expertise (every generated query draws from it), raises
     ValueError.
 
     In replay mode (the default) the evaluation workload is the training
@@ -221,7 +222,12 @@ def run_pipeline(config: Config, include_kb: bool = True,
                     raise ValueError(f"train log record {record.query_id}: "
                                      f"{len(record.components)} query components, but "
                                      f"n_components is {config.n_components}")
-            for record in train_log:  # the right shape may still hide another vocabulary
+            # Right origins and shape may still hide other super-peers or another vocabulary.
+            for record in train_log:
+                unknown = record.answering_sps - net.super_peers.keys()
+                if unknown:
+                    raise ValueError(f"train log record {record.query_id}: answering "
+                                     f"super-peer {min(unknown)} is not in this network")
                 expertise = net.peers[record.origin_peer].expertise
                 for component in record.components:
                     if component not in expertise:

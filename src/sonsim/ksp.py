@@ -14,13 +14,15 @@ induction, and a group that received no records is left as it is. Only
 `run_kb_epoch` decides when to refresh. Index-driven routing replaces all
 super-peer-level capacity evaluations with one tree walk; only peer-level
 evaluations remain metered as mapping work.
-As in the baseline, that work is counted and costed while the query is
-routed, with the baseline's `segment_cost` rule: the origin community's scan
-runs in parallel with the index consult, after which the arrivals at the
-candidates run in parallel.
-Which peers of a searched community answer comes from the query's relevant
-mask, which the engine computes once per query with the relevance kernel,
-`model.relevant_mask`, and passes in.
+As in the baseline, the route is costed while the query is routed, with
+the baseline's `segment_cost` rule: the origin community's scan runs in
+parallel with the index consult, after which the arrivals at the candidates
+run in parallel. The router only chooses the communities to search, the
+origin's and the candidates'; the baseline's one constructor,
+`RoutingResult.searched`, derives the answers, the searched set and the
+mapping total from them, each community answering with its members in the
+query's relevant mask, which the engine computes once per query with the
+relevance kernel, `model.relevant_mask`, and passes in.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ class KspGroup:
     """A domain group; `index` was induced from exactly `instances`, the
     instances of its members' log records in log order."""
 
-    id: KspId
     members: frozenset[SuperPeerId]
     index: DecisionTree | None = None
     instances: tuple[Instance, ...] = ()
@@ -60,7 +61,9 @@ def form_groups(net: Network, tau_trust: int) -> KspOverlay:
     """Connected components of the trust graph at threshold tau_trust.
 
     Super-peers with no qualifying edge form singleton groups. Group ids are
-    assigned in ascending order of each component's smallest member id.
+    assigned in ascending order of each component's smallest member id: the
+    search starts from the unvisited ids in ascending order, so each start is
+    its component's smallest member.
     """
     if tau_trust < 1:
         raise ValueError("tau_trust must be >= 1")
@@ -88,9 +91,7 @@ def form_groups(net: Network, tau_trust: int) -> KspOverlay:
                     stack.append(neighbor)
         components.append(frozenset(component))
 
-    components.sort(key=min)
-    groups = {gid: KspGroup(id=gid, members=members)
-              for gid, members in enumerate(components)}
+    groups = {gid: KspGroup(members=members) for gid, members in enumerate(components)}
     sp_to_group = {spid: gid for gid, group in groups.items() for spid in sorted(group.members)}
     return KspOverlay(groups=groups, sp_to_group=sp_to_group)
 
@@ -194,37 +195,23 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
     """
     if sp not in net.super_peers:
         raise ValueError(f"unknown super-peer {sp}")
-    group = overlay.groups[overlay.sp_to_group[sp]]
-    if group.index is None:
+    gid = overlay.sp_to_group[sp]
+    index = overlay.groups[gid].index
+    if index is None:
         raise ValueError("index not trained")
 
-    counts, tree_visits = classify_traced(group.index, query_attributes(query.components))
+    counts, tree_visits = classify_traced(index, query_attributes(query.components))
     # Every class counted where the walk ends is a candidate.
     targets = sorted(s for s in counts if s != sp and s in net.super_peers)
+    maps = {spid: len(net.super_peers[spid].members) for spid in (sp, *targets)}
 
-    answering_mask = 0
-    answering_sps: set[SuperPeerId] = set()
-    maps: dict[SuperPeerId, int] = {}
-    for spid in (sp, *targets):
-        hits = relevant & net.member_masks[spid]
-        maps[spid] = len(net.super_peers[spid].members)
-        if hits:
-            answering_mask |= hits
-            answering_sps.add(spid)
-
-    relays = [1 if overlay.sp_to_group[t] == group.id else 2 for t in targets]
+    relays = [1 if overlay.sp_to_group[t] == gid else 2 for t in targets]
     local = segment_cost(costs, 0, maps[sp], 0, ())
     consult = segment_cost(costs, 1, 0, tree_visits, [
         segment_cost(costs, relay, maps[t], 0, ()) for t, relay in zip(targets, relays)])
-    return RoutingResult(
-        answering_mask=answering_mask,
-        answering_sps=frozenset(answering_sps),
-        searched_sps=frozenset({sp, *targets}),
-        response_time=segment_cost(costs, 0, 0, 0, (local, consult)),
-        mapping_ops=sum(maps.values()),
-        hops=1 + sum(relays),  # one message to the knowledge node, then the relays
-        tree_visits=tree_visits,
-    )
+    response_time = segment_cost(costs, 0, 0, 0, (local, consult))
+    # One message to the knowledge node, then the relays.
+    return RoutingResult.searched(net, relevant, maps, response_time, 1 + sum(relays), tree_visits)
 
 
 def refresh_knowledge(overlay: KspOverlay, records, min_leaf: int = 2) -> KspOverlay:

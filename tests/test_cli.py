@@ -203,6 +203,21 @@ class TestRun:
         assert "3 query components, but n_components is 4" in err
         assert not (tmp_path / "run").exists()
 
+    def test_train_log_naming_an_unknown_answering_super_peer_rejected(self, tmp_path, capsys):
+        run_cli("run", "--strategy", "baseline", *FAST, "--outdir", str(tmp_path / "log"))
+        lines = (tmp_path / "log" / "train_log.tsv").read_text().splitlines()
+        forged = tmp_path / "forged.tsv"
+        forged.write_text("".join(line + ("" if line.endswith("\t-") else ",77") + "\n"
+                                  for line in lines))
+        first = next(line.split("\t")[0] for line in lines if not line.endswith("\t-"))
+        capsys.readouterr()
+        code = run_cli("run", *FAST, "--train-log", str(forged), "--outdir", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"sonsim: error: train log record {first}: "
+            "answering super-peer 77 is not in this network")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, log_flag, flags", [
         ("run", "--train-log", FAST),
         ("train-index", "--log", []),

@@ -1,6 +1,7 @@
 """Runtime dependencies stay stdlib-only: every module `src/sonsim` imports
 is in the standard library or is `sonsim` itself. No module imports a name
-it does not use."""
+it does not use. One constructor turns the communities a route searched
+into its result."""
 
 import ast
 import sys
@@ -74,3 +75,50 @@ def test_every_imported_name_is_used():
     sources = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
     assert sources
     assert set().union(*map(_unused_imports, sources)) == set()
+
+
+class _ScopeVisitor(ast.NodeVisitor):
+    """Records, per `module:Class.function` scope, each construction of a
+    `RoutingResult` (a call of that name, or of `cls` inside its class) and
+    each read of a `member_masks` attribute."""
+
+    def __init__(self, module: str):
+        self.module = module
+        self.scope: list[str] = []
+        self.constructs: set[str] = set()
+        self.reads: set[str] = set()
+
+    def _nested(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _nested
+
+    def _where(self) -> str:
+        return f"{self.module}:{'.'.join(self.scope)}"
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and (
+                node.func.id == "RoutingResult"
+                or (node.func.id == "cls" and "RoutingResult" in self.scope)):
+            self.constructs.add(self._where())
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node):
+        if node.attr == "member_masks":
+            self.reads.add(self._where())
+        self.generic_visit(node)
+
+
+def test_one_function_turns_searched_communities_into_a_result():
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    constructs, reads = set(), set()
+    for path in sources:
+        visitor = _ScopeVisitor(path.name)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        constructs |= visitor.constructs
+        reads |= visitor.reads
+    assert constructs == {"baseline.py:RoutingResult.searched"}
+    assert reads == constructs

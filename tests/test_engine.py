@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import re
 
 import pytest
 
@@ -280,6 +281,16 @@ class TestRunExperiment:
             assert row_bl.precision == row_kb.precision
             assert row_bl.recall == row_kb.recall
             assert row_bl.mapping_ops == row_kb.mapping_ops
+
+    def test_external_log_naming_an_unknown_answering_super_peer_rejected(self):
+        config = self._config()
+        train_log = run_pipeline(config, include_kb=False).train_log
+        forged = QueryLog(dataclasses.replace(r, answering_sps=r.answering_sps | {77})
+                          if r.answering_sps else r for r in train_log)
+        first = next(r.query_id for r in forged if r.answering_sps)
+        with pytest.raises(ValueError, match=re.escape(
+                f"train log record {first}: answering super-peer 77 is not in this network")):
+            run_pipeline(config, train_log=forged)
 
     def test_replay_mode_reuses_training_queries(self):
         report_replay = run_pipeline(self._config(workload_mode="replay")).report
