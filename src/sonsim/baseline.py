@@ -50,7 +50,7 @@ def segment_cost(costs: Costs, hops: int, maps: int, tree_visits: int,
     return hops * c_hop + maps * c_map + tree_visits * c_tree + max(branches, default=0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoutingResult:
     """What a routed query found, where it searched and what that cost: the
     critical-path response time and the total mapping operations, messages
@@ -72,7 +72,10 @@ class RoutingResult:
         super-peers in `maps`, each mapped to the mapping operations it
         performed, in search order. A community answers with its members in
         `relevant`, the query's relevant peer mask, and only if that is not
-        empty."""
+        empty. The result shares values instead of holding equal copies: its
+        answering mask is `relevant` itself when the route found every
+        relevant peer, and its answering set is its searched set when every
+        searched community answered."""
         answering_mask = 0
         answering_sps = []
         for spid in maps:
@@ -80,7 +83,11 @@ class RoutingResult:
             if hits:
                 answering_mask |= hits
                 answering_sps.append(spid)
-        return cls(answering_mask, frozenset(answering_sps), frozenset(maps),
+        if answering_mask == relevant:
+            answering_mask = relevant
+        searched_sps = frozenset(maps)
+        answering = searched_sps if len(answering_sps) == len(maps) else frozenset(answering_sps)
+        return cls(answering_mask, answering, searched_sps,
                    response_time, sum(maps.values()), hops, tree_visits)
 
     @property
@@ -88,7 +95,7 @@ class RoutingResult:
         return frozenset(peers_of(self.answering_mask))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogRecord:
     """One routed query: who asked, from which community, what was asked, and
     which super-peers responded favorably."""

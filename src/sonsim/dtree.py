@@ -14,6 +14,9 @@ its prior's class counts plus its new instances. Only the root keeps its
 count tables, and the next induction advances them by the new instances
 alone; so a refresh reads old instances only in the subtrees below the root
 that its new records reach, and the result is the tree induced from scratch.
+A root that switches back to an attribute it split on before takes the
+branches it last induced under it as priors, so even then a refresh does not
+induce the whole tree anew.
 Trees render in the same textual grammar the index dumps use, and datasets
 round-trip through ARFF.
 """
@@ -31,7 +34,7 @@ CLASS_ATTRIBUTE = "class"
 CLASS_PREFIX = "SP"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     """One training row: the query components (expertise element texts) plus
     the answering super-peer."""
@@ -40,12 +43,12 @@ class Instance:
     class_label: SuperPeerId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     counts: dict[SuperPeerId, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     attr_index: int
     branches: dict[str, "DecisionTree"]
@@ -160,15 +163,22 @@ class _SplitTables:
     value -> class -> count table per attribute, and `parts`, the partition
     by value of attribute `split_attr`, both over the first `covered`
     instances. They are advanced in place, so dict insertion order is the
-    order of a from-scratch scan."""
+    order of a from-scratch scan. `branches` holds, per attribute the root
+    has split on since the tables were counted (the prior's attribute
+    among them), the branches last induced under it, each from a prefix of
+    the instances: the priors of the root's branches whenever it splits on
+    that attribute again."""
 
-    __slots__ = ("covered", "by_attr", "split_attr", "parts")
+    __slots__ = ("covered", "by_attr", "split_attr", "parts", "branches")
 
-    def __init__(self, by_attr: dict[int, dict[str, dict[SuperPeerId, int]]]) -> None:
+    def __init__(self, by_attr: dict[int, dict[str, dict[SuperPeerId, int]]],
+                 prior: DecisionTree | None) -> None:
         self.covered = 0
         self.by_attr = by_attr
         self.split_attr = -1
         self.parts: dict[str, list[Instance]] = {}
+        self.branches: dict[int, dict[str, DecisionTree]] = (
+            {prior.attr_index: prior.branches} if isinstance(prior, Node) else {})
 
 
 def build_tree(instances: Sequence[Instance], min_leaf: int = 1,
@@ -192,11 +202,16 @@ def build_tree(instances: Sequence[Instance], min_leaf: int = 1,
     If the prior root's tables cover exactly the prior's instances, they are
     advanced in place by the new instances alone; otherwise (the prior has
     no tables, or a later build from it already advanced them) they are
-    counted from all the instances. Instances are only appended, so counts
-    and tables order classes and values as a scan from scratch does, and
-    gain ratios are the same floats. A subtree depends only on its instances
-    in order, its remaining attributes and `min_leaf`, and partitioning
-    keeps order, so the result equals `build_tree(instances, min_leaf)`."""
+    counted from all the instances. The tables also keep the branches last
+    induced under each attribute the root split on since they were counted
+    afresh, the prior's own included, and the root recurses into those of
+    the attribute it splits on: they were induced from the partition of a
+    prefix of `instances`, each part of which is a prefix of the new part.
+    Instances are only appended, so counts and tables order classes and
+    values as a scan from scratch does, and gain ratios are the same floats.
+    A subtree depends only on its instances in order, its remaining
+    attributes and `min_leaf`, and partitioning keeps order, so the result
+    equals `build_tree(instances, min_leaf)`."""
     if not instances:
         raise ValueError("cannot induce a tree from zero instances")
     attrs = tuple(range(len(instances[0].attributes)))
@@ -223,7 +238,7 @@ def _induce(instances: Sequence[Instance], attrs: tuple[int, ...], min_leaf: int
         by_attr = tables.by_attr
     else:  # fresh tables, to which every instance is new
         by_attr, new = {attr: {} for attr in attrs}, instances
-        tables = _SplitTables(by_attr) if keep else None
+        tables = _SplitTables(by_attr, prior) if keep else None
     for attr_index, table in by_attr.items():
         _count(new, attr_index, table)
     parent_entropy = entropy(counts)
@@ -233,13 +248,16 @@ def _induce(instances: Sequence[Instance], attrs: tuple[int, ...], min_leaf: int
         parts = _partition(instances, best_attr, {})
     else:
         parts = _partition(new, best_attr, tables.parts)
-    if tables is not None:
-        tables.covered, tables.split_attr, tables.parts = len(instances), best_attr, parts
-
     remaining = tuple(a for a in attrs if a != best_attr)
-    reused = prior.branches if isinstance(prior, Node) and prior.attr_index == best_attr else {}
+    if tables is None:
+        reused = prior.branches if isinstance(prior, Node) and prior.attr_index == best_attr else {}
+    else:
+        tables.covered, tables.split_attr, tables.parts = len(instances), best_attr, parts
+        reused = tables.branches.get(best_attr, {})
     branches = {value: _induce(part, remaining, min_leaf, reused.get(value), False)
                 for value, part in sorted(parts.items())}
+    if tables is not None:
+        tables.branches[best_attr] = branches
     return Node(best_attr, branches, counts, tables)
 
 

@@ -16,7 +16,7 @@ one peer mask is what both routers search communities with and what
 precision and recall are scored against, by counting bits.
 
 `run_pipeline` pauses automatic cyclic garbage collection for the run. A
-5000-peer run ends with about 430,000 tracked objects alive (tree nodes,
+5000-peer run ends with about 380,000 tracked objects alive (tree nodes,
 instances, results), and each full collection would scan them all to find
 nothing, because a run builds no reference cycles: its objects are freed by
 reference counting alone. That condition is what makes the pause safe, and

@@ -58,7 +58,7 @@ def parse_element(text: str) -> ExpertiseElement:
 Expertise = frozenset[ExpertiseElement]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Query:
     """An ordered conjunction of expertise elements issued by one peer."""
 

@@ -214,6 +214,24 @@ class TestRootTables:
             assert node.tables is None
             nodes.extend(child for child in node.branches.values() if isinstance(child, Node))
 
+    def test_root_switching_back_reuses_the_branches_it_induced_before(self):
+        # Attribute 0 decides the class, then a larger batch where attribute
+        # 1 does, then a larger one where attribute 0 does again; no new
+        # instance has the value "c" at attribute 0.
+        base = [Instance(("a", "x"), 0), Instance(("a", "y"), 0), Instance(("b", "x"), 1),
+                Instance(("b", "y"), 1), Instance(("c", "x"), 2), Instance(("c", "y"), 3)]
+        switched = base + [Instance(("a", "x"), 4), Instance(("b", "x"), 4),
+                           Instance(("a", "y"), 5), Instance(("b", "y"), 5)] * 3
+        back = switched + [Instance(("a", "x"), 0), Instance(("a", "y"), 0),
+                           Instance(("b", "x"), 1), Instance(("b", "y"), 1)] * 4
+        first = build_tree(base)
+        middle = build_tree(switched, prior=first)
+        tree = build_tree(back, prior=middle)
+        assert [first.attr_index, middle.attr_index, tree.attr_index] == [0, 1, 0]
+        assert tree == build_tree(back)
+        assert isinstance(first.branches["c"], Node)
+        assert tree.branches["c"] is first.branches["c"]
+
     def test_tables_change_neither_equality_nor_rendering(self):
         grown = build_tree(FIXTURE, min_leaf=1, prior=build_tree(FIXTURE[:10], min_leaf=1))
         scratch = build_tree(FIXTURE, min_leaf=1)

@@ -8,7 +8,8 @@ import pytest
 
 import sonsim.engine
 from sonsim.config import Config, ConfigError, substream
-from sonsim.baseline import QueryLog, RoutingResult, run_baseline_epoch, segment_cost
+from sonsim.baseline import LogRecord, QueryLog, RoutingResult, run_baseline_epoch, segment_cost
+from sonsim.dtree import Instance, Leaf, Node
 from sonsim.engine import (
     BASELINE,
     KSP,
@@ -21,7 +22,7 @@ from sonsim.engine import (
 )
 from sonsim.baseline import generate_queries
 from sonsim.ksp import form_groups, run_kb_epoch, train_indices
-from sonsim.model import mask_of, oracle_relevant_peers, relevant_mask
+from sonsim.model import Query, mask_of, oracle_relevant_peers, relevant_mask
 from sonsim.netgen import build_son
 
 
@@ -185,6 +186,56 @@ class TestRelevanceSharing:
         for wrong in (relevant[:-1], relevant + [0]):
             with pytest.raises(ValueError):
                 run_kb_epoch(net, overlay, replay, wrong, COSTS)
+
+
+class TestSharedRecords:
+    """A replay run's per-query records share the values the run already
+    holds instead of keeping equal copies, and every record type is slotted."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        masks = []
+        original = sonsim.engine.relevant_mask
+
+        def recorded(net, query, eps_acc):
+            masks.append(original(net, query, eps_acc))
+            return masks[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sonsim.engine, "relevant_mask", recorded)
+            artifacts = run_pipeline(Config(np=300, nsp=10, seed=9))
+        assert len(masks) == len(artifacts.eval_workload)  # replay reuses the training masks
+        return artifacts, masks
+
+    def test_a_result_answering_its_whole_relevant_mask_holds_that_mask(self, run):
+        artifacts, masks = run
+        for results in (artifacts.baseline_results, artifacts.kb_results):
+            whole = [(r, m) for r, m in zip(results, masks, strict=True) if r.answering_mask == m]
+            assert len(whole) > len(results) // 2
+            assert all(r.answering_mask is m for r, m in whole)
+
+    def test_a_result_every_searched_community_answered_holds_one_set(self, run):
+        artifacts, _ = run
+        for results in (artifacts.baseline_results, artifacts.kb_results):
+            full = [r for r in results if r.answering_sps == r.searched_sps]
+            assert full
+            assert all(r.answering_sps is r.searched_sps for r in full)
+
+    def test_records_have_slots_and_no_instance_dict(self, run):
+        artifacts, _ = run
+        tree = next(g.index for g in artifacts.overlay.groups.values() if isinstance(g.index, Node))
+        leaf = tree
+        while isinstance(leaf, Node):
+            leaf = next(iter(leaf.branches.values()))
+        group = next(g for g in artifacts.overlay.groups.values() if g.instances)
+        records = [artifacts.eval_workload[0], artifacts.baseline_results[0],
+                   artifacts.kb_results[0], artifacts.train_log.records[0],
+                   group.instances[0], tree, leaf]
+        assert {type(r) for r in records} == {Query, RoutingResult, LogRecord,
+                                              Instance, Node, Leaf}
+        for record in records:
+            assert "__slots__" in vars(type(record))
+            assert not hasattr(record, "__dict__")
 
 
 class TestCollectorPause:

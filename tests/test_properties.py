@@ -7,8 +7,9 @@ scoring agreeing with the set formula, both routers agreeing with a plain
 relevance scan of the communities they search, their message and mapping
 counts agreeing with where they searched, routing monotonicity in the
 threshold, distribution normalization, tree induction choosing the first best
-gain-ratio split, trees grown from a prior tree and indices after each
-refresh equal to from-scratch induction, the root's count tables equal to
+gain-ratio split, trees grown from a prior tree (also when the root
+switches back and forth between attributes) and indices after each refresh
+equal to from-scratch induction, the root's count tables equal to
 counts from scratch, and grouping stability under relabeling.
 """
 
@@ -504,6 +505,50 @@ def test_tree_grown_from_priors_equals_from_scratch(instances, min_leaf, cuts):
         scratch = build_tree(instances[:end], min_leaf=min_leaf)
         assert tree == scratch
         assert counts_in_order(tree) == counts_in_order(scratch)
+
+
+SWITCH_VALUES = [f"{a}.{b}" for a in "ab" for b in "ab"]
+
+switch_values = st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=4,
+                         unique=True)
+
+
+def switching_stream(batches):
+    """Instances in batches, each with the end of the prefix it closes.
+    Batch `i` decides the class by attribute `i % 2`: every pair of a
+    deciding value and an other value for the other attribute, the class
+    being the deciding value's index, repeated until the batch outweighs
+    all the instances before it four times over."""
+    instances, ends = [], []
+    for i, (deciding, other) in enumerate(batches):
+        rows = []
+        for v in deciding:
+            for u in other:
+                attributes = [SWITCH_VALUES[u], SWITCH_VALUES[u]]
+                attributes[i % 2] = SWITCH_VALUES[v]
+                rows.append(Instance(attributes=tuple(attributes), class_label=v))
+        instances += rows * (1 + 4 * len(instances) // len(rows))
+        ends.append(len(instances))
+    return instances, ends
+
+
+@given(batches=st.lists(st.tuples(switch_values, switch_values), min_size=3, max_size=4),
+       min_leaf=st.sampled_from([1, 2, 3]))
+@settings(deadline=None)
+def test_root_switching_back_and_forth_equals_from_scratch_induction(batches, min_leaf):
+    """A stream whose root split attribute alternates with every refresh,
+    so the root keeps switching back to an attribute it split on before:
+    after every build from the previous tree, the tree is the one induced
+    anew, with every node's class counts in the same key order."""
+    instances, ends = switching_stream(batches)
+    tree, roots = None, []
+    for end in ends:
+        tree = build_tree(instances[:end], min_leaf=min_leaf, prior=tree)
+        scratch = build_tree(instances[:end], min_leaf=min_leaf)
+        assert tree == scratch
+        assert counts_in_order(tree) == counts_in_order(scratch)
+        roots.append(tree.attr_index if isinstance(tree, Node) else None)
+    assume(roots == [i % 2 for i in range(len(ends))])
 
 
 def counts_in_order(tree):
