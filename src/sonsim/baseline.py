@@ -74,8 +74,9 @@ class RoutingResult:
         `relevant`, the query's relevant peer mask, and only if that is not
         empty. The result shares values instead of holding equal copies: its
         answering mask is `relevant` itself when the route found every
-        relevant peer, and its answering set is its searched set when every
-        searched community answered."""
+        relevant peer, its answering set is its searched set when every
+        searched community answered, and each set is the one that
+        `net.sp_sets` holds for its ids in search order."""
         answering_mask = 0
         answering_sps = []
         for spid in maps:
@@ -85,14 +86,24 @@ class RoutingResult:
                 answering_sps.append(spid)
         if answering_mask == relevant:
             answering_mask = relevant
-        searched_sps = frozenset(maps)
-        answering = searched_sps if len(answering_sps) == len(maps) else frozenset(answering_sps)
+        searched_sps = _shared_set(net.sp_sets, tuple(maps))
+        answering = (searched_sps if len(answering_sps) == len(maps)
+                     else _shared_set(net.sp_sets, tuple(answering_sps)))
         return cls(answering_mask, answering, searched_sps,
                    response_time, sum(maps.values()), hops, tree_visits)
 
     @property
     def answering_peers(self) -> frozenset[PeerId]:
         return frozenset(peers_of(self.answering_mask))
+
+
+def _shared_set(sets: dict[tuple[SuperPeerId, ...], frozenset[SuperPeerId]],
+                ids: tuple[SuperPeerId, ...]) -> frozenset[SuperPeerId]:
+    """The frozenset of `ids` that `sets` holds, added on first use."""
+    found = sets.get(ids)
+    if found is None:
+        found = sets[ids] = frozenset(ids)
+    return found
 
 
 @dataclass(frozen=True, slots=True)

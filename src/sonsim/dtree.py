@@ -10,13 +10,16 @@ split table), splits on the best gain ratio over those tables and
 partitions its instances by the winning attribute alone. Given the tree
 induced before some instances were appended, induction reuses every
 subtree none of the new instances reach, and every node it re-induces takes
-its prior's class counts plus its new instances. Only the root keeps its
-count tables, and the next induction advances them by the new instances
-alone; so a refresh reads old instances only in the subtrees below the root
-that its new records reach, and the result is the tree induced from scratch.
-A root that switches back to an attribute it split on before takes the
-branches it last induced under it as priors, so even then a refresh does not
-induce the whole tree anew.
+its prior's class counts plus its new instances. The root and its children
+keep their count tables and the entropies of the table rows, and the next
+induction advances the tables by the new instances alone and recomputes
+only the rows they touch; a node that still splits as before re-induces
+only the branches its new instances reach. So a refresh reads old
+instances only at the nodes two or more levels down that its new records
+reach, and the result is the tree induced from scratch. A node with tables
+that switches back to an attribute it split on before takes the branches it
+last induced under it as priors, so even then a refresh does not induce the
+whole subtree anew.
 Trees render in the same textual grammar the index dumps use, and datasets
 round-trip through ARFF.
 """
@@ -53,8 +56,8 @@ class Node:
     attr_index: int
     branches: dict[str, "DecisionTree"]
     counts: dict[SuperPeerId, int]  # fallback distribution for unseen values
-    # Split statistics of a root induced from a prior (see build_tree); they
-    # are no part of the tree's value.
+    # Split statistics of a node at depth 0 or 1 induced from a prior (see
+    # build_tree); they are no part of the tree's value.
     tables: _SplitTables | None = field(default=None, compare=False, repr=False)
 
 
@@ -117,23 +120,37 @@ def _partition(instances: Iterable[Instance], attr_index: int,
 
 
 def _gains(table: Mapping[str, Mapping[SuperPeerId, int]], total: int,
-           parent_entropy: float) -> tuple[float, float]:
+           parent_entropy: float,
+           rows: dict[str, tuple[int, float]] | None = None) -> tuple[float, float]:
     """(information gain, split information) of the split whose value ->
-    class -> count table covers `total` instances."""
+    class -> count table covers `total` instances. `rows`, if given, caches
+    each row's (size, entropy) by value: rows found there are not summed
+    again, and the others are added to it."""
     gain = parent_entropy
     sizes = []
-    for counts in table.values():
-        size = sum(counts.values())
+    if rows is None:
+        for counts in table.values():
+            size = sum(counts.values())
+            sizes.append(size)
+            gain -= size / total * _entropy(counts.values(), size)
+        return gain, _entropy(sizes, total)
+    for value, counts in table.items():
+        row = rows.get(value)
+        if row is None:
+            size = sum(counts.values())
+            row = rows[value] = size, _entropy(counts.values(), size)
+        size, row_entropy = row
         sizes.append(size)
-        gain -= size / total * _entropy(counts.values(), size)
+        gain -= size / total * row_entropy
     return gain, _entropy(sizes, total)
 
 
 def _gain_ratio(table: Mapping[str, Mapping[SuperPeerId, int]], total: int,
-                parent_entropy: float) -> float:
+                parent_entropy: float,
+                rows: dict[str, tuple[int, float]] | None = None) -> float:
     if len(table) == 1:
         return 0.0  # no split information to normalize by
-    gain, split_info = _gains(table, total, parent_entropy)
+    gain, split_info = _gains(table, total, parent_entropy, rows)
     return gain / split_info
 
 
@@ -158,23 +175,26 @@ def gain_ratio(instances: Sequence[Instance], attr_index: int) -> float:
 
 
 class _SplitTables:
-    """What the root of a tree built from a prior keeps so that the next
-    build from that tree counts only the appended instances: `by_attr`, a
-    value -> class -> count table per attribute, and `parts`, the partition
-    by value of attribute `split_attr`, both over the first `covered`
-    instances. They are advanced in place, so dict insertion order is the
-    order of a from-scratch scan. `branches` holds, per attribute the root
-    has split on since the tables were counted (the prior's attribute
-    among them), the branches last induced under it, each from a prefix of
-    the instances: the priors of the root's branches whenever it splits on
-    that attribute again."""
+    """What a node of a tree built from a prior keeps so that the next build
+    from that tree counts only the instances appended below it: `by_attr`,
+    a value -> class -> count table per attribute, `rows`, the (size,
+    entropy) of each table row the node's gain ratios read, by attribute
+    and value, and `parts`, the partition by value of attribute
+    `split_attr`, all over the node's first `covered` instances. They are
+    advanced in place, so dict insertion order is the order of a
+    from-scratch scan; new instances evict only the cached rows they touch.
+    `branches` holds, per attribute the node has split on since the tables
+    were counted (the prior's attribute among them), the branches last
+    induced under it, each from a prefix of the instances: the priors of
+    the node's branches whenever it splits on that attribute again."""
 
-    __slots__ = ("covered", "by_attr", "split_attr", "parts", "branches")
+    __slots__ = ("covered", "by_attr", "rows", "split_attr", "parts", "branches")
 
     def __init__(self, by_attr: dict[int, dict[str, dict[SuperPeerId, int]]],
                  prior: DecisionTree | None) -> None:
         self.covered = 0
         self.by_attr = by_attr
+        self.rows: dict[int, dict[str, tuple[int, float]]] = {attr: {} for attr in by_attr}
         self.split_attr = -1
         self.parts: dict[str, list[Instance]] = {}
         self.branches: dict[int, dict[str, DecisionTree]] = (
@@ -196,17 +216,20 @@ def build_tree(instances: Sequence[Instance], min_leaf: int = 1,
     instances are new is the prior's node itself. Any other node
     takes the prior node's class counts plus its new instances, and recurses
     into the prior's branches if it splits on the prior node's attribute.
-    Only the root of a tree built from a prior keeps its count tables and
-    the partition by its split attribute (`Node.tables`, no part of the
-    tree's value); every other node drops them once its branches are built.
-    If the prior root's tables cover exactly the prior's instances, they are
-    advanced in place by the new instances alone; otherwise (the prior has
-    no tables, or a later build from it already advanced them) they are
-    counted from all the instances. The tables also keep the branches last
-    induced under each attribute the root split on since they were counted
-    afresh, the prior's own included, and the root recurses into those of
-    the attribute it splits on: they were induced from the partition of a
-    prefix of `instances`, each part of which is a prefix of the new part.
+    In a tree built from a prior, the root and its children keep their count
+    tables, the entropies of their rows and the partition by their split
+    attribute (`Node.tables`, no part of the tree's value); every deeper
+    node drops them once its branches are built. If a prior node's tables
+    cover exactly that node's instances, they are advanced in place by its
+    new instances alone; otherwise (the node has no tables, or a later build
+    already advanced them) they are counted from all its instances. The
+    tables also keep the branches last induced under each attribute the
+    node split on since they were counted afresh, the prior's own included,
+    and the node recurses into those of the attribute it splits on: they
+    were induced from the partition of a prefix of its instances, each part
+    of which is a prefix of the new part. A node whose tables were advanced
+    in place and whose split attribute did not change re-induces only the
+    branches its new instances reach and keeps the others as they are.
     Instances are only appended, so counts and tables order classes and
     values as a scan from scratch does, and gain ratios are the same floats.
     A subtree depends only on its instances in order, its remaining
@@ -215,12 +238,13 @@ def build_tree(instances: Sequence[Instance], min_leaf: int = 1,
     if not instances:
         raise ValueError("cannot induce a tree from zero instances")
     attrs = tuple(range(len(instances[0].attributes)))
-    return _induce(instances, attrs, min_leaf, prior, prior is not None)
+    return _induce(instances, attrs, min_leaf, prior, 2 if prior is not None else 0)
 
 
 def _induce(instances: Sequence[Instance], attrs: tuple[int, ...], min_leaf: int,
-            prior: DecisionTree | None, keep: bool) -> DecisionTree:
-    """`build_tree` at one node, which keeps its split tables if `keep`."""
+            prior: DecisionTree | None, keep: int) -> DecisionTree:
+    """`build_tree` at one node, which keeps its split tables if `keep`, the
+    number of levels from this node down that keep them, is positive."""
     induced = 0 if prior is None else sum(prior.counts.values())
     if induced > len(instances):
         raise ValueError(f"prior induced from {induced} instances, "
@@ -232,31 +256,39 @@ def _induce(instances: Sequence[Instance], attrs: tuple[int, ...], min_leaf: int
     if len(counts) == 1 or not attrs or len(instances) < min_leaf:
         return Leaf(counts)
 
-    tables = prior.tables if keep and isinstance(prior, Node) else None
+    tables = prior.tables if keep > 0 and isinstance(prior, Node) else None
     if tables is not None and tables.covered == induced:
         tables.covered = -1  # matches no prior until it is advanced
         by_attr = tables.by_attr
+        for attr_index, rows in tables.rows.items():
+            for inst in new:
+                rows.pop(inst.attributes[attr_index], None)
     else:  # fresh tables, to which every instance is new
         by_attr, new = {attr: {} for attr in attrs}, instances
-        tables = _SplitTables(by_attr, prior) if keep else None
+        tables = _SplitTables(by_attr, prior) if keep > 0 else None
     for attr_index, table in by_attr.items():
         _count(new, attr_index, table)
     parent_entropy = entropy(counts)
+    rows = {} if tables is None else tables.rows
     best_attr = max(sorted(attrs), key=lambda attr_index: _gain_ratio(
-        by_attr[attr_index], len(instances), parent_entropy))
-    if tables is None or tables.split_attr != best_attr:
-        parts = _partition(instances, best_attr, {})
-    else:
-        parts = _partition(new, best_attr, tables.parts)
+        by_attr[attr_index], len(instances), parent_entropy, rows.get(attr_index)))
     remaining = tuple(a for a in attrs if a != best_attr)
-    if tables is None:
-        reused = prior.branches if isinstance(prior, Node) and prior.attr_index == best_attr else {}
+    if tables is not None and tables.split_attr == best_attr:
+        # Advanced in place: the kept branches are the prior's own, so only
+        # those that a new instance reaches can change.
+        parts = _partition(new, best_attr, tables.parts)
+        reused, reached = tables.branches[best_attr], {inst.attributes[best_attr] for inst in new}
     else:
-        tables.covered, tables.split_attr, tables.parts = len(instances), best_attr, parts
-        reused = tables.branches.get(best_attr, {})
-    branches = {value: _induce(part, remaining, min_leaf, reused.get(value), False)
+        parts = reached = _partition(instances, best_attr, {})
+        if tables is not None:
+            reused = tables.branches.get(best_attr, {})
+        else:
+            reused = prior.branches if isinstance(prior, Node) and prior.attr_index == best_attr else {}
+    branches = {value: _induce(part, remaining, min_leaf, reused.get(value), keep - 1)
+                if value in reached else reused[value]
                 for value, part in sorted(parts.items())}
     if tables is not None:
+        tables.covered, tables.split_attr, tables.parts = len(instances), best_attr, parts
         tables.branches[best_attr] = branches
     return Node(best_attr, branches, counts, tables)
 

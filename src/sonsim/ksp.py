@@ -150,10 +150,11 @@ def _induce(overlay: KspOverlay, records, min_leaf: int, keep: bool) -> KspOverl
 
     When `keep`, a group that received no records keeps its index and
     instances as they are, and a group that did passes its index to
-    `build_tree` as the prior: the root counts only the new instances into
-    the split tables it keeps, and below it only the subtrees the new
-    instances reach are re-induced; the indices must have been induced at
-    this `min_leaf`. A group without instances gets the leaf over every
+    `build_tree` as the prior: the root and its children count only their
+    new instances into the split tables they keep, recompute the entropies
+    of only the table rows those touch, and re-induce only the branches the
+    new instances reach; the indices must have been induced at this
+    `min_leaf`. A group without instances gets the leaf over every
     group's class distribution; that leaf is never a prior."""
     slices: dict[KspId, list[LogRecord]] = {gid: [] for gid in overlay.groups}
     for record in records:

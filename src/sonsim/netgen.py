@@ -49,7 +49,8 @@ class Network:
 
     The peer sets and the matrix below are derived from the fields, never
     passed in, and computed on first read. Peer sets are bitmasks (bit p for
-    peer p)."""
+    peer p). `sp_sets` is no derived value but the table of super-peer sets
+    that the run's routing results share."""
 
     peers: dict[PeerId, Peer]
     super_peers: dict[SuperPeerId, SuperPeer]
@@ -84,6 +85,14 @@ class Network:
                 if shared:
                     cormat[(i, j)] = shared
         return cormat
+
+    @cached_property
+    def sp_sets(self) -> dict[tuple[SuperPeerId, ...], frozenset[SuperPeerId]]:
+        """Super-peer ids in some order -> the one frozenset of them that
+        the routing results over this network share
+        (`baseline.RoutingResult.searched` fills it), so the sets live only
+        as long as the network."""
+        return {}
 
 
 def generate_domains(nsp: int, rng: Random) -> list[DomainLabel]:

@@ -9,6 +9,7 @@ The gain fixtures are hand-computed on a fixed 14-row categorical table
 
 import pytest
 
+import sonsim.dtree
 from sonsim.dtree import (
     ArffError,
     Instance,
@@ -188,7 +189,8 @@ class TestPriorTree:
 
 
 class TestRootTables:
-    """The split count tables a root induced from a prior keeps."""
+    """The split count tables that the root of a tree induced from a prior
+    and the root's children keep, and what a build from that tree reads."""
 
     def test_building_twice_from_one_stale_prior_equals_from_scratch(self):
         prior = build_tree(FIXTURE, min_leaf=1, prior=build_tree(FIXTURE[:10], min_leaf=1))
@@ -206,6 +208,57 @@ class TestRootTables:
         tree = build_tree(FIXTURE, min_leaf=1, prior=prior)
         assert tree.tables is prior.tables
         assert tree.tables.covered == len(FIXTURE)
+
+    def test_branches_no_new_instance_reaches_are_the_kept_ones(self):
+        prior = build_tree(FIXTURE, min_leaf=1, prior=build_tree(FIXTURE[:10], min_leaf=1))
+        added = [Instance(("overcast", "mild", "high", "weak"), 1)] * 2
+        tree = build_tree(FIXTURE + added, min_leaf=1, prior=prior)
+        assert tree.tables is prior.tables
+        assert tree.attr_index == prior.attr_index == 0
+        assert tree == build_tree(FIXTURE + added, min_leaf=1)
+        assert tree.branches["overcast"] == Leaf({1: 6})
+        assert tree.branches["rain"] is prior.branches["rain"]
+        assert tree.branches["sunny"] is prior.branches["sunny"]
+
+    def test_tables_one_level_down_are_advanced_in_place(self):
+        prior = build_tree(FIXTURE, min_leaf=1, prior=build_tree(FIXTURE[:10], min_leaf=1))
+        sunny = prior.branches["sunny"]
+        assert sunny.tables is not None and sunny.tables.covered == 5
+        added = [Instance(("sunny", "cool", "high", "strong"), 0),
+                 Instance(("rain", "mild", "high", "weak"), 1)]
+        tree = build_tree(FIXTURE + added, min_leaf=1, prior=prior)
+        assert tree == build_tree(FIXTURE + added, min_leaf=1)
+        assert tree.branches["sunny"].attr_index == sunny.attr_index
+        assert tree.branches["sunny"].tables is sunny.tables
+        assert sunny.tables.covered == 6
+
+    def test_unchanged_splits_count_only_the_new_instances(self, monkeypatch):
+        prior = build_tree(FIXTURE, min_leaf=1, prior=build_tree(FIXTURE[:10], min_leaf=1))
+        added = [Instance(("sunny", "cool", "high", "strong"), 0),
+                 Instance(("rain", "mild", "high", "weak"), 1)]
+        counted: dict[int, list[Instance]] = {}
+        original = sonsim.dtree._count
+
+        def recording(instances, attr_index, table):
+            instances = list(instances)
+            counted.setdefault(id(table), []).extend(instances)
+            return original(instances, attr_index, table)
+
+        monkeypatch.setattr(sonsim.dtree, "_count", recording)
+        tree = build_tree(FIXTURE + added, min_leaf=1, prior=prior)
+        assert tree == build_tree(FIXTURE + added, min_leaf=1)
+        assert tree.attr_index == prior.attr_index
+        for table in tree.tables.by_attr.values():
+            assert counted[id(table)] == added
+        children = [(value, child) for value, child in tree.branches.items()
+                    if isinstance(child, Node)]
+        assert [value for value, _ in children] == ["rain", "sunny"]
+        for value, child in children:
+            assert child.attr_index == prior.branches[value].attr_index
+            assert child.tables is prior.branches[value].tables
+            reaching = [inst for inst in added if inst.attributes[0] == value]
+            for table in child.tables.by_attr.values():
+                assert counted[id(table)] == reaching
 
     def test_tree_built_without_prior_keeps_no_tables(self):
         nodes = [build_tree(FIXTURE, min_leaf=1)]

@@ -9,8 +9,9 @@ counts agreeing with where they searched, routing monotonicity in the
 threshold, distribution normalization, tree induction choosing the first best
 gain-ratio split, trees grown from a prior tree (also when the root
 switches back and forth between attributes) and indices after each refresh
-equal to from-scratch induction, the root's count tables equal to
-counts from scratch, and grouping stability under relabeling.
+equal to from-scratch induction, the count tables of the root and its
+children equal to counts from scratch, and grouping stability under
+relabeling.
 """
 
 import dataclasses
@@ -593,8 +594,10 @@ grown_instance_sets = st.integers(min_value=1, max_value=200).flatmap(
 @settings(deadline=None)
 def test_root_tables_grown_from_priors_equal_counts_from_scratch(instances, min_leaf, cuts):
     """After every build from a prior, the root's count tables and partition
-    are those counted over all its instances, in the same key order, no node
-    below the root keeps tables, and the tree is the one induced anew."""
+    are those counted over all its instances, in the same key order, every
+    child of the root that keeps tables has those counted over its own
+    instances, no deeper node keeps tables, and the tree is the one induced
+    anew."""
     ends = sorted({min(cut, len(instances)) for cut in cuts} | {len(instances)})
     tree = build_tree(instances[:ends[0]], min_leaf=min_leaf)
     for end in ends[1:]:
@@ -610,7 +613,24 @@ def test_root_tables_grown_from_priors_equal_counts_from_scratch(instances, min_
         for inst in grown:
             parts.setdefault(inst.attributes[tree.attr_index], []).append(inst)
         assert list(tree.tables.parts.items()) == list(parts.items())
-        below = [child for child in tree.branches.values() if isinstance(child, Node)]
+        below = []
+        for value, child in tree.branches.items():
+            if not isinstance(child, Node):
+                continue
+            below.extend(grandchild for grandchild in child.branches.values()
+                         if isinstance(grandchild, Node))
+            if child.tables is None:
+                continue
+            own = parts[value]
+            assert child.tables.covered == len(own)
+            assert in_order(child.tables.by_attr) == in_order(
+                {attr: table for attr, table in counted_tables(own).items()
+                 if attr != tree.attr_index})
+            assert child.tables.split_attr == child.attr_index
+            child_parts = {}
+            for inst in own:
+                child_parts.setdefault(inst.attributes[child.attr_index], []).append(inst)
+            assert list(child.tables.parts.items()) == list(child_parts.items())
         while below:
             node = below.pop()
             assert node.tables is None
