@@ -75,8 +75,8 @@ class RoutingResult:
         empty. The result shares values instead of holding equal copies: its
         answering mask is `relevant` itself when the route found every
         relevant peer, its answering set is its searched set when every
-        searched community answered, and each set is the one that
-        `net.sp_sets` holds for its ids in search order."""
+        searched community answered, and each super-peer set is the equal
+        one that `net.sp_sets` holds."""
         answering_mask = 0
         answering_sps = []
         for spid in maps:
@@ -86,24 +86,20 @@ class RoutingResult:
                 answering_sps.append(spid)
         if answering_mask == relevant:
             answering_mask = relevant
-        searched_sps = _shared_set(net.sp_sets, tuple(maps))
-        answering = (searched_sps if len(answering_sps) == len(maps)
-                     else _shared_set(net.sp_sets, tuple(answering_sps)))
+        shared = net.sp_sets
+        searched_sps = frozenset(maps)
+        searched_sps = shared.setdefault(searched_sps, searched_sps)
+        if len(answering_sps) == len(maps):
+            answering = searched_sps
+        else:
+            answering = frozenset(answering_sps)
+            answering = shared.setdefault(answering, answering)
         return cls(answering_mask, answering, searched_sps,
                    response_time, sum(maps.values()), hops, tree_visits)
 
     @property
     def answering_peers(self) -> frozenset[PeerId]:
         return frozenset(peers_of(self.answering_mask))
-
-
-def _shared_set(sets: dict[tuple[SuperPeerId, ...], frozenset[SuperPeerId]],
-                ids: tuple[SuperPeerId, ...]) -> frozenset[SuperPeerId]:
-    """The frozenset of `ids` that `sets` holds, added on first use."""
-    found = sets.get(ids)
-    if found is None:
-        found = sets[ids] = frozenset(ids)
-    return found
 
 
 @dataclass(frozen=True, slots=True)

@@ -126,14 +126,10 @@ def _gains(table: Mapping[str, Mapping[SuperPeerId, int]], total: int,
     class -> count table covers `total` instances. `rows`, if given, caches
     each row's (size, entropy) by value: rows found there are not summed
     again, and the others are added to it."""
+    if rows is None:
+        rows = {}
     gain = parent_entropy
     sizes = []
-    if rows is None:
-        for counts in table.values():
-            size = sum(counts.values())
-            sizes.append(size)
-            gain -= size / total * _entropy(counts.values(), size)
-        return gain, _entropy(sizes, total)
     for value, counts in table.items():
         row = rows.get(value)
         if row is None:
@@ -272,23 +268,23 @@ def _induce(instances: Sequence[Instance], attrs: tuple[int, ...], min_leaf: int
     rows = {} if tables is None else tables.rows
     best_attr = max(sorted(attrs), key=lambda attr_index: _gain_ratio(
         by_attr[attr_index], len(instances), parent_entropy, rows.get(attr_index)))
-    remaining = tuple(a for a in attrs if a != best_attr)
-    if tables is not None and tables.split_attr == best_attr:
-        # Advanced in place: the kept branches are the prior's own, so only
-        # those that a new instance reaches can change.
-        parts = _partition(new, best_attr, tables.parts)
-        reused, reached = tables.branches[best_attr], {inst.attributes[best_attr] for inst in new}
-    else:
+    if tables is None or tables.split_attr != best_attr:
         parts = reached = _partition(instances, best_attr, {})
-        if tables is not None:
-            reused = tables.branches.get(best_attr, {})
-        else:
-            reused = prior.branches if isinstance(prior, Node) and prior.attr_index == best_attr else {}
+    else:
+        # Advanced in place: a part no new instance reaches is the one its
+        # kept branch was induced from, so that branch stays as it is.
+        parts = _partition(new, best_attr, tables.parts)
+        reached = {inst.attributes[best_attr] for inst in new}
+    remaining = tuple(a for a in attrs if a != best_attr)
+    if tables is None:
+        reused = prior.branches if isinstance(prior, Node) and prior.attr_index == best_attr else {}
+    else:
+        tables.covered, tables.split_attr, tables.parts = len(instances), best_attr, parts
+        reused = tables.branches.get(best_attr, {})
     branches = {value: _induce(part, remaining, min_leaf, reused.get(value), keep - 1)
                 if value in reached else reused[value]
                 for value, part in sorted(parts.items())}
     if tables is not None:
-        tables.covered, tables.split_attr, tables.parts = len(instances), best_attr, parts
         tables.branches[best_attr] = branches
     return Node(best_attr, branches, counts, tables)
 

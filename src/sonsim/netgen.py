@@ -49,8 +49,7 @@ class Network:
 
     The peer sets and the matrix below are derived from the fields, never
     passed in, and computed on first read. Peer sets are bitmasks (bit p for
-    peer p). `sp_sets` is no derived value but the table of super-peer sets
-    that the run's routing results share."""
+    peer p)."""
 
     peers: dict[PeerId, Peer]
     super_peers: dict[SuperPeerId, SuperPeer]
@@ -87,11 +86,11 @@ class Network:
         return cormat
 
     @cached_property
-    def sp_sets(self) -> dict[tuple[SuperPeerId, ...], frozenset[SuperPeerId]]:
-        """Super-peer ids in some order -> the one frozenset of them that
-        the routing results over this network share
-        (`baseline.RoutingResult.searched` fills it), so the sets live only
-        as long as the network."""
+    def sp_sets(self) -> dict[frozenset[SuperPeerId], frozenset[SuperPeerId]]:
+        """Each super-peer set that the routing results over this network
+        hold, mapped to itself, so that equal sets are one object
+        (`baseline.RoutingResult.searched` fills it) that lives only as
+        long as the network."""
         return {}
 
 

@@ -570,6 +570,15 @@ def in_order(tables):
             for attr, table in tables.items()}
 
 
+def assert_rows_cached_from(tables):
+    """Every (size, entropy) row that `tables` caches is that of the row it
+    counts now for the same attribute and value."""
+    for attr, rows in tables.rows.items():
+        for value, row in rows.items():
+            counts = tables.by_attr[attr][value]
+            assert row == (sum(counts.values()), entropy(counts))
+
+
 def counted_tables(instances):
     tables = {}
     for inst in instances:
@@ -596,8 +605,8 @@ def test_root_tables_grown_from_priors_equal_counts_from_scratch(instances, min_
     """After every build from a prior, the root's count tables and partition
     are those counted over all its instances, in the same key order, every
     child of the root that keeps tables has those counted over its own
-    instances, no deeper node keeps tables, and the tree is the one induced
-    anew."""
+    instances, every cached row entropy is that of its row's counts, no
+    deeper node keeps tables, and the tree is the one induced anew."""
     ends = sorted({min(cut, len(instances)) for cut in cuts} | {len(instances)})
     tree = build_tree(instances[:ends[0]], min_leaf=min_leaf)
     for end in ends[1:]:
@@ -608,6 +617,7 @@ def test_root_tables_grown_from_priors_equal_counts_from_scratch(instances, min_
             continue
         assert tree.tables.covered == end
         assert in_order(tree.tables.by_attr) == in_order(counted_tables(grown))
+        assert_rows_cached_from(tree.tables)
         assert tree.tables.split_attr == tree.attr_index
         parts = {}
         for inst in grown:
@@ -626,6 +636,7 @@ def test_root_tables_grown_from_priors_equal_counts_from_scratch(instances, min_
             assert in_order(child.tables.by_attr) == in_order(
                 {attr: table for attr, table in counted_tables(own).items()
                  if attr != tree.attr_index})
+            assert_rows_cached_from(child.tables)
             assert child.tables.split_attr == child.attr_index
             child_parts = {}
             for inst in own:
