@@ -36,7 +36,6 @@ from .dtree import (
     arff_import,
     build_tree,
     entropy,
-    gain_ratio,
     render_tree,
 )
 from .ksp import KspGroup, KspOverlay, form_groups, refresh_knowledge, route_kb, train_indices

@@ -74,9 +74,9 @@ class RoutingResult:
         `relevant`, the query's relevant peer mask, and only if that is not
         empty. The result shares values instead of holding equal copies: its
         answering mask is `relevant` itself when the route found every
-        relevant peer, its answering set is its searched set when every
-        searched community answered, and each super-peer set is the equal
-        one that `net.sp_sets` holds."""
+        relevant peer, and each super-peer set is the equal one that
+        `net.sp_sets` holds, so its answering set is its searched set when
+        every searched community answered."""
         answering_mask = 0
         answering_sps = []
         for spid in maps:
@@ -89,11 +89,8 @@ class RoutingResult:
         shared = net.sp_sets
         searched_sps = frozenset(maps)
         searched_sps = shared.setdefault(searched_sps, searched_sps)
-        if len(answering_sps) == len(maps):
-            answering = searched_sps
-        else:
-            answering = frozenset(answering_sps)
-            answering = shared.setdefault(answering, answering)
+        answering = frozenset(answering_sps)
+        answering = shared.setdefault(answering, answering)
         return cls(answering_mask, answering, searched_sps,
                    response_time, sum(maps.values()), hops, tree_visits)
 

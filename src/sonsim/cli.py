@@ -190,14 +190,16 @@ def cmd_train_index(args: argparse.Namespace) -> int:
     if args.holdout > 0.0:
         records = log.records
         split = int(len(records) * (1.0 - args.holdout))
-        if 0 < split < len(records):
-            held_tree = build_tree(instances_from_records(records[:split]),
-                                   min_leaf=args.min_leaf)
-            held_acc = record_accuracy(held_tree, records[split:])
-            print(f"held-out accuracy ({args.holdout:.0%} tail, records): {held_acc:.4f}")
-        else:
+        if not 0 < split < len(records):
             print(f"held-out accuracy skipped: too few records ({len(records)}) "
                   f"for a {args.holdout:.0%} holdout")
+        elif not (held := instances_from_records(records[:split])):
+            print(f"held-out accuracy skipped: no answered query in the first {split} "
+                  f"records to learn from")
+        else:
+            held_acc = record_accuracy(build_tree(held, min_leaf=args.min_leaf),
+                                       records[split:])
+            print(f"held-out accuracy ({args.holdout:.0%} tail, records): {held_acc:.4f}")
     return 0
 
 

@@ -8,18 +8,9 @@ One routine induces every node, the root included: it counts one value ->
 class -> count table per attribute (`_count`, the only code that counts a
 split table), splits on the best gain ratio over those tables and
 partitions its instances by the winning attribute alone. Given the tree
-induced before some instances were appended, induction reuses every
-subtree none of the new instances reach, and every node it re-induces takes
-its prior's class counts plus its new instances. The root and its children
-keep their count tables and the entropies of the table rows, and the next
-induction advances the tables by the new instances alone and recomputes
-only the rows they touch; a node that still splits as before re-induces
-only the branches its new instances reach. So a refresh reads old
-instances only at the nodes two or more levels down that its new records
-reach, and the result is the tree induced from scratch. A node with tables
-that switches back to an attribute it split on before takes the branches it
-last induced under it as priors, so even then a refresh does not induce the
-whole subtree anew.
+induced before some instances were appended, induction reuses what the new
+instances leave unchanged and returns the tree induced from scratch;
+`build_tree` states the reuse rule.
 Trees render in the same textual grammar the index dumps use, and datasets
 round-trip through ARFF.
 """
@@ -120,14 +111,11 @@ def _partition(instances: Iterable[Instance], attr_index: int,
 
 
 def _gains(table: Mapping[str, Mapping[SuperPeerId, int]], total: int,
-           parent_entropy: float,
-           rows: dict[str, tuple[int, float]] | None = None) -> tuple[float, float]:
+           parent_entropy: float, rows: dict[str, tuple[int, float]]) -> tuple[float, float]:
     """(information gain, split information) of the split whose value ->
-    class -> count table covers `total` instances. `rows`, if given, caches
-    each row's (size, entropy) by value: rows found there are not summed
-    again, and the others are added to it."""
-    if rows is None:
-        rows = {}
+    class -> count table covers `total` instances. `rows` caches each row's
+    (size, entropy) by value: rows found there are not summed again, and the
+    others are added to it."""
     gain = parent_entropy
     sizes = []
     for value, counts in table.items():
@@ -142,56 +130,39 @@ def _gains(table: Mapping[str, Mapping[SuperPeerId, int]], total: int,
 
 
 def _gain_ratio(table: Mapping[str, Mapping[SuperPeerId, int]], total: int,
-                parent_entropy: float,
-                rows: dict[str, tuple[int, float]] | None = None) -> float:
+                parent_entropy: float, rows: dict[str, tuple[int, float]]) -> float:
+    """Information gain normalized by split information, the entropy of the
+    attribute's own value distribution; 0 when the attribute takes a single
+    value."""
     if len(table) == 1:
         return 0.0  # no split information to normalize by
     gain, split_info = _gains(table, total, parent_entropy, rows)
     return gain / split_info
 
 
-def _gain_args(instances: Sequence[Instance], attr_index: int
-                 ) -> tuple[dict[str, dict[SuperPeerId, int]], int, float]:
-    """The arguments of `_gains` for splitting `instances` on `attr_index`."""
-    if not instances:
-        raise ValueError("no instances")
-    return _count(instances, attr_index, {}), len(instances), entropy(class_counts(instances))
-
-
 def information_gain(instances: Sequence[Instance], attr_index: int) -> float:
     """Parent entropy minus the size-weighted entropy of the value partitions."""
-    return _gains(*_gain_args(instances, attr_index))[0]
-
-
-def gain_ratio(instances: Sequence[Instance], attr_index: int) -> float:
-    """Information gain normalized by split information, the entropy of the
-    attribute's own value distribution; 0 when the attribute takes a single
-    value."""
-    return _gain_ratio(*_gain_args(instances, attr_index))
+    return _gains(_count(instances, attr_index, {}), len(instances),
+                  entropy(class_counts(instances)), {})[0]
 
 
 class _SplitTables:
-    """What a node of a tree built from a prior keeps so that the next build
-    from that tree counts only the instances appended below it: `by_attr`,
-    a value -> class -> count table per attribute, `rows`, the (size,
-    entropy) of each table row the node's gain ratios read, by attribute
-    and value, and `parts`, the partition by value of attribute
-    `split_attr`, all over the node's first `covered` instances. They are
-    advanced in place, so dict insertion order is the order of a
-    from-scratch scan; new instances evict only the cached rows they touch.
-    `branches` holds, per attribute the node has split on since the tables
-    were counted (the prior's attribute among them), the branches last
-    induced under it, each from a prefix of the instances: the priors of
-    the node's branches whenever it splits on that attribute again."""
+    """What a node of a tree built from a prior keeps for the next build
+    (`build_tree` states how that build uses it): `by_attr`, a value ->
+    class -> count table per attribute, `rows`, the (size, entropy) of each
+    table row the node's gain ratios read, by attribute and value, and
+    `parts`, the partition by value of the attribute the node splits on, all
+    over the node's first `covered` instances; and `branches`, per attribute
+    the node has split on since the tables were counted, the branches last
+    induced under it."""
 
-    __slots__ = ("covered", "by_attr", "rows", "split_attr", "parts", "branches")
+    __slots__ = ("covered", "by_attr", "rows", "parts", "branches")
 
     def __init__(self, by_attr: dict[int, dict[str, dict[SuperPeerId, int]]],
                  prior: DecisionTree | None) -> None:
         self.covered = 0
         self.by_attr = by_attr
         self.rows: dict[int, dict[str, tuple[int, float]]] = {attr: {} for attr in by_attr}
-        self.split_attr = -1
         self.parts: dict[str, list[Instance]] = {}
         self.branches: dict[int, dict[str, DecisionTree]] = (
             {prior.attr_index: prior.branches} if isinstance(prior, Node) else {})
@@ -207,25 +178,29 @@ def build_tree(instances: Sequence[Instance], min_leaf: int = 1,
     from the tables and partitions its instances by the winner alone.
 
     `prior`, if given, is the tree this function returned for a prefix of
-    `instances`, with the same `min_leaf`; every node counts the instances
-    it was induced from, so the rest are the new ones. A node none of whose
-    instances are new is the prior's node itself. Any other node
-    takes the prior node's class counts plus its new instances, and recurses
-    into the prior's branches if it splits on the prior node's attribute.
+    `instances`, with the same `min_leaf`. The reuse rule: every node counts
+    the instances it was induced from, so the rest are the new ones. A node
+    none of whose instances are new is the prior's node itself. Any other
+    node takes the prior node's class counts plus its new instances, and
+    recurses into the prior's branches if it splits on the prior node's
+    attribute.
     In a tree built from a prior, the root and its children keep their count
-    tables, the entropies of their rows and the partition by their split
-    attribute (`Node.tables`, no part of the tree's value); every deeper
-    node drops them once its branches are built. If a prior node's tables
-    cover exactly that node's instances, they are advanced in place by its
-    new instances alone; otherwise (the node has no tables, or a later build
-    already advanced them) they are counted from all its instances. The
-    tables also keep the branches last induced under each attribute the
-    node split on since they were counted afresh, the prior's own included,
-    and the node recurses into those of the attribute it splits on: they
-    were induced from the partition of a prefix of its instances, each part
-    of which is a prefix of the new part. A node whose tables were advanced
-    in place and whose split attribute did not change re-induces only the
-    branches its new instances reach and keeps the others as they are.
+    tables, the (size, entropy) of each table row and the partition by
+    their split attribute (`Node.tables`, no part of the tree's value);
+    every deeper node drops them once its branches are built. If a prior
+    node's tables cover exactly that node's instances, they belong to that
+    node and are advanced in place by its new instances alone, which evict
+    only the cached rows they touch; otherwise (the node has no tables, or
+    a later build already advanced them) they are counted from all its
+    instances. The tables also keep the branches last induced under each
+    attribute the node split on since they were counted afresh, the prior's
+    own included, and the node recurses into those of the attribute it
+    splits on: they were induced from the partition of a prefix of its
+    instances, each part of which is a prefix of the new part. A node whose
+    tables were advanced in place and that splits on its prior's attribute
+    advances the kept partition by its new instances, re-induces only the
+    branches they reach and keeps the others as they are; any other node
+    partitions all its instances.
     Instances are only appended, so counts and tables order classes and
     values as a scan from scratch does, and gain ratios are the same floats.
     A subtree depends only on its instances in order, its remaining
@@ -253,7 +228,8 @@ def _induce(instances: Sequence[Instance], attrs: tuple[int, ...], min_leaf: int
         return Leaf(counts)
 
     tables = prior.tables if keep > 0 and isinstance(prior, Node) else None
-    if tables is not None and tables.covered == induced:
+    advanced = tables is not None and tables.covered == induced
+    if advanced:
         tables.covered = -1  # matches no prior until it is advanced
         by_attr = tables.by_attr
         for attr_index, rows in tables.rows.items():
@@ -265,21 +241,22 @@ def _induce(instances: Sequence[Instance], attrs: tuple[int, ...], min_leaf: int
     for attr_index, table in by_attr.items():
         _count(new, attr_index, table)
     parent_entropy = entropy(counts)
-    rows = {} if tables is None else tables.rows
     best_attr = max(sorted(attrs), key=lambda attr_index: _gain_ratio(
-        by_attr[attr_index], len(instances), parent_entropy, rows.get(attr_index)))
-    if tables is None or tables.split_attr != best_attr:
-        parts = reached = _partition(instances, best_attr, {})
-    else:
-        # Advanced in place: a part no new instance reaches is the one its
-        # kept branch was induced from, so that branch stays as it is.
+        by_attr[attr_index], len(instances), parent_entropy,
+        {} if tables is None else tables.rows[attr_index]))
+    if advanced and prior.attr_index == best_attr:
+        # The tables advanced in place hold the prior's partition: a part no
+        # new instance reaches is the one its kept branch was induced from,
+        # so that branch stays as it is.
         parts = _partition(new, best_attr, tables.parts)
         reached = {inst.attributes[best_attr] for inst in new}
+    else:
+        parts = reached = _partition(instances, best_attr, {})
     remaining = tuple(a for a in attrs if a != best_attr)
     if tables is None:
         reused = prior.branches if isinstance(prior, Node) and prior.attr_index == best_attr else {}
     else:
-        tables.covered, tables.split_attr, tables.parts = len(instances), best_attr, parts
+        tables.covered, tables.parts = len(instances), parts
         reused = tables.branches.get(best_attr, {})
     branches = {value: _induce(part, remaining, min_leaf, reused.get(value), keep - 1)
                 if value in reached else reused[value]

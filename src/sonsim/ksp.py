@@ -8,12 +8,12 @@ network, which is what lets a group name relevant super-peers outside itself.
 One function, `query_attributes`, turns a query into tree attributes, for
 training and for the walk alike. Each group owns the instances its index was
 induced from; a log record becomes its instances once, and a refresh adds
-only the records routed since the last one. A refresh re-induces only the
-subtrees its new records reach: each index is the prior tree of the next
-induction, and a group that received no records is left as it is. Only
-`run_kb_epoch` decides when to refresh. Index-driven routing replaces all
-super-peer-level capacity evaluations with one tree walk; only peer-level
-evaluations remain metered as mapping work.
+only the records routed since the last one. A refresh passes each index to
+`dtree.build_tree` as the prior of its next induction (its docstring states
+what that reuses) and leaves a group that received no records as it is.
+Only `run_kb_epoch` decides when to refresh. Index-driven routing replaces
+all super-peer-level capacity evaluations with one tree walk; only
+peer-level evaluations remain metered as mapping work.
 As in the baseline, the route is costed while the query is routed, with
 the baseline's `segment_cost` rule: the origin community's scan runs in
 parallel with the index consult, after which the arrivals at the candidates
@@ -150,11 +150,8 @@ def _induce(overlay: KspOverlay, records, min_leaf: int, keep: bool) -> KspOverl
 
     When `keep`, a group that received no records keeps its index and
     instances as they are, and a group that did passes its index to
-    `build_tree` as the prior: the root and its children count only their
-    new instances into the split tables they keep, recompute the entropies
-    of only the table rows those touch, and re-induce only the branches the
-    new instances reach; the indices must have been induced at this
-    `min_leaf`. A group without instances gets the leaf over every
+    `build_tree` as the prior (see its reuse rule); the indices must have
+    been induced at this `min_leaf`. A group without instances gets the leaf over every
     group's class distribution; that leaf is never a prior."""
     slices: dict[KspId, list[LogRecord]] = {gid: [] for gid in overlay.groups}
     for record in records:
@@ -217,10 +214,10 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
 
 def refresh_knowledge(overlay: KspOverlay, records, min_leaf: int = 2) -> KspOverlay:
     """Append `records`, the queries routed since the previous refresh, to
-    their groups' instances and re-induce the subtrees of each index that the
-    new instances reach; each index equals the one induced from scratch, as
-    long as `min_leaf` is the one the indices were trained with. Always
-    returns a new overlay; when to refresh is `run_kb_epoch`'s
+    their groups' instances and re-induce each index from its prior tree
+    (see `dtree.build_tree`); each index equals the one induced from
+    scratch, as long as `min_leaf` is the one the indices were trained
+    with. Always returns a new overlay; when to refresh is `run_kb_epoch`'s
     decision."""
     return _induce(overlay, records, min_leaf, keep=True)
 

@@ -432,6 +432,20 @@ class TestTrainIndexAndRender:
         out = capsys.readouterr().out
         assert "held-out accuracy skipped: too few records (1) for a 20% holdout" in out
 
+    def test_holdout_prefix_without_an_answered_query_says_so(self, tmp_path, capsys):
+        answers = ["-", "-", "-", "-", "0"]
+        log = tmp_path / "late.tsv"
+        log.write_text("".join(f"q{i}\t{i}\t0\ta.b\tc.d\t{answer}\n"
+                               for i, answer in enumerate(answers)))
+        code = run_cli("train-index", "--log", str(log), "--outdir", str(tmp_path / "idx"))
+        assert code == 0
+        assert (tmp_path / "idx" / "dataset.arff").exists()
+        assert (tmp_path / "idx" / "index.tree.txt").exists()
+        out = capsys.readouterr().out
+        assert "training accuracy (instances)" in out
+        assert ("held-out accuracy skipped: no answered query in the first 4 records "
+                "to learn from") in out
+
     def test_missing_log_fails_cleanly(self, tmp_path):
         assert run_cli("train-index", "--log", str(tmp_path / "missing.tsv"),
                        "--outdir", str(tmp_path)) == 1

@@ -1,7 +1,8 @@
 """Runtime dependencies stay stdlib-only: every module `src/sonsim` imports
 is in the standard library or is `sonsim` itself. No module imports a name
 it does not use. One constructor turns the communities a route searched
-into its result."""
+into its result. The package exports and defines only what its own code
+uses."""
 
 import ast
 import sys
@@ -122,3 +123,40 @@ def test_one_function_turns_searched_communities_into_a_result():
         reads |= visitor.reads
     assert constructs == {"baseline.py:RoutingResult.searched"}
     assert reads == constructs
+
+
+# Names the package keeps although no code under src/sonsim reads them.
+UNREFERENCED_ALLOWED = {
+    # The plain exhaustive scan that every fast relevance path is tested against.
+    "oracle_relevant_peers",
+    # tests/test_acceptance.py checks the weather fixture's gains through it.
+    "information_gain",
+    # benchmark/worker.py reads relevant peers through it.
+    "relevant_peers_indexed",
+}
+
+
+def _surface() -> tuple[set[str], set[str]]:
+    """(the names `sonsim/__init__.py` exports and the module-level functions
+    and classes under `src/sonsim`, the names referenced by `src/sonsim` code
+    outside the definition of the same name). An import is no reference."""
+    declared, referenced = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for statement in tree.body:
+            own = None
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = statement.name
+                declared.add(own)
+            elif isinstance(statement, ast.ImportFrom) and path.name == "__init__.py":
+                declared.update(alias.asname or alias.name for alias in statement.names)
+            names = {node.id for node in ast.walk(statement) if isinstance(node, ast.Name)}
+            names |= _annotation_names(statement)
+            referenced |= names - {own}
+    return declared, referenced
+
+
+def test_every_exported_or_defined_name_is_used_by_the_package():
+    declared, referenced = _surface()
+    assert "build_tree" in declared and "Config" in declared
+    assert declared - referenced == UNREFERENCED_ALLOWED
