@@ -5,12 +5,13 @@ branch per observed attribute value, no pruning, no numeric attributes.
 Every node keeps its class-count distribution so inference can fall back on
 it when classification meets an attribute value never seen at that node.
 One routine induces every node, the root included: it counts one value ->
-class -> count table per attribute (`_count`, the only code that counts a
-split table), splits on the best gain ratio over those tables and
-partitions its instances by the winning attribute alone. Given the tree
-induced before some instances were appended, induction reuses what the new
-instances leave unchanged and returns the tree induced from scratch;
-`build_tree` states the reuse rule.
+row table per attribute (`_count`, the only code that counts a split
+table), a row holding the class counts and the instances of one value,
+splits on the best gain ratio over those tables, and induces each branch
+from the winning attribute's row for its value, which holds the branch's
+instances and class counts. Given the tree induced before some instances
+were appended, induction reuses what the new instances leave unchanged and
+returns the tree induced from scratch; `build_tree` states the reuse rule.
 Trees render in the same textual grammar the index dumps use, and datasets
 round-trip through ARFF.
 """
@@ -85,87 +86,87 @@ def _add_classes(counts: dict[SuperPeerId, int],
 
 
 def _count(instances: Iterable[Instance], attr_index: int,
-           table: dict[str, dict[SuperPeerId, int]]) -> dict[str, dict[SuperPeerId, int]]:
-    """Count `instances` into `table`, attribute `attr_index`'s value ->
-    class -> count table, in place: the one place a split table is counted.
-    Values and classes enter in the order they first occur."""
+           table: dict[str, _Row]) -> dict[str, _Row]:
+    """Append `instances` to `table`, attribute `attr_index`'s value -> row
+    table, in place: the one place a split table is counted. Each instance
+    joins its value's row, class count and instance list together, so rows
+    partition the instances. Values and classes enter in the order they
+    first occur."""
     get = table.get
     for inst in instances:
         value = inst.attributes[attr_index]
         row = get(value)
         if row is None:
-            table[value] = {inst.class_label: 1}
-        else:
-            label = inst.class_label
-            row[label] = row.get(label, 0) + 1
+            row = table[value] = _Row()
+        row.instances.append(inst)
+        counts = row.counts
+        label = inst.class_label
+        counts[label] = counts.get(label, 0) + 1
     return table
 
 
-def _partition(instances: Iterable[Instance], attr_index: int,
-               parts: dict[str, list[Instance]]) -> dict[str, list[Instance]]:
-    """Append `instances` to `parts`, their partition by value of
-    `attr_index`, in place."""
-    for inst in instances:
-        parts.setdefault(inst.attributes[attr_index], []).append(inst)
-    return parts
-
-
-def _gains(table: Mapping[str, Mapping[SuperPeerId, int]], total: int,
-           parent_entropy: float, rows: dict[str, tuple[int, float]]) -> tuple[float, float]:
-    """(information gain, split information) of the split whose value ->
-    class -> count table covers `total` instances. `rows` caches each row's
-    (size, entropy) by value: rows found there are not summed again, and the
-    others are added to it."""
+def _gains(table: Mapping[str, _Row], total: int, parent_entropy: float) -> tuple[float, float]:
+    """(information gain, split information) of the split whose value -> row
+    table covers `total` instances. A row's entropy is computed only when
+    its size has changed since it was last computed."""
     gain = parent_entropy
     sizes = []
-    for value, counts in table.items():
-        row = rows.get(value)
-        if row is None:
-            size = sum(counts.values())
-            row = rows[value] = size, _entropy(counts.values(), size)
-        size, row_entropy = row
+    for row in table.values():
+        size = len(row.instances)
+        if row.entropy[0] != size:
+            row.entropy = size, _entropy(row.counts.values(), size)
         sizes.append(size)
-        gain -= size / total * row_entropy
+        gain -= size / total * row.entropy[1]
     return gain, _entropy(sizes, total)
 
 
-def _gain_ratio(table: Mapping[str, Mapping[SuperPeerId, int]], total: int,
-                parent_entropy: float, rows: dict[str, tuple[int, float]]) -> float:
+def _gain_ratio(table: Mapping[str, _Row], total: int, parent_entropy: float) -> float:
     """Information gain normalized by split information, the entropy of the
     attribute's own value distribution; 0 when the attribute takes a single
     value."""
     if len(table) == 1:
         return 0.0  # no split information to normalize by
-    gain, split_info = _gains(table, total, parent_entropy, rows)
+    gain, split_info = _gains(table, total, parent_entropy)
     return gain / split_info
 
 
 def information_gain(instances: Sequence[Instance], attr_index: int) -> float:
     """Parent entropy minus the size-weighted entropy of the value partitions."""
     return _gains(_count(instances, attr_index, {}), len(instances),
-                  entropy(class_counts(instances)), {})[0]
+                  entropy(class_counts(instances)))[0]
+
+
+class _Row:
+    """One value of one attribute at a node: the class counts and the
+    instances, in order, of the node's instances that take that value;
+    `entropy`, the (size, entropy) last computed from the counts, which
+    holds while the row's size is unchanged because instances are only
+    appended; and `branch`, a subtree induced from a prefix of the row's
+    instances, or None. Each build from a prior sets the branches of the
+    rows under the prior's split attribute to the prior's, so when a build
+    reads a row, its branch is the last one induced under that attribute
+    and value."""
+
+    __slots__ = ("counts", "instances", "entropy", "branch")
+
+    def __init__(self) -> None:
+        self.counts: dict[SuperPeerId, int] = {}
+        self.instances: list[Instance] = []
+        self.entropy: tuple[int, float] = (0, 0.0)
+        self.branch: DecisionTree | None = None
 
 
 class _SplitTables:
-    """What a node of a tree built from a prior keeps for the next build
-    (`build_tree` states how that build uses it): `by_attr`, a value ->
-    class -> count table per attribute, `rows`, the (size, entropy) of each
-    table row the node's gain ratios read, by attribute and value, and
-    `parts`, the partition by value of the attribute the node splits on, all
-    over the node's first `covered` instances; and `branches`, per attribute
-    the node has split on since the tables were counted, the branches last
-    induced under it."""
+    """A node's split tables: `by_attr`, a value -> `_Row` table per
+    attribute left on the node's path, over its first `covered` instances.
+    A node of a tree built from a prior keeps them for the next build
+    (`build_tree` states how that build uses them)."""
 
-    __slots__ = ("covered", "by_attr", "rows", "parts", "branches")
+    __slots__ = ("covered", "by_attr")
 
-    def __init__(self, by_attr: dict[int, dict[str, dict[SuperPeerId, int]]],
-                 prior: DecisionTree | None) -> None:
+    def __init__(self, attrs: tuple[int, ...]) -> None:
         self.covered = 0
-        self.by_attr = by_attr
-        self.rows: dict[int, dict[str, tuple[int, float]]] = {attr: {} for attr in by_attr}
-        self.parts: dict[str, list[Instance]] = {}
-        self.branches: dict[int, dict[str, DecisionTree]] = (
-            {prior.attr_index: prior.branches} if isinstance(prior, Node) else {})
+        self.by_attr: dict[int, dict[str, _Row]] = {attr: {} for attr in attrs}
 
 
 def build_tree(instances: Sequence[Instance], min_leaf: int = 1,
@@ -174,96 +175,74 @@ def build_tree(instances: Sequence[Instance], min_leaf: int = 1,
     otherwise split on the gain-ratio-maximizing attribute (ties to the lowest
     index) with one branch per observed value, never reusing an attribute on
     a path. Every node, the root included, is induced by one routine: it
-    counts a value -> class -> count table per attribute, chooses the split
-    from the tables and partitions its instances by the winner alone.
+    counts a value -> row table per attribute, whose rows hold the class
+    counts and the instances of each value, chooses the split from the
+    tables, and induces each branch from a row of the winner, which gives
+    the branch its instances and class counts.
 
     `prior`, if given, is the tree this function returned for a prefix of
     `instances`, with the same `min_leaf`. The reuse rule: every node counts
     the instances it was induced from, so the rest are the new ones. A node
-    none of whose instances are new is the prior's node itself. Any other
-    node takes the prior node's class counts plus its new instances, and
-    recurses into the prior's branches if it splits on the prior node's
-    attribute.
-    In a tree built from a prior, the root and its children keep their count
-    tables, the (size, entropy) of each table row and the partition by
-    their split attribute (`Node.tables`, no part of the tree's value);
-    every deeper node drops them once its branches are built. If a prior
-    node's tables cover exactly that node's instances, they belong to that
-    node and are advanced in place by its new instances alone, which evict
-    only the cached rows they touch; otherwise (the node has no tables, or
-    a later build already advanced them) they are counted from all its
-    instances. The tables also keep the branches last induced under each
-    attribute the node split on since they were counted afresh, the prior's
-    own included, and the node recurses into those of the attribute it
-    splits on: they were induced from the partition of a prefix of its
-    instances, each part of which is a prefix of the new part. A node whose
-    tables were advanced in place and that splits on its prior's attribute
-    advances the kept partition by its new instances, re-induces only the
-    branches they reach and keeps the others as they are; any other node
-    partitions all its instances.
+    none of whose instances are new is the prior's node itself. In a tree
+    built from a prior, the root and its children keep their split tables
+    (`Node.tables`, no part of the tree's value); every deeper node drops
+    them once its branches are built. If a prior node's tables cover exactly
+    that node's instances, they belong to that node and its new instances
+    alone advance them in place; otherwise (the node keeps no tables, or a
+    later build already advanced them) every instance is counted into fresh
+    tables. The rows under the prior's attribute hold the prior's branches,
+    and each branch is induced with its row's branch as the prior: the one
+    last induced under that attribute and value, from a prefix of the row's
+    instances, so a branch no new instance reaches is that one itself.
     Instances are only appended, so counts and tables order classes and
     values as a scan from scratch does, and gain ratios are the same floats.
     A subtree depends only on its instances in order, its remaining
-    attributes and `min_leaf`, and partitioning keeps order, so the result
-    equals `build_tree(instances, min_leaf)`."""
+    attributes and `min_leaf`, and rows keep order, so the result equals
+    `build_tree(instances, min_leaf)`."""
     if not instances:
         raise ValueError("cannot induce a tree from zero instances")
     attrs = tuple(range(len(instances[0].attributes)))
-    return _induce(instances, attrs, min_leaf, prior, 2 if prior is not None else 0)
+    if prior is None:
+        return _induce(instances, class_counts(instances), attrs, min_leaf, None, 0)
+    counts = _add_classes(dict(prior.counts), instances[sum(prior.counts.values()):])
+    return _induce(instances, counts, attrs, min_leaf, prior, 2)
 
 
-def _induce(instances: Sequence[Instance], attrs: tuple[int, ...], min_leaf: int,
-            prior: DecisionTree | None, keep: int) -> DecisionTree:
-    """`build_tree` at one node, which keeps its split tables if `keep`, the
-    number of levels from this node down that keep them, is positive."""
+def _induce(instances: Sequence[Instance], counts: Mapping[SuperPeerId, int],
+            attrs: tuple[int, ...], min_leaf: int, prior: DecisionTree | None,
+            keep: int) -> DecisionTree:
+    """`build_tree` at one node, given `counts`, the class counts of
+    `instances`; the node keeps its split tables if `keep`, the number of
+    levels from this node down that keep them, is positive."""
     induced = 0 if prior is None else sum(prior.counts.values())
     if induced > len(instances):
         raise ValueError(f"prior induced from {induced} instances, "
                          f"more than the {len(instances)} given")
     if induced == len(instances):
         return prior
-    new = instances[induced:] if induced else instances
-    counts = _add_classes({} if prior is None else dict(prior.counts), new)
+    counts = dict(counts)  # a kept row's counts advance in place
     if len(counts) == 1 or not attrs or len(instances) < min_leaf:
         return Leaf(counts)
 
     tables = prior.tables if keep > 0 and isinstance(prior, Node) else None
-    advanced = tables is not None and tables.covered == induced
-    if advanced:
-        tables.covered = -1  # matches no prior until it is advanced
-        by_attr = tables.by_attr
-        for attr_index, rows in tables.rows.items():
-            for inst in new:
-                rows.pop(inst.attributes[attr_index], None)
+    if tables is not None and tables.covered == induced:
+        new = instances[induced:]
     else:  # fresh tables, to which every instance is new
-        by_attr, new = {attr: {} for attr in attrs}, instances
-        tables = _SplitTables(by_attr, prior) if keep > 0 else None
+        tables, new = _SplitTables(attrs), instances
+    tables.covered = len(instances)  # first, so half-counted tables match no prior
+    by_attr = tables.by_attr
     for attr_index, table in by_attr.items():
         _count(new, attr_index, table)
-    parent_entropy = entropy(counts)
-    best_attr = max(sorted(attrs), key=lambda attr_index: _gain_ratio(
-        by_attr[attr_index], len(instances), parent_entropy,
-        {} if tables is None else tables.rows[attr_index]))
-    if advanced and prior.attr_index == best_attr:
-        # The tables advanced in place hold the prior's partition: a part no
-        # new instance reaches is the one its kept branch was induced from,
-        # so that branch stays as it is.
-        parts = _partition(new, best_attr, tables.parts)
-        reached = {inst.attributes[best_attr] for inst in new}
-    else:
-        parts = reached = _partition(instances, best_attr, {})
+    if isinstance(prior, Node):
+        for value, branch in prior.branches.items():
+            by_attr[prior.attr_index][value].branch = branch
+    parent_entropy = _entropy(counts.values(), len(instances))
+    best_attr = max(attrs, key=lambda attr_index: _gain_ratio(
+        by_attr[attr_index], len(instances), parent_entropy))
     remaining = tuple(a for a in attrs if a != best_attr)
-    if tables is None:
-        reused = prior.branches if isinstance(prior, Node) and prior.attr_index == best_attr else {}
-    else:
-        tables.covered, tables.parts = len(instances), parts
-        reused = tables.branches.get(best_attr, {})
-    branches = {value: _induce(part, remaining, min_leaf, reused.get(value), keep - 1)
-                if value in reached else reused[value]
-                for value, part in sorted(parts.items())}
-    if tables is not None:
-        tables.branches[best_attr] = branches
-    return Node(best_attr, branches, counts, tables)
+    branches = {value: _induce(row.instances, row.counts, remaining, min_leaf, row.branch, keep - 1)
+                for value, row in sorted(by_attr[best_attr].items())}
+    return Node(best_attr, branches, counts, tables if keep > 0 else None)
 
 
 def _majority(counts: Mapping[SuperPeerId, int]) -> SuperPeerId:

@@ -148,10 +148,9 @@ def _induce(overlay: KspOverlay, records, min_leaf: int, keep: bool) -> KspOverl
     after the group's current instances if `keep`, and induce every group's
     index from its instances. A record whose origin super-peer is in no group raises.
 
-    When `keep`, a group that received no records keeps its index and
-    instances as they are, and a group that did passes its index to
-    `build_tree` as the prior (see its reuse rule); the indices must have
-    been induced at this `min_leaf`. A group without instances gets the leaf over every
+    When `keep`, every group with instances passes its index to `build_tree`
+    as the prior (see its reuse rule); the indices must have been induced at
+    this `min_leaf`. A group without instances gets the leaf over every
     group's class distribution; that leaf is never a prior."""
     slices: dict[KspId, list[LogRecord]] = {gid: [] for gid in overlay.groups}
     for record in records:
@@ -163,11 +162,7 @@ def _induce(overlay: KspOverlay, records, min_leaf: int, keep: bool) -> KspOverl
     for gid in sorted(overlay.groups):
         group = overlay.groups[gid]
         old = group.instances if keep else ()
-        new = tuple(instances_from_records(slices[gid]))
-        if old and not new:
-            groups[gid] = group
-            continue
-        own = old + new
+        own = old + tuple(instances_from_records(slices[gid]))
         prior = group.index if old else None
         index = build_tree(own, min_leaf=min_leaf, prior=prior) if own else None
         groups[gid] = dataclasses.replace(group, index=index, instances=own)

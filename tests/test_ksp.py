@@ -335,3 +335,31 @@ class TestRefresh:
         calls = len(replay) // refresh_every if refresh_every else 0
         assert batches == [[q.id for q in replay[k * refresh_every:(k + 1) * refresh_every]]
                            for k in range(calls)]
+
+    def test_refresh_work_stays_within_its_budget(self, monkeypatch):
+        """At 300/10, seed 9, refreshing every 10 queries, induction counts
+        at most 114,759 instances into split tables, and class-counts each
+        instance of the final groups exactly once: a build counts the
+        classes of its new instances at the root, and every other node takes
+        its class counts from its parent's table."""
+        import sonsim.dtree
+        from sonsim.engine import run_pipeline
+        tabled, classed = [], []
+        count, add_classes = sonsim.dtree._count, sonsim.dtree._add_classes
+
+        def counting(instances, attr_index, table):
+            instances = list(instances)
+            tabled.extend(instances)
+            return count(instances, attr_index, table)
+
+        def class_counting(counts, instances):
+            instances = list(instances)
+            classed.extend(instances)
+            return add_classes(counts, instances)
+
+        monkeypatch.setattr(sonsim.dtree, "_count", counting)
+        monkeypatch.setattr(sonsim.dtree, "_add_classes", class_counting)
+        overlay = run_pipeline(Config(np=300, nsp=10, seed=9, refresh_every=10)).overlay
+        assert len(tabled) <= 114_759
+        final = [inst for group in overlay.groups.values() for inst in group.instances]
+        assert sorted(map(id, classed)) == sorted(map(id, final))

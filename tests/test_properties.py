@@ -9,9 +9,9 @@ counts agreeing with where they searched, routing monotonicity in the
 threshold, distribution normalization, tree induction choosing the first best
 gain-ratio split, trees grown from a prior tree (also when the root
 switches back and forth between attributes) and indices after each refresh
-equal to from-scratch induction, the count tables of the root and its
-children equal to counts from scratch, and grouping stability under
-relabeling.
+equal to from-scratch induction, the rows of the root's and its
+children's split tables holding every attribute's partition and class
+counts as counted from scratch, and grouping stability under relabeling.
 """
 
 import dataclasses
@@ -478,7 +478,7 @@ def assert_first_best_split(tree, instances, attrs, min_leaf):
         assert len(tree.counts) == 1 or not attrs or len(instances) < min_leaf
         return
     parent_entropy = entropy(class_counts(instances))
-    ratios = {a: _gain_ratio(_count(instances, a, {}), len(instances), parent_entropy, {})
+    ratios = {a: _gain_ratio(_count(instances, a, {}), len(instances), parent_entropy)
               for a in attrs}
     best = max(ratios.values())
     assert tree.attr_index == min(a for a, r in ratios.items() if r == best)
@@ -566,29 +566,25 @@ def counts_in_order(tree):
     return found
 
 
-def in_order(tables):
-    """A value -> class -> count table per attribute as nested lists of
-    pairs, so that comparing two compares key order at both levels too."""
-    return {attr: [(value, list(row.items())) for value, row in table.items()]
-            for attr, table in tables.items()}
-
-
-def assert_rows_cached_from(tables):
-    """Every (size, entropy) row that `tables` caches is that of the row it
-    counts now for the same attribute and value."""
-    for attr, rows in tables.rows.items():
-        for value, row in rows.items():
-            counts = tables.by_attr[attr][value]
-            assert row == (sum(counts.values()), entropy(counts))
-
-
-def counted_tables(instances):
-    tables = {}
+def assert_rows_hold(tables, instances, attrs):
+    """`tables` has a table for each attribute of `attrs`, whose rows hold,
+    in order, that attribute's partition of `instances` and each part's
+    class counts, values and classes in the order they first occur; every
+    (size, entropy) a row caches for its present size is that of its
+    counts."""
+    partitions = {attr: {} for attr in attrs}
     for inst in instances:
-        for attr, value in enumerate(inst.attributes):
-            row = tables.setdefault(attr, {}).setdefault(value, {})
-            row[inst.class_label] = row.get(inst.class_label, 0) + 1
-    return tables
+        for attr, parts in partitions.items():
+            parts.setdefault(inst.attributes[attr], []).append(inst)
+    assert {attr: [(value, row.instances) for value, row in table.items()]
+            for attr, table in tables.by_attr.items()} == {
+        attr: list(parts.items()) for attr, parts in partitions.items()}
+    for table in tables.by_attr.values():
+        for row in table.values():
+            assert list(row.counts.items()) == list(class_counts(row.instances).items())
+            size, row_entropy = row.entropy
+            if size == len(row.instances):
+                assert row_entropy == entropy(row.counts)
 
 
 GROWN_TOKENS = [f"{a}.{b}" for a in "ab" for b in "abcd"]
@@ -605,11 +601,12 @@ grown_instance_sets = st.integers(min_value=1, max_value=200).flatmap(
        cuts=st.lists(st.integers(min_value=1, max_value=200), min_size=4, max_size=6))
 @settings(deadline=None)
 def test_root_tables_grown_from_priors_equal_counts_from_scratch(instances, min_leaf, cuts):
-    """After every build from a prior, the root's count tables and partition
-    are those counted over all its instances, in the same key order, every
-    child of the root that keeps tables has those counted over its own
-    instances, every cached row entropy is that of its row's counts, no
-    deeper node keeps tables, and the tree is the one induced anew."""
+    """After every build from a prior, the root's rows hold every
+    attribute's partition of all its instances with the class counts of
+    each part, in order, and so do those of every child of the root that
+    keeps tables over its own instances; every row entropy cached for the
+    row's present size is that of its counts, no deeper node keeps tables,
+    and the tree is the one induced anew."""
     ends = sorted({min(cut, len(instances)) for cut in cuts} | {len(instances)})
     tree = build_tree(instances[:ends[0]], min_leaf=min_leaf)
     for end in ends[1:]:
@@ -619,12 +616,8 @@ def test_root_tables_grown_from_priors_equal_counts_from_scratch(instances, min_
         if isinstance(tree, Leaf):
             continue
         assert tree.tables.covered == end
-        assert in_order(tree.tables.by_attr) == in_order(counted_tables(grown))
-        assert_rows_cached_from(tree.tables)
-        parts = {}
-        for inst in grown:
-            parts.setdefault(inst.attributes[tree.attr_index], []).append(inst)
-        assert list(tree.tables.parts.items()) == list(parts.items())
+        attrs = range(len(grown[0].attributes))
+        assert_rows_hold(tree.tables, grown, attrs)
         below = []
         for value, child in tree.branches.items():
             if not isinstance(child, Node):
@@ -633,16 +626,9 @@ def test_root_tables_grown_from_priors_equal_counts_from_scratch(instances, min_
                          if isinstance(grandchild, Node))
             if child.tables is None:
                 continue
-            own = parts[value]
+            own = [inst for inst in grown if inst.attributes[tree.attr_index] == value]
             assert child.tables.covered == len(own)
-            assert in_order(child.tables.by_attr) == in_order(
-                {attr: table for attr, table in counted_tables(own).items()
-                 if attr != tree.attr_index})
-            assert_rows_cached_from(child.tables)
-            child_parts = {}
-            for inst in own:
-                child_parts.setdefault(inst.attributes[child.attr_index], []).append(inst)
-            assert list(child.tables.parts.items()) == list(child_parts.items())
+            assert_rows_hold(child.tables, own, [a for a in attrs if a != tree.attr_index])
         while below:
             node = below.pop()
             assert node.tables is None
