@@ -180,15 +180,13 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
     if max_hops is not None and max_hops < 0:
         raise ValueError("max_hops must be >= 0 or None for unbounded")
 
-    maps: dict[SuperPeerId, int] = {}
+    # Super-peers enter `maps` when queued, so it is also the visited set.
+    maps: dict[SuperPeerId, int] = {sp: len(net.super_peers[sp].members)}
     forwarded: dict[SuperPeerId, list[SuperPeerId]] = {}
-
-    processed: set[SuperPeerId] = {sp}
     queue: deque[tuple[SuperPeerId, int]] = deque([(sp, 0)])
 
     while queue:
         spid, depth = queue.popleft()
-        maps[spid] = len(net.super_peers[spid].members)
         if max_hops is not None and depth >= max_hops:
             continue
         friends = sorted(net.super_peers[spid].friends)
@@ -196,8 +194,8 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
         forwarded[spid] = children = []
         for friend in friends:
             qualifies = capacity(net.super_peers[friend].expertise, query) >= eps_acc
-            if qualifies and friend not in processed:
-                processed.add(friend)
+            if qualifies and friend not in maps:
+                maps[friend] = len(net.super_peers[friend].members)
                 children.append(friend)
                 queue.append((friend, depth + 1))
 

@@ -48,9 +48,9 @@ class Node:
     attr_index: int
     branches: dict[str, "DecisionTree"]
     counts: dict[SuperPeerId, int]  # fallback distribution for unseen values
-    # Split statistics of a node at depth 0 or 1 induced from a prior (see
-    # build_tree); they are no part of the tree's value.
-    tables: _SplitTables | None = field(default=None, compare=False, repr=False)
+    # Split tables, attribute -> value -> row, of a node at depth 0 or 1
+    # induced from a prior (see build_tree); they are no part of the tree's value.
+    tables: dict[int, dict[str, _Row]] | None = field(default=None, compare=False, repr=False)
 
 
 DecisionTree = Union[Leaf, Node]
@@ -156,19 +156,6 @@ class _Row:
         self.branch: DecisionTree | None = None
 
 
-class _SplitTables:
-    """A node's split tables: `by_attr`, a value -> `_Row` table per
-    attribute left on the node's path, over its first `covered` instances.
-    A node of a tree built from a prior keeps them for the next build
-    (`build_tree` states how that build uses them)."""
-
-    __slots__ = ("covered", "by_attr")
-
-    def __init__(self, attrs: tuple[int, ...]) -> None:
-        self.covered = 0
-        self.by_attr: dict[int, dict[str, _Row]] = {attr: {} for attr in attrs}
-
-
 def build_tree(instances: Sequence[Instance], min_leaf: int = 1,
                prior: DecisionTree | None = None) -> DecisionTree:
     """Induce a tree: leaf when pure, out of attributes, or below min_leaf;
@@ -186,14 +173,15 @@ def build_tree(instances: Sequence[Instance], min_leaf: int = 1,
     none of whose instances are new is the prior's node itself. In a tree
     built from a prior, the root and its children keep their split tables
     (`Node.tables`, no part of the tree's value); every deeper node drops
-    them once its branches are built. If a prior node's tables cover exactly
-    that node's instances, they belong to that node and its new instances
-    alone advance them in place; otherwise (the node keeps no tables, or a
-    later build already advanced them) every instance is counted into fresh
-    tables. The rows under the prior's attribute hold the prior's branches,
-    and each branch is induced with its row's branch as the prior: the one
-    last induced under that attribute and value, from a prefix of the row's
-    instances, so a branch no new instance reaches is that one itself.
+    them once its branches are built. If every attribute's rows in a prior
+    node's tables hold exactly that node's instances, the tables belong to
+    that node and its new instances alone advance them in place; otherwise
+    (the node keeps no tables, or a later or interrupted build advanced
+    them) every instance is counted into fresh tables. The rows under the
+    prior's attribute hold the prior's branches, and each branch is induced
+    with its row's branch as the prior: the one last induced under that
+    attribute and value, from a prefix of the row's instances, so a branch
+    no new instance reaches is that one itself.
     Instances are only appended, so counts and tables order classes and
     values as a scan from scratch does, and gain ratios are the same floats.
     A subtree depends only on its instances in order, its remaining
@@ -225,23 +213,22 @@ def _induce(instances: Sequence[Instance], counts: Mapping[SuperPeerId, int],
         return Leaf(counts)
 
     tables = prior.tables if keep > 0 and isinstance(prior, Node) else None
-    if tables is not None and tables.covered == induced:
+    if tables is not None and all(sum(len(row.instances) for row in table.values()) == induced
+                                  for table in tables.values()):
         new = instances[induced:]
     else:  # fresh tables, to which every instance is new
-        tables, new = _SplitTables(attrs), instances
-    tables.covered = len(instances)  # first, so half-counted tables match no prior
-    by_attr = tables.by_attr
-    for attr_index, table in by_attr.items():
+        tables, new = {attr_index: {} for attr_index in attrs}, instances
+    for attr_index, table in tables.items():
         _count(new, attr_index, table)
     if isinstance(prior, Node):
         for value, branch in prior.branches.items():
-            by_attr[prior.attr_index][value].branch = branch
+            tables[prior.attr_index][value].branch = branch
     parent_entropy = _entropy(counts.values(), len(instances))
     best_attr = max(attrs, key=lambda attr_index: _gain_ratio(
-        by_attr[attr_index], len(instances), parent_entropy))
+        tables[attr_index], len(instances), parent_entropy))
     remaining = tuple(a for a in attrs if a != best_attr)
     branches = {value: _induce(row.instances, row.counts, remaining, min_leaf, row.branch, keep - 1)
-                for value, row in sorted(by_attr[best_attr].items())}
+                for value, row in sorted(tables[best_attr].items())}
     return Node(best_attr, branches, counts, tables if keep > 0 else None)
 
 

@@ -297,12 +297,6 @@ def sweep(base_config: Config, sizes: list[tuple[int, int]]) -> list[ExperimentR
     return reports
 
 
-def format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def metrics_rows(report: ExperimentReport) -> Iterator[tuple]:
     """`metrics.csv` rows, yielded one at a time: each strategy's per-query
     rows, strategies sorted."""
@@ -315,7 +309,8 @@ def _write_csv(path, columns: tuple[str, ...], rows: Iterable[tuple]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+            # Rows hold str, int and float; str of a float is its repr.
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def write_metrics_csv(report: ExperimentReport, path) -> None:

@@ -1,8 +1,9 @@
 """Runtime dependencies stay stdlib-only: every module `src/sonsim` imports
 is in the standard library or is `sonsim` itself. No module imports a name
 it does not use. One constructor turns the communities a route searched
-into its result. The package exports and defines only what its own code
-uses."""
+into its result. The modules are the package's API: `sonsim/__init__.py`
+re-exports nothing, and every module defines only what the package's own
+code uses."""
 
 import ast
 import sys
@@ -73,7 +74,7 @@ def _unused_imports(path: Path) -> set[str]:
 
 
 def test_every_imported_name_is_used():
-    sources = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    sources = sorted(SRC.glob("*.py"))
     assert sources
     assert set().union(*map(_unused_imports, sources)) == set()
 
@@ -136,10 +137,17 @@ UNREFERENCED_ALLOWED = {
 }
 
 
+def test_the_package_namespace_is_empty():
+    """Code imports the modules; `sonsim/__init__.py` holds only its docstring."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert not [node for node in ast.walk(tree) if isinstance(
+        node, (ast.Import, ast.ImportFrom, ast.Assign, ast.AnnAssign, ast.AugAssign))]
+
+
 def _surface() -> tuple[set[str], set[str]]:
-    """(the names `sonsim/__init__.py` exports and the module-level functions
-    and classes under `src/sonsim`, the names referenced by `src/sonsim` code
-    outside the definition of the same name). An import is no reference."""
+    """(the module-level functions and classes under `src/sonsim`, the names
+    referenced by `src/sonsim` code outside the definition of the same name).
+    An import is no reference."""
     declared, referenced = set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -148,8 +156,6 @@ def _surface() -> tuple[set[str], set[str]]:
             if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 own = statement.name
                 declared.add(own)
-            elif isinstance(statement, ast.ImportFrom) and path.name == "__init__.py":
-                declared.update(alias.asname or alias.name for alias in statement.names)
             names = {node.id for node in ast.walk(statement) if isinstance(node, ast.Name)}
             names |= _annotation_names(statement)
             referenced |= names - {own}

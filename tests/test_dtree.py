@@ -197,7 +197,12 @@ def rows_in_order(tables):
     values and classes in table order."""
     return {attr: [(value, list(row.counts.items()), row.instances)
                    for value, row in table.items()]
-            for attr, table in tables.by_attr.items()}
+            for attr, table in tables.items()}
+
+
+def row_totals(tables):
+    """The set of instance totals over the rows of each attribute's table."""
+    return {sum(len(row.instances) for row in table.values()) for table in tables.values()}
 
 
 class TestRootTables:
@@ -218,7 +223,7 @@ class TestRootTables:
         prior = build_tree(FIXTURE[:12], min_leaf=1, prior=build_tree(FIXTURE[:10], min_leaf=1))
         tree = build_tree(FIXTURE, min_leaf=1, prior=prior)
         assert tree.tables is prior.tables
-        assert tree.tables.covered == len(FIXTURE)
+        assert row_totals(tree.tables) == {len(FIXTURE)}
 
     def test_branches_no_new_instance_reaches_are_the_kept_ones(self):
         prior = build_tree(FIXTURE, min_leaf=1, prior=build_tree(FIXTURE[:10], min_leaf=1))
@@ -234,14 +239,14 @@ class TestRootTables:
     def test_tables_one_level_down_are_advanced_in_place(self):
         prior = build_tree(FIXTURE, min_leaf=1, prior=build_tree(FIXTURE[:10], min_leaf=1))
         sunny = prior.branches["sunny"]
-        assert sunny.tables is not None and sunny.tables.covered == 5
+        assert sunny.tables is not None and row_totals(sunny.tables) == {5}
         added = [Instance(("sunny", "cool", "high", "strong"), 0),
                  Instance(("rain", "mild", "high", "weak"), 1)]
         tree = build_tree(FIXTURE + added, min_leaf=1, prior=prior)
         assert tree == build_tree(FIXTURE + added, min_leaf=1)
         assert tree.branches["sunny"].attr_index == sunny.attr_index
         assert tree.branches["sunny"].tables is sunny.tables
-        assert sunny.tables.covered == 6
+        assert row_totals(sunny.tables) == {6}
 
     def test_unchanged_splits_count_only_the_new_instances(self, monkeypatch):
         prior = build_tree(FIXTURE, min_leaf=1, prior=build_tree(FIXTURE[:10], min_leaf=1))
@@ -259,7 +264,7 @@ class TestRootTables:
         tree = build_tree(FIXTURE + added, min_leaf=1, prior=prior)
         assert tree == build_tree(FIXTURE + added, min_leaf=1)
         assert tree.attr_index == prior.attr_index
-        for table in tree.tables.by_attr.values():
+        for table in tree.tables.values():
             assert counted[id(table)] == added
         children = [(value, child) for value, child in tree.branches.items()
                     if isinstance(child, Node)]
@@ -268,8 +273,29 @@ class TestRootTables:
             assert child.attr_index == prior.branches[value].attr_index
             assert child.tables is prior.branches[value].tables
             reaching = [inst for inst in added if inst.attributes[0] == value]
-            for table in child.tables.by_attr.values():
+            for table in child.tables.values():
                 assert counted[id(table)] == reaching
+
+    def test_interrupted_build_leaves_its_prior_reusable(self, monkeypatch):
+        # The class follows attribute 1, so the prior splits on it, and the
+        # count is interrupted at attribute 0, which is counted first.
+        data = [Instance((f"x{i % 3}", f"y{i % 2}"), i % 2) for i in range(12)]
+        prior = build_tree(data[:9], prior=build_tree(data[:6]))
+        assert prior.attr_index == 1 and prior.tables is not None
+        original = sonsim.dtree._count
+
+        def interrupted(instances, attr_index, table):
+            original(list(instances)[:1], attr_index, table)
+            raise RuntimeError("interrupted")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sonsim.dtree, "_count", interrupted)
+            with pytest.raises(RuntimeError, match="interrupted"):
+                build_tree(data, prior=prior)
+        tree = build_tree(data, prior=prior)
+        assert tree == build_tree(data)
+        counted = build_tree(data, prior=build_tree(data[:9]))
+        assert rows_in_order(tree.tables) == rows_in_order(counted.tables)
 
     def test_tree_built_without_prior_keeps_no_tables(self):
         nodes = [build_tree(FIXTURE, min_leaf=1)]

@@ -577,14 +577,19 @@ def assert_rows_hold(tables, instances, attrs):
         for attr, parts in partitions.items():
             parts.setdefault(inst.attributes[attr], []).append(inst)
     assert {attr: [(value, row.instances) for value, row in table.items()]
-            for attr, table in tables.by_attr.items()} == {
+            for attr, table in tables.items()} == {
         attr: list(parts.items()) for attr, parts in partitions.items()}
-    for table in tables.by_attr.values():
+    for table in tables.values():
         for row in table.values():
             assert list(row.counts.items()) == list(class_counts(row.instances).items())
             size, row_entropy = row.entropy
             if size == len(row.instances):
                 assert row_entropy == entropy(row.counts)
+
+
+def row_totals(tables):
+    """The set of instance totals over the rows of each attribute's table."""
+    return {sum(len(row.instances) for row in table.values()) for table in tables.values()}
 
 
 GROWN_TOKENS = [f"{a}.{b}" for a in "ab" for b in "abcd"]
@@ -615,7 +620,7 @@ def test_root_tables_grown_from_priors_equal_counts_from_scratch(instances, min_
         assert tree == build_tree(grown, min_leaf=min_leaf)
         if isinstance(tree, Leaf):
             continue
-        assert tree.tables.covered == end
+        assert row_totals(tree.tables) == {end}
         attrs = range(len(grown[0].attributes))
         assert_rows_hold(tree.tables, grown, attrs)
         below = []
@@ -627,7 +632,7 @@ def test_root_tables_grown_from_priors_equal_counts_from_scratch(instances, min_
             if child.tables is None:
                 continue
             own = [inst for inst in grown if inst.attributes[tree.attr_index] == value]
-            assert child.tables.covered == len(own)
+            assert row_totals(child.tables) == {len(own)}
             assert_rows_hold(child.tables, own, [a for a in attrs if a != tree.attr_index])
         while below:
             node = below.pop()
