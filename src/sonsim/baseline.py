@@ -19,7 +19,7 @@ path of its forwarding, one segment per searched super-peer:
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from random import Random
 
@@ -74,9 +74,9 @@ class RoutingResult:
         `relevant`, the query's relevant peer mask, and only if that is not
         empty. The result shares values instead of holding equal copies: its
         answering mask is `relevant` itself when the route found every
-        relevant peer, and each super-peer set is the equal one that
-        `net.sp_sets` holds, so its answering set is its searched set when
-        every searched community answered."""
+        relevant peer, and otherwise the equal one that `net.shared` holds,
+        as is each super-peer set, so its answering set is its searched set
+        when every searched community answered."""
         answering_mask = 0
         answering_sps = []
         for spid in maps:
@@ -84,9 +84,11 @@ class RoutingResult:
             if hits:
                 answering_mask |= hits
                 answering_sps.append(spid)
+        shared = net.shared
         if answering_mask == relevant:
             answering_mask = relevant
-        shared = net.sp_sets
+        else:
+            answering_mask = shared.setdefault(answering_mask, answering_mask)
         searched_sps = frozenset(maps)
         searched_sps = shared.setdefault(searched_sps, searched_sps)
         answering = frozenset(answering_sps)
@@ -117,29 +119,35 @@ class LogRecord:
 
 
 class QueryLog:
-    """Append-only, duplicate-rejecting trace of routed queries."""
+    """The trace of routed queries, built once from its records; a repeated
+    query id is rejected."""
 
-    def __init__(self, records=()):
-        self._records: list[LogRecord] = []
-        self._ids: set[str] = set()
-        for record in records:
-            self.append(record)
-
-    def append(self, record: LogRecord) -> None:
-        if record.query_id in self._ids:
-            raise ValueError(f"duplicate query id in log: {record.query_id}")
-        self._ids.add(record.query_id)
-        self._records.append(record)
+    def __init__(self, records: Iterable[LogRecord] = ()):
+        self._records = tuple(records)
+        repeat = _first_repeat(self._records)
+        if repeat is not None:
+            raise ValueError(f"duplicate query id in log: {self._records[repeat].query_id}")
 
     @property
     def records(self) -> tuple[LogRecord, ...]:
-        return tuple(self._records)
+        return self._records
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __iter__(self):
         return iter(self._records)
+
+
+def _first_repeat(records: Sequence[LogRecord]) -> int | None:
+    """The position of the first record whose query id an earlier one has,
+    or None."""
+    seen = set()
+    for position, record in enumerate(records):
+        if record.query_id in seen:
+            return position
+        seen.add(record.query_id)
+    return None
 
 
 def generate_queries(peer: Peer, count: int, n_components: int, rng: Random,
@@ -218,14 +226,14 @@ def run_baseline_epoch(net: Network, workload: list[Query],
     """
     if not workload:
         raise ValueError("workload is empty")
-    log = QueryLog()
+    records = []
     results = []
     for query, query_relevant in zip(workload, relevant, strict=True):
         origin_sp = net.peers[query.origin_peer].super_peer
         result = route_baseline(net, query, origin_sp, query_relevant, eps_acc, costs, max_hops)
         results.append(result)
-        log.append(LogRecord.routed(query, origin_sp, result))
-    return log, results
+        records.append(LogRecord.routed(query, origin_sp, result))
+    return QueryLog(records), results
 
 
 def write_query_log(log: QueryLog, path) -> None:
@@ -250,7 +258,8 @@ def _log_int(text: str, field: str) -> int:
 def read_query_log(path) -> QueryLog:
     """Parse a log written by `write_query_log`; every record must have as
     many query components as the first. Every error names the file and line."""
-    log = QueryLog()
+    records: list[LogRecord] = []
+    lines: list[int] = []  # the line of each record
     width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -271,13 +280,17 @@ def read_query_log(path) -> QueryLog:
                 answering = frozenset(
                     _log_int(s, "answering super-peer") for s in answering_field.split(",")
                 ) if answering_field != "-" else frozenset()
-                log.append(LogRecord(
+                records.append(LogRecord(
                     query_id=fields[0],
                     origin_peer=_log_int(fields[1], "origin peer"),
                     origin_sp=_log_int(fields[2], "origin super-peer"),
                     components=components,
                     answering_sps=answering,
                 ))
+                lines.append(lineno)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return log
+    try:
+        return QueryLog(records)
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {lines[_first_repeat(records)]}: {exc}") from None

@@ -16,11 +16,12 @@ import argparse
 import dataclasses
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .baseline import read_query_log, write_query_log
 from .config import Config, ConfigError, read_config, write_config
-from .dtree import arff_export, arff_import, build_tree, render_tree, training_accuracy
+from .dtree import arff_export, arff_import, arff_lines, build_tree, render_tree, training_accuracy
 from .engine import (
     BASELINE,
     KSP,
@@ -64,15 +65,18 @@ def _outdir(args: argparse.Namespace) -> Path:
     return path
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+def _write(path: Path, parts: Iterable[str]) -> None:
+    """Write `parts` to `path` one after another, so a generator's text is
+    never held whole."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(parts)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     config = _build_config(args)
     net = build_son(config)
     outdir = _outdir(args)
-    _write(outdir / "network.txt", serialize_network(net))
+    _write(outdir / "network.txt", [serialize_network(net)])
     print(f"network: {config.np} peers, {config.nsp} super-peers -> {outdir / 'network.txt'}")
     for spid in sorted(net.super_peers):
         sp = net.super_peers[spid]
@@ -107,7 +111,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     outdir = _outdir(args)
 
     write_config(config, outdir / "config.txt")
-    _write(outdir / "network.txt", serialize_network(artifacts.net))
+    _write(outdir / "network.txt", [serialize_network(artifacts.net)])
     write_query_log(artifacts.train_log, outdir / "train_log.tsv")
 
     report = artifacts.report
@@ -126,8 +130,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         for gid in sorted(artifacts.overlay.groups):
             group = artifacts.overlay.groups[gid]
             _write(outdir / f"group{gid}.arff",
-                   arff_export(group.instances, f"group{gid}", config.n_components))
-            _write(outdir / f"group{gid}.tree.txt", render_tree(group.index) + "\n")
+                   arff_lines(group.instances, f"group{gid}", config.n_components))
+            _write(outdir / f"group{gid}.tree.txt", [render_tree(group.index), "\n"])
 
     for strategy in sorted(report.summaries):
         s = report.summaries[strategy]
@@ -182,8 +186,8 @@ def cmd_train_index(args: argparse.Namespace) -> int:
         raise ValueError("log contains no answered queries to learn from")
     tree = build_tree(instances, min_leaf=args.min_leaf)
     outdir = _outdir(args)
-    _write(outdir / "dataset.arff", arff_export(instances, args.relation))
-    _write(outdir / "index.tree.txt", render_tree(tree) + "\n")
+    _write(outdir / "dataset.arff", [arff_export(instances, args.relation)])
+    _write(outdir / "index.tree.txt", [render_tree(tree), "\n"])
     print(f"{len(instances)} instances from {len(log)} records -> {outdir / 'dataset.arff'}")
     print(f"training accuracy (records): {record_accuracy(tree, log):.4f}")
     print(f"training accuracy (instances): {training_accuracy(tree, instances):.4f}")

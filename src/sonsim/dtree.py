@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .model import SuperPeerId
 
@@ -108,14 +108,17 @@ def _count(instances: Iterable[Instance], attr_index: int,
 def _gains(table: Mapping[str, _Row], total: int, parent_entropy: float) -> tuple[float, float]:
     """(information gain, split information) of the split whose value -> row
     table covers `total` instances. A row's entropy is computed only when
-    its size has changed since it was last computed."""
+    its size has changed since it was last computed, and never for a row of
+    one class, whose entropy is 0.0 and takes nothing from the gain."""
     gain = parent_entropy
     sizes = []
     for row in table.values():
         size = len(row.instances)
+        sizes.append(size)
+        if len(row.counts) == 1:
+            continue
         if row.entropy[0] != size:
             row.entropy = size, _entropy(row.counts.values(), size)
-        sizes.append(size)
         gain -= size / total * row.entropy[1]
     return gain, _entropy(sizes, total)
 
@@ -186,31 +189,41 @@ def build_tree(instances: Sequence[Instance], min_leaf: int = 1,
     values as a scan from scratch does, and gain ratios are the same floats.
     A subtree depends only on its instances in order, its remaining
     attributes and `min_leaf`, and rows keep order, so the result equals
-    `build_tree(instances, min_leaf)`."""
+    `build_tree(instances, min_leaf)`. Equal leaves of one build, with their
+    class counts in the same order, are one object."""
     if not instances:
         raise ValueError("cannot induce a tree from zero instances")
     attrs = tuple(range(len(instances[0].attributes)))
     if prior is None:
-        return _induce(instances, class_counts(instances), attrs, min_leaf, None, 0)
+        return _induce(instances, class_counts(instances), attrs, min_leaf, None, 0, {})
     counts = _add_classes(dict(prior.counts), instances[sum(prior.counts.values()):])
-    return _induce(instances, counts, attrs, min_leaf, prior, 2)
+    return _induce(instances, counts, attrs, min_leaf, prior, 2, {})
 
 
-def _induce(instances: Sequence[Instance], counts: Mapping[SuperPeerId, int],
+def _induce(instances: Sequence[Instance], counts: dict[SuperPeerId, int],
             attrs: tuple[int, ...], min_leaf: int, prior: DecisionTree | None,
-            keep: int) -> DecisionTree:
+            keep: int, leaves: dict[tuple, Leaf]) -> DecisionTree:
     """`build_tree` at one node, given `counts`, the class counts of
     `instances`; the node keeps its split tables if `keep`, the number of
-    levels from this node down that keep them, is positive."""
+    levels from this node down that keep them, is positive. `leaves` maps
+    the ordered class counts of each leaf the build induced to that leaf.
+    When `keep` >= 0 (at the root, or below a parent that keeps its tables)
+    `counts` may be a kept row's, which later builds advance in place, so
+    the node holds a copy; otherwise it holds `counts` itself."""
     induced = 0 if prior is None else sum(prior.counts.values())
     if induced > len(instances):
         raise ValueError(f"prior induced from {induced} instances, "
                          f"more than the {len(instances)} given")
     if induced == len(instances):
         return prior
-    counts = dict(counts)  # a kept row's counts advance in place
     if len(counts) == 1 or not attrs or len(instances) < min_leaf:
-        return Leaf(counts)
+        key = tuple(counts.items())
+        leaf = leaves.get(key)
+        if leaf is None:
+            leaf = leaves[key] = Leaf(dict(counts) if keep >= 0 else counts)
+        return leaf
+    if keep >= 0:
+        counts = dict(counts)
 
     tables = prior.tables if keep > 0 and isinstance(prior, Node) else None
     if tables is not None and all(sum(len(row.instances) for row in table.values()) == induced
@@ -227,8 +240,11 @@ def _induce(instances: Sequence[Instance], counts: Mapping[SuperPeerId, int],
     best_attr = max(attrs, key=lambda attr_index: _gain_ratio(
         tables[attr_index], len(instances), parent_entropy))
     remaining = tuple(a for a in attrs if a != best_attr)
-    branches = {value: _induce(row.instances, row.counts, remaining, min_leaf, row.branch, keep - 1)
-                for value, row in sorted(tables[best_attr].items())}
+    rows = tables[best_attr]
+    # An only child's counts are its parent's.
+    branches = {value: _induce(row.instances, counts if len(rows) == 1 else row.counts,
+                               remaining, min_leaf, row.branch, keep - 1, leaves)
+                for value, row in sorted(rows.items())}
     return Node(best_attr, branches, counts, tables if keep > 0 else None)
 
 
@@ -316,6 +332,13 @@ def arff_export(instances: Sequence[Instance], relation_name: str,
                 n_attributes: int | None = None) -> str:
     """Standard nominal-attribute ARFF with one composanteW<i> attribute per
     query component and the answering super-peer as the class."""
+    return "".join(arff_lines(instances, relation_name, n_attributes))
+
+
+def arff_lines(instances: Sequence[Instance], relation_name: str,
+               n_attributes: int | None = None) -> Iterator[str]:
+    """The lines of `arff_export`'s text, each ending in a newline, yielded
+    one at a time so that a writer never holds the whole text."""
     if n_attributes is None:
         n_attributes = len(instances[0].attributes) if instances else 0
     for inst in instances:
@@ -324,19 +347,19 @@ def arff_export(instances: Sequence[Instance], relation_name: str,
                 f"inconsistent attribute count: expected {n_attributes}, "
                 f"got {len(inst.attributes)}"
             )
-    lines = [f"@relation {relation_name}", ""]
+    yield f"@relation {relation_name}\n"
+    yield "\n"
     for i in range(n_attributes):
         values = sorted({inst.attributes[i] for inst in instances})
-        lines.append(f"@attribute {ATTRIBUTE_PREFIX}{i + 1} {{{','.join(values)}}}")
+        yield f"@attribute {ATTRIBUTE_PREFIX}{i + 1} {{{','.join(values)}}}\n"
     labels = sorted({inst.class_label for inst in instances})
     class_values = ",".join(f"{CLASS_PREFIX}{label}" for label in labels)
-    lines.append(f"@attribute {CLASS_ATTRIBUTE} {{{class_values}}}")
-    lines.append("")
-    lines.append("@data")
+    yield f"@attribute {CLASS_ATTRIBUTE} {{{class_values}}}\n"
+    yield "\n"
+    yield "@data\n"
     for inst in instances:
         row = ",".join(inst.attributes) + ("," if inst.attributes else "")
-        lines.append(f"{row}{CLASS_PREFIX}{inst.class_label}")
-    return "\n".join(lines) + "\n"
+        yield f"{row}{CLASS_PREFIX}{inst.class_label}\n"
 
 
 def arff_import(text: str) -> list[Instance]:

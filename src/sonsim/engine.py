@@ -104,9 +104,13 @@ def score(result: RoutingResult, oracle: int) -> tuple[float, float]:
     """
     retrieved = result.answering_mask
     hits = (retrieved & oracle).bit_count()
-    precision = hits / retrieved.bit_count() if retrieved else 1.0
-    recall = hits / oracle.bit_count() if oracle else 1.0
-    return precision, recall
+    return _ratio(hits, retrieved.bit_count()), _ratio(hits, oracle.bit_count())
+
+
+def _ratio(part: int, whole: int) -> float:
+    """part / whole, and 1.0 when they are equal, zero included; that 1.0 is
+    one constant object, not a float per row, and n / n is 1.0 exactly."""
+    return 1.0 if part == whole else part / whole
 
 
 def query_metrics(query: Query, result: RoutingResult, oracle: int) -> QueryMetrics:
@@ -116,7 +120,7 @@ def query_metrics(query: Query, result: RoutingResult, oracle: int) -> QueryMetr
         response_time=result.response_time,
         precision=precision,
         recall=recall,
-        sp_precision=len(result.answering_sps) / len(result.searched_sps),
+        sp_precision=_ratio(len(result.answering_sps), len(result.searched_sps)),
         mapping_ops=result.mapping_ops,
         hops=result.hops,
         tree_visits=result.tree_visits,

@@ -86,11 +86,11 @@ class Network:
         return cormat
 
     @cached_property
-    def sp_sets(self) -> dict[frozenset[SuperPeerId], frozenset[SuperPeerId]]:
-        """Each super-peer set that the routing results over this network
-        hold, mapped to itself, so that equal sets are one object
-        (`baseline.RoutingResult.searched` fills it) that lives only as
-        long as the network."""
+    def shared(self) -> dict[frozenset[SuperPeerId] | int, frozenset[SuperPeerId] | int]:
+        """Each super-peer set and partial answering mask that the routing
+        results over this network hold, mapped to itself, so that equal
+        values are one object (`baseline.RoutingResult.searched` fills it)
+        that lives only as long as the network."""
         return {}
 
 

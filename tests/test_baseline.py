@@ -195,9 +195,8 @@ class TestEpochAndLog:
 
     def test_duplicate_query_ids_rejected(self):
         record = LogRecord("q1", 0, 0, (), frozenset())
-        log = QueryLog([record])
         with pytest.raises(ValueError, match="duplicate"):
-            log.append(record)
+            QueryLog([record, record])
 
     def test_log_round_trips_through_file(self, tmp_path):
         net = small_net(np=12, nsp=3, friends_per_sp=2)

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import re
+import tracemalloc
 
 import pytest
 
@@ -225,8 +226,39 @@ class TestSharedRecords:
         artifacts, _ = run
         held = [sps for results in (artifacts.baseline_results, artifacts.kb_results)
                 for result in results for sps in (result.searched_sps, result.answering_sps)]
-        assert all(sps is artifacts.net.sp_sets[sps] for sps in held)
+        assert all(sps is artifacts.net.shared[sps] for sps in held)
         assert len(set(held)) < len(artifacts.eval_workload)
+
+    def test_equal_leaves_of_one_build_are_one_object(self, run):
+        artifacts, _ = run
+        (group,) = artifacts.overlay.groups.values()  # one build, one tree
+        leaves, nodes = [], [group.index]
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, Node):
+                nodes.extend(node.branches.values())
+            else:
+                leaves.append(node)
+        distinct = {tuple(leaf.counts.items()) for leaf in leaves}
+        assert len({id(leaf) for leaf in leaves}) == len(distinct) < len(leaves)
+
+    def test_equal_partial_answering_masks_are_one_object(self, run):
+        artifacts, masks = run
+        held: dict[int, set[int]] = {}
+        for results in (artifacts.baseline_results, artifacts.kb_results):
+            for result, mask in zip(results, masks, strict=True):
+                if result.answering_mask != mask:
+                    held.setdefault(result.answering_mask, set()).add(id(result.answering_mask))
+        assert all(len(ids) == 1 for ids in held.values())
+        both = [(b, k) for b, k, mask in zip(artifacts.baseline_results, artifacts.kb_results, masks)
+                if b.answering_mask == k.answering_mask != mask]
+        assert both and all(b.answering_mask is k.answering_mask for b, k in both)
+
+    def test_ratios_equal_to_one_are_one_float(self, run):
+        artifacts, _ = run
+        ones = {id(value) for rows in artifacts.report.per_query.values() for row in rows
+                for value in (row.precision, row.recall, row.sp_precision) if value == 1.0}
+        assert len(ones) == 1
 
     def test_records_have_slots_and_no_instance_dict(self, run):
         artifacts, _ = run
@@ -243,6 +275,18 @@ class TestSharedRecords:
         for record in records:
             assert "__slots__" in vars(type(record))
             assert not hasattr(record, "__dict__")
+
+
+def test_a_run_stays_within_its_memory_budget():
+    """The traced peak of a 1000/20 replay run, which holds every routing
+    result, per-query row and index until it returns."""
+    tracemalloc.start()
+    try:
+        run_pipeline(Config(np=1000, nsp=20, seed=9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
 
 
 class TestCollectorPause:
