@@ -201,8 +201,10 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
         maps[spid] += len(friends)
         forwarded[spid] = children = []
         for friend in friends:
-            qualifies = capacity(net.super_peers[friend].expertise, query) >= eps_acc
-            if qualifies and friend not in maps:
+            # A queued super-peer is never forwarded to again, so it is not
+            # evaluated; the probe is metered above all the same.
+            expertise = net.super_peers[friend].expertise
+            if friend not in maps and capacity(expertise, query) >= eps_acc:
                 maps[friend] = len(net.super_peers[friend].members)
                 children.append(friend)
                 queue.append((friend, depth + 1))

@@ -26,7 +26,7 @@ class ConfigError(ValueError):
         self.field = field
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
     seed: int = 42
     np: int = 300                  # number of peers
@@ -97,6 +97,7 @@ class Config:
     def from_text(cls, text: str) -> "Config":
         fields = {f.name: f for f in dataclasses.fields(cls)}
         values = {}
+        lines: dict[str, int] = {}  # key -> the line that set it
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -107,6 +108,8 @@ class Config:
             key = key.strip()
             if key not in fields:
                 raise ConfigError(key, f"line {lineno}: unknown configuration key")
+            if lines.setdefault(key, lineno) != lineno:
+                raise ConfigError(key, f"line {lineno}: repeats the key of line {lines[key]}")
             values[key] = _coerce(fields[key].type, value.strip(), key)
         return cls(**values)
 

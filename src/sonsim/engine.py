@@ -202,8 +202,7 @@ def run_pipeline(config: Config, include_kb: bool = True,
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        config.validate()
-        net = build_son(config)
+        net = build_son(config)  # validates the config first
         costs = (config.c_hop, config.c_map, config.c_tree)
 
         def relevance(workload: list[Query]) -> list[int]:
@@ -272,7 +271,7 @@ def run_pipeline(config: Config, include_kb: bool = True,
             rows[KSP] = [query_metrics(q, r, oracle)
                          for q, r, oracle in zip(eval_workload, kb_results, relevant)]
         summaries = {name: summarize(name, rs) for name, rs in rows.items()}
-        report = ExperimentReport(config=config.replace(), per_query=rows,
+        report = ExperimentReport(config=config, per_query=rows,
                                   summaries=summaries)
         return PipelineArtifacts(
             config=config, net=net, train_log=train_log, overlay=overlay,

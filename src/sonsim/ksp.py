@@ -51,48 +51,45 @@ class KspGroup:
 
 @dataclass(frozen=True)
 class KspOverlay:
-    """Partition of the super-peer set into domain groups."""
+    """Partition of the super-peer set into domain groups. `form_groups`
+    builds `sp_to_group` and nothing mutates it, so every overlay trained
+    or refreshed from that one shares its dict."""
 
     groups: dict[KspId, KspGroup]
     sp_to_group: dict[SuperPeerId, KspId]
 
 
 def form_groups(net: Network, tau_trust: int) -> KspOverlay:
-    """Connected components of the trust graph at threshold tau_trust.
+    """Connected components of the trust graph at threshold tau_trust, found
+    in one breadth-first search that gives each super-peer its group id as
+    it reaches it.
 
     Super-peers with no qualifying edge form singleton groups. Group ids are
     assigned in ascending order of each component's smallest member id: the
-    search starts from the unvisited ids in ascending order, so each start is
+    search starts from the unreached ids in ascending order, so each start is
     its component's smallest member.
     """
     if tau_trust < 1:
         raise ValueError("tau_trust must be >= 1")
-    sp_ids = sorted(net.super_peers)
-    adjacency: dict[int, list[int]] = {spid: [] for spid in sp_ids}
+    adjacency: dict[int, list[int]] = {spid: [] for spid in net.super_peers}
     for (i, j), shared in net.cormat.items():
         if shared >= tau_trust:
             adjacency[i].append(j)
             adjacency[j].append(i)
 
-    components: list[frozenset[int]] = []
-    unvisited = set(sp_ids)
-    for start in sp_ids:
-        if start not in unvisited:
+    groups: dict[KspId, KspGroup] = {}
+    sp_to_group: dict[SuperPeerId, KspId] = {}
+    for start in sorted(net.super_peers):
+        if start in sp_to_group:
             continue
-        stack = [start]
-        unvisited.discard(start)
-        component = {start}
-        while stack:
-            current = stack.pop()
+        gid = sp_to_group[start] = len(groups)
+        members = [start]
+        for current in members:  # the members reached so far are the search queue
             for neighbor in adjacency[current]:
-                if neighbor in unvisited:
-                    unvisited.discard(neighbor)
-                    component.add(neighbor)
-                    stack.append(neighbor)
-        components.append(frozenset(component))
-
-    groups = {gid: KspGroup(members=members) for gid, members in enumerate(components)}
-    sp_to_group = {spid: gid for gid, group in groups.items() for spid in sorted(group.members)}
+                if neighbor not in sp_to_group:
+                    sp_to_group[neighbor] = gid
+                    members.append(neighbor)
+        groups[gid] = KspGroup(members=frozenset(members))
     return KspOverlay(groups=groups, sp_to_group=sp_to_group)
 
 
@@ -171,7 +168,7 @@ def _induce(overlay: KspOverlay, records, min_leaf: int, keep: bool) -> KspOverl
         fallback = Leaf(class_counts(inst for group in groups.values() for inst in group.instances))
         for gid in empty:
             groups[gid] = dataclasses.replace(groups[gid], index=fallback)
-    return KspOverlay(groups=groups, sp_to_group=dict(overlay.sp_to_group))
+    return KspOverlay(groups=groups, sp_to_group=overlay.sp_to_group)
 
 
 def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,

@@ -3,16 +3,18 @@
 Generation order matters: domains and super-peer expertise first, then friend
 links with expertise duplication (which is the only source of inter-community
 overlap, because each domain draws couples from its own token partition), then
-peers as subsets of their super-peer's final expertise. The stages pass the
-super-peer dict along and `build_son` constructs the one `Network` at the
-end. What a `Network` derives from its peers and super-peers (the peer masks
-and the correspondence matrix) it computes on first read, so it always
-agrees with them.
+peers as subsets of their super-peer's final expertise. `build_son` grows
+plain expertise sets through the first two stages, then constructs each
+`SuperPeer` once, before it draws the peers, and the one `Network` at the
+end. Peers are attached round-robin (peer p under super-peer p mod nsp), so
+each community's members follow from the sizes alone. What a `Network`
+derives from its peers and super-peers (the peer masks and the
+correspondence matrix) it computes on first read, so it always agrees with
+them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import string
 from dataclasses import dataclass
@@ -98,14 +100,11 @@ def generate_domains(nsp: int, rng: Random) -> list[DomainLabel]:
     """Draw nsp pairwise-distinct two-letter domain labels."""
     if not 1 <= nsp <= MAX_NSP:
         raise ValueError(f"need between 1 and {MAX_NSP} domains, got {nsp}")
-    labels: list[DomainLabel] = []
-    seen = set()
+    labels: dict[DomainLabel, None] = {}  # an insertion-ordered set: a repeat adds nothing
     while len(labels) < nsp:
         label = "".join(rng.choice(string.ascii_lowercase) for _ in range(2))
-        if label not in seen:
-            seen.add(label)
-            labels.append(label)
-    return labels
+        labels[label] = None
+    return list(labels)
 
 
 def generate_sp_expertise(domain: DomainLabel, size: int, rng: Random) -> Expertise:
@@ -123,42 +122,36 @@ def generate_sp_expertise(domain: DomainLabel, size: int, rng: Random) -> Expert
     return frozenset(rng.sample(couples, size))
 
 
-def link_friends_and_duplicate(sps: dict[SuperPeerId, SuperPeer], friends_per_sp: int,
-                               dup_count: int, rng: Random) -> dict[SuperPeerId, SuperPeer]:
-    """Select friends per super-peer and duplicate expertise across each link;
-    returns the super-peers with their new friends and expertise.
+def link_friends_and_duplicate(expertise: dict[SuperPeerId, set[ExpertiseElement]],
+                               friends_per_sp: int, dup_count: int,
+                               rng: Random) -> dict[SuperPeerId, set[SuperPeerId]]:
+    """Select friends per super-peer and duplicate expertise across each link:
+    grows the super-peers' `expertise` sets in place and returns their friend
+    sets.
 
     Friendship is recorded symmetrically. Duplicating dup_count elements into
     every chosen friend guarantees each friend pair shares at least dup_count
     elements, i.e. a mapping exists between them.
     """
-    nsp = len(sps)
+    nsp = len(expertise)
     if friends_per_sp >= nsp:
         raise ValueError(f"friends_per_sp must be < number of super-peers ({nsp})")
     if dup_count < 1:
         raise ValueError("dup_count must be >= 1 so friend links carry a mapping")
-    smallest = min(len(sp.expertise) for sp in sps.values())
+    smallest = min(map(len, expertise.values()))
     if dup_count > smallest:
         raise ValueError(f"dup_count {dup_count} exceeds smallest expertise size {smallest}")
 
-    expertise = {spid: set(sps[spid].expertise) for spid in sorted(sps)}
-    friends: dict[int, set[int]] = {spid: set(sps[spid].friends) for spid in sorted(sps)}
-    for spid in sorted(sps):
-        others = [j for j in sorted(sps) if j != spid]
+    ids = sorted(expertise)
+    friends: dict[SuperPeerId, set[SuperPeerId]] = {spid: set() for spid in ids}
+    for spid in ids:
+        others = [j for j in ids if j != spid]
         for friend in rng.sample(others, friends_per_sp):
             shared = rng.sample(sorted(expertise[spid]), dup_count)
             expertise[friend].update(shared)
             friends[spid].add(friend)
             friends[friend].add(spid)
-
-    return {
-        spid: dataclasses.replace(
-            sps[spid],
-            expertise=frozenset(expertise[spid]),
-            friends=frozenset(friends[spid]),
-        )
-        for spid in sps
-    }
+    return friends
 
 
 def generate_peer_expertise(sp: SuperPeer, min_size: int, rng: Random) -> Expertise:
@@ -178,30 +171,22 @@ def build_son(config: Config) -> Network:
     links with duplication, then peers attached round-robin."""
     config.validate()
     rng = substream(config.seed, "network")
+    np, nsp = config.np, config.nsp
 
-    domains = generate_domains(config.nsp, rng)
+    domains = generate_domains(nsp, rng)
+    expertise = {spid: set(generate_sp_expertise(domains[spid], config.sp_expertise_size, rng))
+                 for spid in range(nsp)}
+    friends = link_friends_and_duplicate(expertise, config.friends_per_sp, config.dup_count, rng)
     sps = {
-        spid: SuperPeer(
-            id=spid,
-            domain=domains[spid],
-            expertise=generate_sp_expertise(domains[spid], config.sp_expertise_size, rng),
-            friends=frozenset(),
-            members=frozenset(),
-        )
-        for spid in range(config.nsp)
+        spid: SuperPeer(id=spid, domain=domains[spid], expertise=frozenset(expertise[spid]),
+                        friends=frozenset(friends[spid]), members=frozenset(range(spid, np, nsp)))
+        for spid in range(nsp)
     }
-    sps = link_friends_and_duplicate(sps, config.friends_per_sp, config.dup_count, rng)
-
-    peers: dict[int, Peer] = {}
-    members: dict[int, set[int]] = {spid: set() for spid in range(config.nsp)}
-    for pid in range(config.np):
-        spid = pid % config.nsp
-        expertise = generate_peer_expertise(sps[spid], config.min_peer_expertise, rng)
-        peers[pid] = Peer(id=pid, expertise=expertise, super_peer=spid)
-        members[spid].add(pid)
-
-    sps = {spid: dataclasses.replace(sp, members=frozenset(members[spid]))
-           for spid, sp in sps.items()}
+    peers = {
+        pid: Peer(id=pid, expertise=generate_peer_expertise(
+            sps[pid % nsp], config.min_peer_expertise, rng), super_peer=pid % nsp)
+        for pid in range(np)
+    }
     return Network(peers=peers, super_peers=sps, config=config)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+import sonsim.baseline
 from sonsim.config import Config, substream
 from sonsim.baseline import (
     LogRecord,
@@ -162,6 +163,36 @@ class TestRouteBaseline:
         result = route(net, q, 0, 0.0, max_hops=None)
         # Forward count equals newly visited super-peers: no duplicates.
         assert result.hops == len(result.searched_sps) - 1
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    def test_a_queued_super_peer_is_not_evaluated_again_under_flood(self, monkeypatch, eps):
+        net = small_net(np=100, nsp=10, seed=33)
+        owner = {id(sp.expertise): spid for spid, sp in net.super_peers.items()}
+        evaluated = []
+
+        def counting(expertise, query):
+            evaluated.append(owner[id(expertise)])
+            return capacity(expertise, query)
+
+        monkeypatch.setattr(sonsim.baseline, "capacity", counting)
+        rng = substream(17, "probe")
+        for _ in range(20):
+            pid = rng.randrange(100)
+            q = generate_queries(net.peers[pid], 1, 4, rng, id_prefix=f"r{pid}-")[0]
+            origin = net.peers[pid].super_peer
+            evaluated.clear()
+            result = route(net, q, origin, eps, max_hops=None)
+            # Each reached super-peer is evaluated once, when it is first
+            # probed, and the origin never.
+            assert origin not in evaluated
+            for spid in result.searched_sps - {origin}:
+                assert evaluated.count(spid) == 1
+            if eps == 0.0:  # every probed super-peer qualifies
+                assert len(evaluated) == len(result.searched_sps) - 1
+            # The metered mapping operations still count every friend probed.
+            assert result.mapping_ops == sum(
+                len(net.super_peers[spid].members) + len(net.super_peers[spid].friends)
+                for spid in result.searched_sps)
 
 
 class TestCostTree:

@@ -51,6 +51,31 @@ class TestConfigFile:
             Config(np=700, nsp=677).validate()
         assert excinfo.value.field == "nsp"
 
+    @pytest.mark.parametrize("text, field, problem", [
+        ("nsp = 0", "nsp", "at least one super-peer"),
+        ("sp_expertise_size = 0", "sp_expertise_size", "must be >= 1"),
+        ("friends_per_sp = 10", "friends_per_sp", "must lie in [0, nsp), got 10"),
+        ("dup_count = 0", "dup_count", "must be >= 1"),
+        ("dup_count = 13", "dup_count", "cannot exceed sp_expertise_size"),
+        ("min_peer_expertise = 0", "min_peer_expertise", "must lie in [1, sp_expertise_size]"),
+        ("n_components = 0", "n_components", "at least one component"),
+        ("queries_per_peer = -1", "queries_per_peer", "must be >= 0"),
+        ("max_hops = -2", "max_hops", "-1 for unbounded"),
+        ("tau_trust = 0", "tau_trust", "must be >= 1"),
+        ("min_leaf = 0", "min_leaf", "must be >= 1"),
+        ("refresh_every = -1", "refresh_every", "must be >= 0"),
+        ("workload_mode = warm", "workload_mode", "got 'warm'"),
+        ("# np = 30\nnp 30", "config-file", "line 2: expected 'key = value'"),
+        ("np = many", "np", "expected an integer, got 'many'"),
+        ("eps_acc = half", "eps_acc", "expected a number, got 'half'"),
+        ("np = 100\nnsp = 5\nnp = 40", "np", "line 3: repeats the key of line 1"),
+    ])
+    def test_bad_config_text_names_the_field(self, text, field, problem):
+        with pytest.raises(ConfigError) as excinfo:
+            Config.from_text(text + "\n").validate()
+        assert excinfo.value.field == field
+        assert problem in str(excinfo.value)
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "config.txt"
         path.write_text("# comment\n\nseed = 5\nnp = 30\nnsp = 3\nfriends_per_sp = 2\n")
@@ -449,6 +474,30 @@ class TestTrainIndexAndRender:
     def test_missing_log_fails_cleanly(self, tmp_path):
         assert run_cli("train-index", "--log", str(tmp_path / "missing.tsv"),
                        "--outdir", str(tmp_path)) == 1
+
+
+class TestUnusableInput:
+    @pytest.mark.parametrize("case, message", [
+        ("missing-arff", "ARFF file not found: {tmp}/none.arff"),
+        ("arff-without-rows", "ARFF file contains no data rows"),
+        ("log-without-answers", "log contains no answered queries to learn from"),
+        ("no-sizes", "no sizes given"),
+    ])
+    def test_is_named_and_writes_nothing(self, tmp_path, capsys, case, message):
+        arff = tmp_path / "empty.arff"
+        arff.write_text("@relation rel\n@attribute class {}\n@data\n")
+        log = tmp_path / "unanswered.tsv"
+        log.write_text("q0\t0\t0\ta.b\tc.d\t-\n")
+        out = str(tmp_path / "out")
+        argv = {
+            "missing-arff": ["render-tree", "--arff", str(tmp_path / "none.arff")],
+            "arff-without-rows": ["render-tree", "--arff", str(arff)],
+            "log-without-answers": ["train-index", "--log", str(log), "--outdir", out],
+            "no-sizes": ["sweep", "--sizes", ",", "--outdir", out],
+        }[case]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == f"sonsim: error: {message.format(tmp=tmp_path)}\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_python_dash_m_runs_the_command_line():

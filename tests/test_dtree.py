@@ -457,6 +457,21 @@ class TestArff:
         with pytest.raises(ArffError, match=r"line \d+"):
             arff_import(broken)
 
+    @pytest.mark.parametrize("text, problem", [
+        ("@attribute a1 {x}\n@attribute class {SP0}\n@data\nx,SP0\n@attribute a2 {y}\n",
+         "line 5: @attribute after @data"),
+        ("@relation rel\n@attribute a1 x\n", "line 2: expected '@attribute name {v1,...}'"),
+        ("@relation rel\n\n@data\n", "line 3: @data before any @attribute"),
+        ("@attribute a1 {x}\nx,SP0\n", "line 2: unexpected content outside @data: 'x,SP0'"),
+        ("@attribute a1 {x}\n@attribute class {}\n@data\n% row\nx,peer0\n",
+         "line 5: class label 'peer0' is not SP<n>"),
+    ], ids=["attribute-after-data", "malformed-attribute", "data-before-attribute",
+            "outside-data", "bad-class-label"])
+    def test_malformed_input_names_its_line(self, text, problem):
+        with pytest.raises(ArffError) as excinfo:
+            arff_import(text)
+        assert str(excinfo.value) == problem
+
     def test_undeclared_value_rejected(self):
         text = arff_export(self._instances(), "rel")
         broken = text.replace("k.f,p.i,a.b,c.d,SP0", "zz.zz,p.i,a.b,c.d,SP0")

@@ -81,7 +81,11 @@ class TestLinkFriends:
         return build_son(config)
 
     def _link(self, net, friends_per_sp, dup_count):
-        sps = link_friends_and_duplicate(net.super_peers, friends_per_sp, dup_count, rng())
+        expertise = {spid: set(sp.expertise) for spid, sp in net.super_peers.items()}
+        friends = link_friends_and_duplicate(expertise, friends_per_sp, dup_count, rng())
+        sps = {spid: dataclasses.replace(sp, expertise=frozenset(expertise[spid]),
+                                         friends=frozenset(friends[spid]))
+               for spid, sp in net.super_peers.items()}
         return Network(peers={}, super_peers=sps, config=net.config)
 
     def test_two_sps_share_at_least_dup_count(self):
