@@ -18,7 +18,6 @@ path of its forwarding, one segment per searched super-peer:
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from random import Random
@@ -41,21 +40,24 @@ Costs = tuple[float, float, float]
 
 
 def segment_cost(costs: Costs, hops: int, maps: int, tree_visits: int,
-                 branches: Iterable[float]) -> float:
+                 branches: Sequence[float]) -> float:
     """Critical-path cost of one sequential segment of a query's forwarding:
     `hops` messages to reach it, `maps` mapping operations and `tree_visits`
     tree nodes visited in it, plus the costliest of `branches`, the costs of
     the segments that run in parallel after it (0.0 when there are none)."""
     c_hop, c_map, c_tree = costs
-    return hops * c_hop + maps * c_map + tree_visits * c_tree + max(branches, default=0.0)
+    return hops * c_hop + maps * c_map + tree_visits * c_tree + (max(branches) if branches else 0.0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RoutingResult:
     """What a routed query found, where it searched and what that cost: the
     critical-path response time and the total mapping operations, messages
     and tree nodes visited. The answering peers are stored as a mask (bit `p`
-    for peer `p`)."""
+    for peer `p`). Every field holds an immutable value and nothing assigns
+    one after construction; the class is not frozen because a frozen
+    dataclass sets each field through `object.__setattr__`, which a router
+    building one result per query would pay for."""
 
     answering_mask: int
     answering_sps: frozenset[SuperPeerId]
@@ -77,10 +79,11 @@ class RoutingResult:
         relevant peer, and otherwise the equal one that `net.shared` holds,
         as is each super-peer set, so its answering set is its searched set
         when every searched community answered."""
+        member_masks = net.member_masks
         answering_mask = 0
         answering_sps = []
         for spid in maps:
-            hits = relevant & net.member_masks[spid]
+            hits = relevant & member_masks[spid]
             if hits:
                 answering_mask |= hits
                 answering_sps.append(spid)
@@ -91,8 +94,11 @@ class RoutingResult:
             answering_mask = shared.setdefault(answering_mask, answering_mask)
         searched_sps = frozenset(maps)
         searched_sps = shared.setdefault(searched_sps, searched_sps)
-        answering = frozenset(answering_sps)
-        answering = shared.setdefault(answering, answering)
+        if len(answering_sps) == len(maps):
+            answering = searched_sps
+        else:
+            answering = frozenset(answering_sps)
+            answering = shared.setdefault(answering, answering)
         return cls(answering_mask, answering, searched_sps,
                    response_time, sum(maps.values()), hops, tree_visits)
 
@@ -101,10 +107,12 @@ class RoutingResult:
         return frozenset(peers_of(self.answering_mask))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LogRecord:
     """One routed query: who asked, from which community, what was asked, and
-    which super-peers responded favorably."""
+    which super-peers responded favorably. Like `RoutingResult`, it holds
+    immutable values, is never assigned after construction and is not
+    frozen, for the same per-query cost."""
 
     query_id: str
     origin_peer: PeerId
@@ -188,26 +196,33 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
     if max_hops is not None and max_hops < 0:
         raise ValueError("max_hops must be >= 0 or None for unbounded")
 
-    # Super-peers enter `maps` when queued, so it is also the visited set.
-    maps: dict[SuperPeerId, int] = {sp: len(net.super_peers[sp].members)}
-    forwarded: dict[SuperPeerId, list[SuperPeerId]] = {}
-    queue: deque[tuple[SuperPeerId, int]] = deque([(sp, 0)])
-
-    while queue:
-        spid, depth = queue.popleft()
-        if max_hops is not None and depth >= max_hops:
-            continue
-        friends = sorted(net.super_peers[spid].friends)
-        maps[spid] += len(friends)
-        forwarded[spid] = children = []
-        for friend in friends:
-            # A queued super-peer is never forwarded to again, so it is not
-            # evaluated; the probe is metered above all the same.
-            expertise = net.super_peers[friend].expertise
-            if friend not in maps and capacity(expertise, query) >= eps_acc:
-                maps[friend] = len(net.super_peers[friend].members)
-                children.append(friend)
-                queue.append((friend, depth + 1))
+    # Super-peers enter `maps` when reached, so it is also the visited set.
+    # Forwarding runs one level at a time, which visits in the order a FIFO
+    # queue would, so `maps` lists the super-peers in search order.
+    super_peers = net.super_peers
+    friend_order = net.friend_order
+    maps: dict[SuperPeerId, int] = {sp: len(super_peers[sp].members)}
+    forwarded: dict[SuperPeerId, list[SuperPeerId]] = {}  # only super-peers that forwarded
+    level = [sp]
+    depth = 0
+    while level and (max_hops is None or depth < max_hops):
+        reached = []
+        for spid in level:
+            friends = friend_order[spid]
+            maps[spid] += len(friends)
+            children = []
+            for friend in friends:
+                # A reached super-peer is never forwarded to again, so it is
+                # not evaluated; the probe is metered above all the same.
+                if friend not in maps and capacity(super_peers[friend].expertise,
+                                                   query) >= eps_acc:
+                    maps[friend] = len(super_peers[friend].members)
+                    children.append(friend)
+            if children:
+                forwarded[spid] = children
+                reached.extend(children)
+        level = reached
+        depth += 1
 
     cost: dict[SuperPeerId, float] = {}
     for spid in reversed(maps):  # reverse search order: forwards are costed first

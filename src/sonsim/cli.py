@@ -21,7 +21,8 @@ from pathlib import Path
 
 from .baseline import read_query_log, write_query_log
 from .config import Config, ConfigError, read_config, write_config
-from .dtree import arff_export, arff_import, arff_lines, build_tree, render_tree, training_accuracy
+from .dtree import (arff_export, arff_import, arff_lines, build_tree, render_tree,
+                    training_accuracy, tree_lines)
 from .engine import (
     BASELINE,
     KSP,
@@ -131,7 +132,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             group = artifacts.overlay.groups[gid]
             _write(outdir / f"group{gid}.arff",
                    arff_lines(group.instances, f"group{gid}", config.n_components))
-            _write(outdir / f"group{gid}.tree.txt", [render_tree(group.index), "\n"])
+            _write(outdir / f"group{gid}.tree.txt", tree_lines(group.index))
 
     for strategy in sorted(report.summaries):
         s = report.summaries[strategy]
@@ -187,7 +188,7 @@ def cmd_train_index(args: argparse.Namespace) -> int:
     tree = build_tree(instances, min_leaf=args.min_leaf)
     outdir = _outdir(args)
     _write(outdir / "dataset.arff", [arff_export(instances, args.relation)])
-    _write(outdir / "index.tree.txt", [render_tree(tree), "\n"])
+    _write(outdir / "index.tree.txt", tree_lines(tree))
     print(f"{len(instances)} instances from {len(log)} records -> {outdir / 'dataset.arff'}")
     print(f"training accuracy (records): {record_accuracy(tree, log):.4f}")
     print(f"training accuracy (instances): {training_accuracy(tree, instances):.4f}")

@@ -184,7 +184,8 @@ def build_tree(instances: Sequence[Instance], min_leaf: int = 1,
     prior's attribute hold the prior's branches, and each branch is induced
     with its row's branch as the prior: the one last induced under that
     attribute and value, from a prefix of the row's instances, so a branch
-    no new instance reaches is that one itself.
+    no new instance reaches is that one itself; under the prior's attribute
+    it is taken without an induction call.
     Instances are only appended, so counts and tables order classes and
     values as a scan from scratch does, and gain ratios are the same floats.
     A subtree depends only on its instances in order, its remaining
@@ -241,10 +242,22 @@ def _induce(instances: Sequence[Instance], counts: dict[SuperPeerId, int],
         tables[attr_index], len(instances), parent_entropy))
     remaining = tuple(a for a in attrs if a != best_attr)
     rows = tables[best_attr]
-    # An only child's counts are its parent's.
-    branches = {value: _induce(row.instances, counts if len(rows) == 1 else row.counts,
-                               remaining, min_leaf, row.branch, keep - 1, leaves)
-                for value, row in sorted(rows.items())}
+    if isinstance(prior, Node) and prior.attr_index == best_attr and len(rows) > 1:
+        # A branch that no new instance reaches is the prior's, which its
+        # `_induce` would return at once; the reached ones are induced in
+        # value order, as the full loop below would.
+        branches = dict(prior.branches)
+        for value in sorted({inst.attributes[best_attr] for inst in instances[induced:]}):
+            row = rows[value]
+            branches[value] = _induce(row.instances, row.counts, remaining, min_leaf,
+                                      row.branch, keep - 1, leaves)
+        if len(branches) > len(prior.branches):  # a new value: back to value order
+            branches = dict(sorted(branches.items()))
+    else:
+        # An only child's counts are its parent's.
+        branches = {value: _induce(row.instances, counts if len(rows) == 1 else row.counts,
+                                   remaining, min_leaf, row.branch, keep - 1, leaves)
+                    for value, row in sorted(rows.items())}
     return Node(best_attr, branches, counts, tables if keep > 0 else None)
 
 
@@ -299,29 +312,35 @@ def _leaf_text(counts: Mapping[SuperPeerId, int]) -> str:
 
 
 def render_tree(tree: DecisionTree) -> str:
-    """Plain-text rendering, one line per node.
+    """Plain-text rendering, one line per node: the lines of `tree_lines`
+    joined, without the last one's newline.
 
     Child depth is marked by a leading "| " per level; a leaf line ends with
     ": CLASS (total.0)" or ": CLASS (total.0/incorrect.0)" where incorrect is
     the count of non-majority instances at the leaf.
     """
+    return "".join(tree_lines(tree)).removesuffix("\n")
+
+
+def tree_lines(tree: DecisionTree) -> Iterator[str]:
+    """The lines of `render_tree`'s text, each ending in a newline, yielded
+    one at a time so that a writer never holds the whole text."""
     if isinstance(tree, Leaf):
-        return f": {_leaf_text(tree.counts)}"
-    lines: list[str] = []
-    _render(tree, 0, lines)
-    return "\n".join(lines)
+        yield f": {_leaf_text(tree.counts)}\n"
+    else:
+        yield from _render(tree, 0)
 
 
-def _render(node: Node, depth: int, lines: list[str]) -> None:
+def _render(node: Node, depth: int) -> Iterator[str]:
     prefix = "| " * depth
     name = f"{ATTRIBUTE_PREFIX}{node.attr_index + 1}"
     for value in sorted(node.branches):
         child = node.branches[value]
         if isinstance(child, Leaf):
-            lines.append(f"{prefix}{name} = {value}: {_leaf_text(child.counts)}")
+            yield f"{prefix}{name} = {value}: {_leaf_text(child.counts)}\n"
         else:
-            lines.append(f"{prefix}{name} = {value}")
-            _render(child, depth + 1, lines)
+            yield f"{prefix}{name} = {value}\n"
+            yield from _render(child, depth + 1)
 
 
 class ArffError(ValueError):

@@ -127,15 +127,25 @@ def query_metrics(query: Query, result: RoutingResult, oracle: int) -> QueryMetr
     )
 
 
+def _mean(values: Iterable[float], n: int) -> float:
+    """The sum of `values`, added up left to right, over `n`. Not `sum()`:
+    since Python 3.12 it compensates float rounding, so its last digits, and
+    `summary.csv`, would depend on the Python version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / n
+
+
 def summarize(strategy: str, rows: list[QueryMetrics]) -> StrategySummary:
     n = len(rows)
     return StrategySummary(
         strategy=strategy,
         n_queries=n,
-        mean_response_time=sum(r.response_time for r in rows) / n,
-        mean_precision=sum(r.precision for r in rows) / n,
-        mean_recall=sum(r.recall for r in rows) / n,
-        mean_sp_precision=sum(r.sp_precision for r in rows) / n,
+        mean_response_time=_mean((r.response_time for r in rows), n),
+        mean_precision=_mean((r.precision for r in rows), n),
+        mean_recall=_mean((r.recall for r in rows), n),
+        mean_sp_precision=_mean((r.sp_precision for r in rows), n),
         total_mapping_ops=sum(r.mapping_ops for r in rows),
         total_hops=sum(r.hops for r in rows),
         total_tree_visits=sum(r.tree_visits for r in rows),

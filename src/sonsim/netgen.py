@@ -8,9 +8,9 @@ plain expertise sets through the first two stages, then constructs each
 `SuperPeer` once, before it draws the peers, and the one `Network` at the
 end. Peers are attached round-robin (peer p under super-peer p mod nsp), so
 each community's members follow from the sizes alone. What a `Network`
-derives from its peers and super-peers (the peer masks and the
-correspondence matrix) it computes on first read, so it always agrees with
-them.
+derives from its peers and super-peers (the peer masks, the friends in
+probe order and the correspondence matrix) it computes on first read, so it
+always agrees with them.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ class Network:
     inter-community structure lives in friend links plus the correspondence
     matrix.
 
-    The peer sets and the matrix below are derived from the fields, never
-    passed in, and computed on first read. Peer sets are bitmasks (bit p for
-    peer p)."""
+    The peer sets, the friend order and the matrix below are derived from
+    the fields, never passed in, and computed on first read. Peer sets are
+    bitmasks (bit p for peer p)."""
 
     peers: dict[PeerId, Peer]
     super_peers: dict[SuperPeerId, SuperPeer]
@@ -72,6 +72,12 @@ class Network:
     def member_masks(self) -> dict[SuperPeerId, int]:
         """Super-peer -> its members, read by the routers."""
         return {spid: mask_of(sp.members) for spid, sp in self.super_peers.items()}
+
+    @cached_property
+    def friend_order(self) -> dict[SuperPeerId, tuple[SuperPeerId, ...]]:
+        """Super-peer -> its friends in ascending order, the order
+        `baseline.route_baseline` probes them in."""
+        return {spid: tuple(sorted(sp.friends)) for spid, sp in self.super_peers.items()}
 
     @cached_property
     def cormat(self) -> dict[tuple[SuperPeerId, SuperPeerId], int]:

@@ -74,6 +74,15 @@ class TestGenerateQueries:
         with pytest.raises(ValueError, match="empty expertise"):
             generate_queries(bare, 1, 4, substream(1, "x"))
 
+    @pytest.mark.parametrize("count, n_components, problem", [
+        (-1, 4, "query count must be >= 0"),
+        (1, 0, "queries need at least one component"),
+    ])
+    def test_negative_count_or_no_component_rejected(self, count, n_components, problem):
+        net = small_net()
+        with pytest.raises(ValueError, match=problem):
+            generate_queries(net.peers[0], count, n_components, substream(1, "x"))
+
 
 def _reference_route_one_hop(net, query, eps_acc):
     """Line-by-line naive router: local scan, then one global round over the
@@ -156,6 +165,19 @@ class TestRouteBaseline:
         q = queries_for(net, 0, count=1)[0]
         with pytest.raises(ValueError, match="unknown super-peer"):
             route(net, q, 99, 0.5)
+
+    @pytest.mark.parametrize("eps", [-0.1, 1.5])
+    def test_threshold_out_of_range_rejected(self, eps):
+        net = small_net()
+        q = queries_for(net, 0, count=1)[0]
+        with pytest.raises(ValueError, match=r"eps_acc must lie in \[0, 1\]"):
+            route_baseline(net, q, net.peers[0].super_peer, 0, eps, COSTS)
+
+    def test_negative_max_hops_rejected(self):
+        net = small_net()
+        q = queries_for(net, 0, count=1)[0]
+        with pytest.raises(ValueError, match="max_hops must be >= 0"):
+            route(net, q, net.peers[0].super_peer, 0.5, max_hops=-1)
 
     def test_each_sp_processed_once_under_flood(self):
         net = small_net(np=30, nsp=6, friends_per_sp=3)
@@ -245,3 +267,9 @@ class TestEpochAndLog:
         path = tmp_path / "log.tsv"
         write_query_log(QueryLog([record]), path)
         assert read_query_log(path).records == (record,)
+
+    def test_record_with_too_few_fields_names_its_line(self, tmp_path):
+        path = tmp_path / "log.tsv"
+        path.write_text("q0\t1\t0\ta.b\t-\nq1\t1\t0\t-\n")
+        with pytest.raises(ValueError, match=r"line 2: expected at least 5 fields"):
+            read_query_log(path)

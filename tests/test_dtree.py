@@ -135,7 +135,7 @@ class TestBuildTree:
         assert tree == Leaf({0: 5, 1: 9})
 
     def test_zero_instances_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero instances"):
             build_tree([])
 
     def test_deterministic_rebuild(self):
@@ -471,6 +471,11 @@ class TestArff:
         with pytest.raises(ArffError) as excinfo:
             arff_import(text)
         assert str(excinfo.value) == problem
+
+    def test_inconsistent_attribute_count_rejected(self):
+        instances = [*self._instances(), Instance(("k.f", "p.i"), 1)]
+        with pytest.raises(ValueError, match="inconsistent attribute count: expected 4, got 2"):
+            arff_export(instances, "rel")
 
     def test_undeclared_value_rejected(self):
         text = arff_export(self._instances(), "rel")

@@ -14,11 +14,13 @@ from sonsim.dtree import Instance, Leaf, Node
 from sonsim.engine import (
     BASELINE,
     KSP,
+    QueryMetrics,
     make_workload,
     metrics_rows,
     relevant_peers_indexed,
     run_pipeline,
     score,
+    summarize,
     sweep,
 )
 from sonsim.baseline import generate_queries
@@ -105,6 +107,17 @@ class TestScore:
     def test_degenerate_denominators(self):
         assert score(self._r(set()), mask_of({1})) == (1.0, 0.0)
         assert score(self._r({1}), mask_of(set())) == (0.0, 1.0)
+
+
+class TestSummarize:
+    def test_means_add_up_left_to_right_on_every_python(self):
+        """1e16 + 1.0 rounds back to 1e16, so the left-to-right sum is 0.0;
+        the compensated `sum()` of Python 3.12 and later would give 1.0."""
+        rows = [QueryMetrics(f"e{i}", t, 1.0, 1.0, 1.0, 1, 0, 0)
+                for i, t in enumerate([1e16, 1.0, -1e16])]
+        summary = summarize(BASELINE, rows)
+        assert summary.mean_response_time == 0.0
+        assert (summary.n_queries, summary.mean_precision, summary.total_mapping_ops) == (3, 1.0, 3)
 
 
 class TestIndexedRelevance:

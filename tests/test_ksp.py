@@ -10,6 +10,7 @@ from sonsim.dtree import Leaf, build_tree, class_counts
 from sonsim.ksp import (
     form_groups,
     instances_from_records,
+    record_accuracy,
     refresh_knowledge,
     route_kb,
     run_kb_epoch,
@@ -185,6 +186,21 @@ class TestRouteKb:
         q = Query("x", 0, (element("a", "b"),))
         with pytest.raises(ValueError, match="index not trained"):
             route(net, overlay, q, 0, 0.5)
+
+    def test_unknown_super_peer_rejected(self):
+        net, overlay, _, workload, config = self._trained()
+        with pytest.raises(ValueError, match="unknown super-peer 6"):
+            route(net, overlay, workload[0], len(net.super_peers), config.eps_acc)
+
+    def test_empty_workload_rejected(self):
+        net, overlay, _, _, _ = self._trained()
+        with pytest.raises(ValueError, match="workload is empty"):
+            run_kb_epoch(net, overlay, [], [], COSTS)
+
+    def test_accuracy_over_no_records_rejected(self):
+        net, overlay, _, _, _ = self._trained()
+        with pytest.raises(ValueError, match="no records"):
+            record_accuracy(overlay.groups[0].index, [])
 
     def test_memorized_query_reaches_its_training_answerers(self):
         net, overlay, log, workload, config = self._trained()
@@ -363,3 +379,21 @@ class TestRefresh:
         assert len(tabled) <= 114_759
         final = [inst for group in overlay.groups.values() for inst in group.instances]
         assert sorted(map(id, classed)) == sorted(map(id, final))
+
+    def test_refresh_induces_only_the_branches_new_instances_reach(self, monkeypatch):
+        """At 300/10, seed 9, refreshing every 10 queries, induction makes at
+        most 15,000 `_induce` calls (14,928): a node that splits on its
+        prior's attribute takes the prior's branch for every value no new
+        instance takes, without a call. Inducing every branch makes 46,150."""
+        import sonsim.dtree
+        from sonsim.engine import run_pipeline
+        calls = []
+        induce = sonsim.dtree._induce
+
+        def counting(*args):
+            calls.append(None)
+            return induce(*args)
+
+        monkeypatch.setattr(sonsim.dtree, "_induce", counting)
+        run_pipeline(Config(np=300, nsp=10, seed=9, refresh_every=10))
+        assert len(calls) <= 15_000

@@ -144,6 +144,11 @@ class TestOracle:
                         assert relevant_mask(net, query, eps) == \
                             mask_of(oracle_relevant_peers(net, query, eps))
 
+    def test_empty_query_rejected_by_the_kernel(self):
+        net = self._three_peer_net()
+        with pytest.raises(ValueError, match="empty query"):
+            relevant_mask(net, Q(), 0.5)
+
     def test_threshold_out_of_range_rejected_like_the_kernel(self):
         net = build_son(Config(np=300, nsp=10, seed=9))
         query = Q(*sorted(net.peers[0].expertise)[:4], qid="probe")

@@ -58,6 +58,10 @@ class TestGenerateSpExpertise:
         expertise = generate_sp_expertise("aa", 3, rng())
         assert len(expertise) == 3
 
+    def test_empty_expertise_rejected(self):
+        with pytest.raises(ValueError, match="expertise size must be >= 1"):
+            generate_sp_expertise("aa", 0, rng())
+
     def test_domains_are_disjoint_before_duplication(self):
         e1 = generate_sp_expertise("aa", 8, rng(seed=1))
         e2 = generate_sp_expertise("bb", 8, rng(seed=1))
@@ -128,6 +132,11 @@ class TestLinkFriends:
         net = self._sp_only_net(3)
         with pytest.raises(ValueError, match="dup_count"):
             self._link(net, 1, 0)
+
+    def test_dup_count_above_smallest_expertise_rejected(self):
+        net = self._sp_only_net(3, size=4)
+        with pytest.raises(ValueError, match="dup_count 5 exceeds smallest expertise size 4"):
+            self._link(net, 1, 5)
 
     def test_too_many_friends_rejected(self):
         net = self._sp_only_net(3)
