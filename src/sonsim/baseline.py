@@ -18,7 +18,7 @@ path of its forwarding, one segment per searched super-peer:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from random import Random
 
@@ -200,7 +200,6 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
     # Forwarding runs one level at a time, which visits in the order a FIFO
     # queue would, so `maps` lists the super-peers in search order.
     super_peers = net.super_peers
-    friend_order = net.friend_order
     maps: dict[SuperPeerId, int] = {sp: len(super_peers[sp].members)}
     forwarded: dict[SuperPeerId, list[SuperPeerId]] = {}  # only super-peers that forwarded
     level = [sp]
@@ -208,7 +207,7 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
     while level and (max_hops is None or depth < max_hops):
         reached = []
         for spid in level:
-            friends = friend_order[spid]
+            friends = super_peers[spid].friends
             maps[spid] += len(friends)
             children = []
             for friend in friends:
@@ -253,16 +252,17 @@ def run_baseline_epoch(net: Network, workload: list[Query],
     return QueryLog(records), results
 
 
-def write_query_log(log: QueryLog, path) -> None:
-    """Tab-separated trace: id, origin peer, origin super-peer, the components,
-    then the answering super-peers as a comma list ("-" when none)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in log:
-            answering = ",".join(str(s) for s in sorted(record.answering_sps)) or "-"
-            fields = [record.query_id, str(record.origin_peer), str(record.origin_sp)]
-            fields.extend(record.components)
-            fields.append(answering)
-            fh.write("\t".join(fields) + "\n")
+def query_log_lines(log: QueryLog) -> Iterator[str]:
+    """The lines of a query log file, one per record, each ending in a
+    newline: tab-separated id, origin peer, origin super-peer, the
+    components, then the answering super-peers as a comma list ("-" when
+    none)."""
+    for record in log:
+        answering = ",".join(str(s) for s in sorted(record.answering_sps)) or "-"
+        fields = [record.query_id, str(record.origin_peer), str(record.origin_sp)]
+        fields.extend(record.components)
+        fields.append(answering)
+        yield "\t".join(fields) + "\n"
 
 
 def _log_int(text: str, field: str) -> int:
@@ -273,7 +273,7 @@ def _log_int(text: str, field: str) -> int:
 
 
 def read_query_log(path) -> QueryLog:
-    """Parse a log written by `write_query_log`; every record must have as
+    """Parse a log of `query_log_lines`; every record must have as
     many query components as the first. Every error names the file and line."""
     records: list[LogRecord] = []
     lines: list[int] = []  # the line of each record

@@ -19,18 +19,18 @@ import sys
 from collections.abc import Iterable
 from pathlib import Path
 
-from .baseline import read_query_log, write_query_log
-from .config import Config, ConfigError, read_config, write_config
+from .baseline import query_log_lines, read_query_log
+from .config import Config, ConfigError
 from .dtree import (arff_export, arff_import, arff_lines, build_tree, render_tree,
                     training_accuracy, tree_lines)
 from .engine import (
     BASELINE,
     KSP,
+    metrics_csv_lines,
     run_pipeline,
+    summary_csv_lines,
     sweep,
-    write_metrics_csv,
-    write_summary_csv,
-    write_sweep_csv,
+    sweep_csv_lines,
 )
 from .ksp import instances_from_records, record_accuracy
 from .netgen import build_son, serialize_network
@@ -48,7 +48,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> Config:
-    config = read_config(args.config) if args.config else Config()
+    text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+    config = Config.from_text(text)  # no file: the defaults
     overrides = {
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(Config)
@@ -68,8 +69,8 @@ def _outdir(args: argparse.Namespace) -> Path:
 
 def _write(path: Path, parts: Iterable[str]) -> None:
     """Write `parts` to `path` one after another, so a generator's text is
-    never held whole."""
-    with open(path, "w", encoding="utf-8") as fh:
+    never held whole: the only code that writes an output file."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(parts)
 
 
@@ -111,9 +112,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     artifacts = run_pipeline(config, include_kb=include_kb, train_log=train_log)
     outdir = _outdir(args)
 
-    write_config(config, outdir / "config.txt")
+    _write(outdir / "config.txt", [config.to_text()])
     _write(outdir / "network.txt", [serialize_network(artifacts.net)])
-    write_query_log(artifacts.train_log, outdir / "train_log.tsv")
+    _write(outdir / "train_log.tsv", query_log_lines(artifacts.train_log))
 
     report = artifacts.report
     if args.strategy != "both":
@@ -123,11 +124,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             per_query={keep: report.per_query[keep]},
             summaries={keep: report.summaries[keep]},
         )
-    write_metrics_csv(report, outdir / "metrics.csv")
-    write_summary_csv(report, outdir / "summary.csv")
+    _write(outdir / "metrics.csv", metrics_csv_lines(report))
+    _write(outdir / "summary.csv", summary_csv_lines(report))
 
     if include_kb:
-        write_query_log(artifacts.kb_log, outdir / "ksp_log.tsv")
+        _write(outdir / "ksp_log.tsv", query_log_lines(artifacts.kb_log))
         for gid in sorted(artifacts.overlay.groups):
             group = artifacts.overlay.groups[gid]
             _write(outdir / f"group{gid}.arff",
@@ -168,7 +169,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sizes = _parse_sizes(args.sizes)
     reports = sweep(config, sizes)
     outdir = _outdir(args)
-    write_sweep_csv(reports, outdir / "sweep_summary.csv")
+    _write(outdir / "sweep_summary.csv", sweep_csv_lines(reports))
     print(f"{len(reports)} runs -> {outdir / 'sweep_summary.csv'}")
     return 0
 
@@ -187,7 +188,7 @@ def cmd_train_index(args: argparse.Namespace) -> int:
         raise ValueError("log contains no answered queries to learn from")
     tree = build_tree(instances, min_leaf=args.min_leaf)
     outdir = _outdir(args)
-    _write(outdir / "dataset.arff", [arff_export(instances, args.relation)])
+    _write(outdir / "dataset.arff", [arff_export(instances, "querylog")])
     _write(outdir / "index.tree.txt", tree_lines(tree))
     print(f"{len(instances)} instances from {len(log)} records -> {outdir / 'dataset.arff'}")
     print(f"training accuracy (records): {record_accuracy(tree, log):.4f}")
@@ -254,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--min-leaf", type=int, default=2)
     p_train.add_argument("--holdout", type=float, default=0.2,
                          help="fraction of trailing records held out for accuracy reporting")
-    p_train.add_argument("--relation", default="querylog", help="ARFF relation name")
     p_train.add_argument("--outdir", default="out", help="output directory")
     p_train.set_defaults(func=cmd_train_index)
 

@@ -128,16 +128,6 @@ def _coerce(field_type: str, text: str, key: str):
     return text
 
 
-def write_config(config: Config, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config.to_text())
-
-
-def read_config(path) -> Config:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Config.from_text(fh.read())
-
-
 def substream(seed: int, name: str) -> random.Random:
     """Independent deterministic generator for one pipeline stage.
 

@@ -205,12 +205,13 @@ def _induce(instances: Sequence[Instance], counts: dict[SuperPeerId, int],
             attrs: tuple[int, ...], min_leaf: int, prior: DecisionTree | None,
             keep: int, leaves: dict[tuple, Leaf]) -> DecisionTree:
     """`build_tree` at one node, given `counts`, the class counts of
-    `instances`; the node keeps its split tables if `keep`, the number of
-    levels from this node down that keep them, is positive. `leaves` maps
-    the ordered class counts of each leaf the build induced to that leaf.
-    When `keep` >= 0 (at the root, or below a parent that keeps its tables)
-    `counts` may be a kept row's, which later builds advance in place, so
-    the node holds a copy; otherwise it holds `counts` itself."""
+    `instances`, which the node holds; it keeps its split tables if `keep`,
+    the number of levels from this node down that keep them, is positive.
+    `leaves` maps the ordered class counts of each leaf the build induced to
+    that leaf. A kept row's counts advance in place in later builds, so a
+    node that keeps its tables hands each child a copy of its row's counts;
+    every other child holds its row's counts, and an only child its
+    parent's."""
     induced = 0 if prior is None else sum(prior.counts.values())
     if induced > len(instances):
         raise ValueError(f"prior induced from {induced} instances, "
@@ -221,10 +222,8 @@ def _induce(instances: Sequence[Instance], counts: dict[SuperPeerId, int],
         key = tuple(counts.items())
         leaf = leaves.get(key)
         if leaf is None:
-            leaf = leaves[key] = Leaf(dict(counts) if keep >= 0 else counts)
+            leaf = leaves[key] = Leaf(counts)
         return leaf
-    if keep >= 0:
-        counts = dict(counts)
 
     tables = prior.tables if keep > 0 and isinstance(prior, Node) else None
     if tables is not None and all(sum(len(row.instances) for row in table.values()) == induced
@@ -242,22 +241,21 @@ def _induce(instances: Sequence[Instance], counts: dict[SuperPeerId, int],
         tables[attr_index], len(instances), parent_entropy))
     remaining = tuple(a for a in attrs if a != best_attr)
     rows = tables[best_attr]
-    if isinstance(prior, Node) and prior.attr_index == best_attr and len(rows) > 1:
+    if isinstance(prior, Node) and prior.attr_index == best_attr:
         # A branch that no new instance reaches is the prior's, which its
-        # `_induce` would return at once; the reached ones are induced in
-        # value order, as the full loop below would.
+        # `_induce` would return at once.
         branches = dict(prior.branches)
-        for value in sorted({inst.attributes[best_attr] for inst in instances[induced:]}):
-            row = rows[value]
-            branches[value] = _induce(row.instances, row.counts, remaining, min_leaf,
-                                      row.branch, keep - 1, leaves)
-        if len(branches) > len(prior.branches):  # a new value: back to value order
-            branches = dict(sorted(branches.items()))
+        values = {inst.attributes[best_attr] for inst in instances[induced:]}
     else:
-        # An only child's counts are its parent's.
-        branches = {value: _induce(row.instances, counts if len(rows) == 1 else row.counts,
-                                   remaining, min_leaf, row.branch, keep - 1, leaves)
-                    for value, row in sorted(rows.items())}
+        branches, values = {}, rows
+    known = len(branches)
+    for value in sorted(values):
+        row = rows[value]
+        branch_counts = counts if len(rows) == 1 else dict(row.counts) if keep > 0 else row.counts
+        branches[value] = _induce(row.instances, branch_counts, remaining, min_leaf,
+                                  row.branch, keep - 1, leaves)
+    if known and len(branches) > known:  # the prior's branches gained a value
+        branches = dict(sorted(branches.items()))
     return Node(best_attr, branches, counts, tables if keep > 0 else None)
 
 
@@ -343,10 +341,6 @@ def _render(node: Node, depth: int) -> Iterator[str]:
             yield from _render(child, depth + 1)
 
 
-class ArffError(ValueError):
-    """Malformed ARFF input; message carries the line number."""
-
-
 def arff_export(instances: Sequence[Instance], relation_name: str,
                 n_attributes: int | None = None) -> str:
     """Standard nominal-attribute ARFF with one composanteW<i> attribute per
@@ -382,7 +376,7 @@ def arff_lines(instances: Sequence[Instance], relation_name: str,
 
 
 def arff_import(text: str) -> list[Instance]:
-    """Parse ARFF produced by arff_export; raises ArffError with the line
+    """Parse ARFF produced by arff_export; raises ValueError with the line
     number on malformed input."""
     attribute_values: list[tuple[str, set[str]]] = []
     instances: list[Instance] = []
@@ -396,33 +390,33 @@ def arff_import(text: str) -> list[Instance]:
             continue
         if lowered.startswith("@attribute"):
             if in_data:
-                raise ArffError(f"line {lineno}: @attribute after @data")
+                raise ValueError(f"line {lineno}: @attribute after @data")
             rest = line[len("@attribute"):].strip()
             name, _, domain = rest.partition(" ")
             domain = domain.strip()
             if not name or not (domain.startswith("{") and domain.endswith("}")):
-                raise ArffError(f"line {lineno}: expected '@attribute name {{v1,...}}'")
+                raise ValueError(f"line {lineno}: expected '@attribute name {{v1,...}}'")
             values = {v.strip() for v in domain[1:-1].split(",") if v.strip()}
             attribute_values.append((name, values))
             continue
         if lowered.startswith("@data"):
             if not attribute_values:
-                raise ArffError(f"line {lineno}: @data before any @attribute")
+                raise ValueError(f"line {lineno}: @data before any @attribute")
             in_data = True
             continue
         if not in_data:
-            raise ArffError(f"line {lineno}: unexpected content outside @data: {raw!r}")
+            raise ValueError(f"line {lineno}: unexpected content outside @data: {raw!r}")
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != len(attribute_values):
-            raise ArffError(
+            raise ValueError(
                 f"line {lineno}: expected {len(attribute_values)} fields, got {len(fields)}"
             )
         for value, (name, allowed) in zip(fields, attribute_values):
             if allowed and value not in allowed:
-                raise ArffError(f"line {lineno}: value {value!r} not declared for {name}")
+                raise ValueError(f"line {lineno}: value {value!r} not declared for {name}")
         label_text = fields[-1]
         if not label_text.startswith(CLASS_PREFIX) or not label_text[len(CLASS_PREFIX):].isdigit():
-            raise ArffError(f"line {lineno}: class label {label_text!r} is not {CLASS_PREFIX}<n>")
+            raise ValueError(f"line {lineno}: class label {label_text!r} is not {CLASS_PREFIX}<n>")
         instances.append(Instance(
             attributes=tuple(fields[:-1]),
             class_label=int(label_text[len(CLASS_PREFIX):]),

@@ -318,24 +318,28 @@ def metrics_rows(report: ExperimentReport) -> Iterator[tuple]:
             yield (strategy, *m)
 
 
-def _write_csv(path, columns: tuple[str, ...], rows: Iterable[tuple]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            # Rows hold str, int and float; str of a float is its repr.
-            fh.write(",".join(map(str, row)) + "\n")
+def _csv_lines(columns: tuple[str, ...], rows: Iterable[tuple]) -> Iterator[str]:
+    """The header line, then one line per row, each ending in a newline.
+    Rows hold str, int and float; str of a float is its repr."""
+    yield ",".join(columns) + "\n"
+    for row in rows:
+        yield ",".join(map(str, row)) + "\n"
 
 
-def write_metrics_csv(report: ExperimentReport, path) -> None:
-    _write_csv(path, METRICS_COLUMNS, metrics_rows(report))
+def metrics_csv_lines(report: ExperimentReport) -> Iterator[str]:
+    """`metrics.csv`: the rows of `metrics_rows`."""
+    return _csv_lines(METRICS_COLUMNS, metrics_rows(report))
 
 
-def write_summary_csv(report: ExperimentReport, path) -> None:
-    _write_csv(path, SUMMARY_COLUMNS,
-               [report.summaries[strategy] for strategy in sorted(report.summaries)])
+def summary_csv_lines(report: ExperimentReport) -> Iterator[str]:
+    """`summary.csv`: one row per strategy, sorted."""
+    return _csv_lines(SUMMARY_COLUMNS,
+                      (report.summaries[strategy] for strategy in sorted(report.summaries)))
 
 
-def write_sweep_csv(reports: list[ExperimentReport], path) -> None:
-    _write_csv(path, ("np", "nsp", "seed") + SUMMARY_COLUMNS,
-               [(r.config.np, r.config.nsp, r.config.seed, *r.summaries[strategy])
-                for r in reports for strategy in sorted(r.summaries)])
+def sweep_csv_lines(reports: list[ExperimentReport]) -> Iterator[str]:
+    """`sweep_summary.csv`: each point's summary rows, prefixed by its size
+    and seed."""
+    return _csv_lines(("np", "nsp", "seed") + SUMMARY_COLUMNS,
+                      ((r.config.np, r.config.nsp, r.config.seed, *r.summaries[strategy])
+                       for r in reports for strategy in sorted(r.summaries)))

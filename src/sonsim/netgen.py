@@ -7,10 +7,12 @@ peers as subsets of their super-peer's final expertise. `build_son` grows
 plain expertise sets through the first two stages, then constructs each
 `SuperPeer` once, before it draws the peers, and the one `Network` at the
 end. Peers are attached round-robin (peer p under super-peer p mod nsp), so
-each community's members follow from the sizes alone. What a `Network`
-derives from its peers and super-peers (the peer masks, the friends in
-probe order and the correspondence matrix) it computes on first read, so it
-always agrees with them.
+each community's members follow from the sizes alone: super-peer s heads
+`range(s, np, nsp)`. A super-peer's friends are stored in ascending order,
+the order `baseline.route_baseline` probes them in. What a `Network`
+derives from its peers and super-peers (the peer masks and the
+correspondence matrix) it computes on first read, so it always agrees with
+them.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ class SuperPeer:
     id: SuperPeerId
     domain: DomainLabel
     expertise: Expertise
-    friends: frozenset[SuperPeerId]
-    members: frozenset[PeerId]
+    friends: tuple[SuperPeerId, ...]  # ascending
+    members: range  # the round-robin community: range(id, np, nsp)
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,9 @@ class Network:
     inter-community structure lives in friend links plus the correspondence
     matrix.
 
-    The peer sets, the friend order and the matrix below are derived from
-    the fields, never passed in, and computed on first read. Peer sets are
-    bitmasks (bit p for peer p)."""
+    The peer sets and the matrix below are derived from the fields, never
+    passed in, and computed on first read. Peer sets are bitmasks (bit p for
+    peer p)."""
 
     peers: dict[PeerId, Peer]
     super_peers: dict[SuperPeerId, SuperPeer]
@@ -72,12 +74,6 @@ class Network:
     def member_masks(self) -> dict[SuperPeerId, int]:
         """Super-peer -> its members, read by the routers."""
         return {spid: mask_of(sp.members) for spid, sp in self.super_peers.items()}
-
-    @cached_property
-    def friend_order(self) -> dict[SuperPeerId, tuple[SuperPeerId, ...]]:
-        """Super-peer -> its friends in ascending order, the order
-        `baseline.route_baseline` probes them in."""
-        return {spid: tuple(sorted(sp.friends)) for spid, sp in self.super_peers.items()}
 
     @cached_property
     def cormat(self) -> dict[tuple[SuperPeerId, SuperPeerId], int]:
@@ -185,7 +181,7 @@ def build_son(config: Config) -> Network:
     friends = link_friends_and_duplicate(expertise, config.friends_per_sp, config.dup_count, rng)
     sps = {
         spid: SuperPeer(id=spid, domain=domains[spid], expertise=frozenset(expertise[spid]),
-                        friends=frozenset(friends[spid]), members=frozenset(range(spid, np, nsp)))
+                        friends=tuple(sorted(friends[spid])), members=range(spid, np, nsp))
         for spid in range(nsp)
     }
     peers = {
@@ -204,7 +200,7 @@ def serialize_network(net: Network) -> str:
     lines.append("[super-peers]")
     for spid in sorted(net.super_peers):
         sp = net.super_peers[spid]
-        friends = ",".join(str(f) for f in sorted(sp.friends)) or "-"
+        friends = ",".join(map(str, sp.friends)) or "-"
         expertise = ",".join(sorted(sp.expertise))
         lines.append(f"sp {spid} domain={sp.domain} friends={friends} expertise={expertise}")
     lines.append("[peers]")

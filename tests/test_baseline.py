@@ -8,10 +8,10 @@ from sonsim.baseline import (
     LogRecord,
     QueryLog,
     generate_queries,
+    query_log_lines,
     read_query_log,
     route_baseline,
     run_baseline_epoch,
-    write_query_log,
 )
 from sonsim.model import (
     Query,
@@ -257,7 +257,7 @@ class TestEpochAndLog:
                     for q in queries_for(net, pid, count=2, prefix=f"w{pid}-")]
         log, _ = epoch(net, workload, 0.5)
         path = tmp_path / "log.tsv"
-        write_query_log(log, path)
+        path.write_text("".join(query_log_lines(log)))
         loaded = read_query_log(path)
         assert loaded.records == log.records
 
@@ -265,7 +265,7 @@ class TestEpochAndLog:
         from sonsim.model import element
         record = LogRecord("q0", 1, 0, (element("a", "b"), element("c", "d")), frozenset())
         path = tmp_path / "log.tsv"
-        write_query_log(QueryLog([record]), path)
+        path.write_text("".join(query_log_lines(QueryLog([record]))))
         assert read_query_log(path).records == (record,)
 
     def test_record_with_too_few_fields_names_its_line(self, tmp_path):

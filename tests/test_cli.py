@@ -10,7 +10,7 @@ import pytest
 
 import sonsim
 from sonsim.cli import main
-from sonsim.config import Config, ConfigError, read_config, write_config
+from sonsim.config import Config, ConfigError
 
 
 FAST = ["--np", "24", "--nsp", "3", "--friends-per-sp", "2",
@@ -32,14 +32,14 @@ class TestConfigFile:
     def test_round_trip_is_lossless(self, tmp_path):
         config = Config(seed=99, np=120, nsp=6, eps_acc=0.25, workload_mode="replay")
         path = tmp_path / "config.txt"
-        write_config(config, path)
-        assert read_config(path) == config
+        path.write_text(config.to_text())
+        assert Config.from_text(path.read_text()) == config
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "config.txt"
         path.write_text("bogus = 3\n")
         with pytest.raises(ConfigError, match="bogus"):
-            read_config(path)
+            Config.from_text(path.read_text())
 
     def test_validation_names_the_field(self):
         with pytest.raises(ConfigError, match="eps_acc"):
@@ -79,7 +79,7 @@ class TestConfigFile:
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "config.txt"
         path.write_text("# comment\n\nseed = 5\nnp = 30\nnsp = 3\nfriends_per_sp = 2\n")
-        config = read_config(path)
+        config = Config.from_text(path.read_text())
         assert config.seed == 5
         assert config.np == 30
 
@@ -311,13 +311,13 @@ class TestRun:
 
     def test_config_file_with_overrides(self, tmp_path):
         config_path = tmp_path / "config.txt"
-        write_config(Config(np=24, nsp=3, friends_per_sp=2, queries_per_peer=2,
-                            seed=7), config_path)
+        config_path.write_text(Config(np=24, nsp=3, friends_per_sp=2, queries_per_peer=2,
+                                      seed=7).to_text())
         code = run_cli("run", "--strategy", "baseline", "--config",
                        str(config_path), "--queries-per-peer", "1",
                        "--outdir", str(tmp_path / "out"))
         assert code == 0
-        saved = read_config(tmp_path / "out" / "config.txt")
+        saved = Config.from_text((tmp_path / "out" / "config.txt").read_text())
         assert saved.queries_per_peer == 1  # override wins
         assert saved.np == 24
 
@@ -394,6 +394,16 @@ class TestTrainIndexAndRender:
         out = capsys.readouterr().out
         assert "training accuracy" in out
         assert "held-out accuracy" in out
+
+    def test_dataset_relation_is_the_constant_querylog(self, tmp_path):
+        run_cli("run", "--strategy", "baseline", *FAST, "--outdir", str(tmp_path))
+        log = str(tmp_path / "train_log.tsv")
+        with pytest.raises(SystemExit):
+            run_cli("train-index", "--log", log, "--relation", "other",
+                    "--outdir", str(tmp_path / "idx"))
+        assert run_cli("train-index", "--log", log, "--outdir", str(tmp_path / "idx")) == 0
+        arff = (tmp_path / "idx" / "dataset.arff").read_text()
+        assert arff.startswith("@relation querylog\n")
 
     def test_render_tree_prints_grammar(self, tmp_path, capsys):
         run_cli("run", "--strategy", "baseline", *FAST, "--outdir", str(tmp_path))

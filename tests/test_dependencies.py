@@ -1,9 +1,9 @@
 """Runtime dependencies stay stdlib-only: every module `src/sonsim` imports
 is in the standard library or is `sonsim` itself. No module imports a name
 it does not use. One constructor turns the communities a route searched
-into its result. The modules are the package's API: `sonsim/__init__.py`
-re-exports nothing, and every module defines only what the package's own
-code uses."""
+into its result. One function, `cli._write`, opens every output file. The
+modules are the package's API: `sonsim/__init__.py` re-exports nothing, and
+every module defines only what the package's own code uses."""
 
 import ast
 import sys
@@ -166,3 +166,46 @@ def test_every_exported_or_defined_name_is_used_by_the_package():
     declared, referenced = _surface()
     assert "build_tree" in declared and "Config" in declared
     assert declared - referenced == UNREFERENCED_ALLOWED
+
+
+def _opens_to_write(call: ast.Call) -> bool:
+    """Whether `call` opens a file to write: `open(path, mode)` or
+    `path.open(mode)` with a mode that writes (or one not spelled out as a
+    literal), or `path.write_text` / `path.write_bytes`."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+        return True
+    if isinstance(func, ast.Name) and func.id == "open":
+        position = 1
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        position = 0
+    else:
+        return False
+    modes = [keyword.value for keyword in call.keywords if keyword.arg == "mode"]
+    mode = call.args[position] if len(call.args) > position else (modes or [None])[0]
+    if mode is None:
+        return False  # the default mode reads
+    return not isinstance(mode, ast.Constant) or bool(set(mode.value) & set("wax+"))
+
+
+def _file_writers(path: Path) -> set[str]:
+    """The `module.scope` names in `path` that open a file to write."""
+    writers = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = (*scope, child.name)
+            elif isinstance(child, ast.Call) and _opens_to_write(child):
+                writers.add(".".join((path.stem, *scope)))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), ())
+    return writers
+
+
+def test_only_cli_write_opens_an_output_file():
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    assert set().union(*map(_file_writers, sources)) == {"cli._write"}

@@ -11,7 +11,6 @@ import pytest
 
 import sonsim.dtree
 from sonsim.dtree import (
-    ArffError,
     Instance,
     Leaf,
     Node,
@@ -454,7 +453,7 @@ class TestArff:
     def test_parse_error_carries_line_number(self):
         text = arff_export(self._instances(), "rel")
         broken = text.replace("k.f,p.i,a.b,c.d,SP0", "k.f,p.i,a.b")
-        with pytest.raises(ArffError, match=r"line \d+"):
+        with pytest.raises(ValueError, match=r"line \d+"):
             arff_import(broken)
 
     @pytest.mark.parametrize("text, problem", [
@@ -468,7 +467,7 @@ class TestArff:
     ], ids=["attribute-after-data", "malformed-attribute", "data-before-attribute",
             "outside-data", "bad-class-label"])
     def test_malformed_input_names_its_line(self, text, problem):
-        with pytest.raises(ArffError) as excinfo:
+        with pytest.raises(ValueError) as excinfo:
             arff_import(text)
         assert str(excinfo.value) == problem
 
@@ -480,5 +479,5 @@ class TestArff:
     def test_undeclared_value_rejected(self):
         text = arff_export(self._instances(), "rel")
         broken = text.replace("k.f,p.i,a.b,c.d,SP0", "zz.zz,p.i,a.b,c.d,SP0")
-        with pytest.raises(ArffError, match="not declared"):
+        with pytest.raises(ValueError, match="not declared"):
             arff_import(broken)

@@ -213,6 +213,22 @@ class TestBuildSon:
         with pytest.raises(ValueError):
             build_son(Config(np=3, nsp=5))
 
+    def test_members_are_the_round_robin_range(self):
+        net = build_son(Config(np=50, nsp=7, seed=3))
+        for spid, sp in net.super_peers.items():
+            assert sp.members == range(spid, 50, 7)
+
+    def test_friends_are_stored_and_dumped_ascending(self):
+        net = build_son(Config(np=60, nsp=12, friends_per_sp=4, seed=3))
+        dumped = {}
+        for line in serialize_network(net).splitlines():
+            if line.startswith("sp "):
+                spid, friends = line.split()[1], line.split("friends=")[1].split()[0]
+                dumped[int(spid)] = tuple(map(int, friends.split(",")))
+        for spid, sp in net.super_peers.items():
+            assert sp.friends == tuple(sorted(sp.friends))
+            assert dumped[spid] == sp.friends
+
 
 class TestTrust:
     def test_disjoint_expertise_gives_zero(self):

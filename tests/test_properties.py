@@ -651,7 +651,7 @@ def test_grouping_invariant_under_sp_relabeling(key, tau, shift):
     sps = {
         rename[spid]: dataclasses.replace(
             sp, id=rename[spid],
-            friends=frozenset(rename[f] for f in sp.friends),
+            friends=tuple(sorted(rename[f] for f in sp.friends)),
         )
         for spid, sp in net.super_peers.items()
     }
