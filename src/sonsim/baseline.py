@@ -6,14 +6,19 @@ qualifying ones, breadth-first, each super-peer processing a given query at
 most once.
 A router only chooses which communities to search and counts the mapping
 operations each one performs (the members and friends probed, one mapping
-each). One constructor, `RoutingResult.searched`, derives the rest from
-those communities for both routers: each answers with its members in the
-query's relevant mask, which the engine computes once per query with the
-relevance kernel, `model.relevant_mask`, and passes in; the searched set is
-the communities themselves and the mapping total is the sum of their
-operations. Each router costs its route while routing it, as the critical
-path of its forwarding, one segment per searched super-peer:
-`segment_cost` is the one rule for costing a segment.
+each). That choice and its cost are the route's `RoutePlan`: the searched
+super-peers in search order, the searched set, the critical-path response
+time, the mapping total, the messages and the tree nodes visited. Only the
+answers depend on the query itself, so a router keys each plan by its
+routing decision, builds it once and reuses it for every later route that
+decides the same; the caller owns that memo (`plans`), and each router
+says what its memo is valid for. One constructor, `RoutingResult.searched`,
+turns a plan into a result for both routers: each searched community
+answers with its members in the query's relevant mask, which the engine
+computes once per query with the relevance kernel, `model.relevant_mask`,
+and passes in. A plan is costed as the critical path of its forwarding,
+one segment per searched super-peer: `segment_cost` is the one rule for
+costing a segment.
 """
 
 from __future__ import annotations
@@ -49,6 +54,27 @@ def segment_cost(costs: Costs, hops: int, maps: int, tree_visits: int,
     return hops * c_hop + maps * c_map + tree_visits * c_tree + (max(branches) if branches else 0.0)
 
 
+class RoutePlan:
+    """Everything a route's result holds except its answers: the searched
+    super-peers in search order (`sps`) and as a set, the critical-path
+    response time and the total mapping operations, messages and tree
+    nodes visited. Built from `maps`, each searched super-peer mapped to the
+    mapping operations it performed, in search order; the searched set is
+    the one `net.shared` holds."""
+
+    __slots__ = ("sps", "searched_sps", "response_time", "mapping_ops", "hops", "tree_visits")
+
+    def __init__(self, net: Network, maps: dict[SuperPeerId, int], response_time: float,
+                 hops: int, tree_visits: int):
+        self.sps = tuple(maps)
+        searched = frozenset(maps)
+        self.searched_sps = net.shared.setdefault(searched, searched)
+        self.response_time = response_time
+        self.mapping_ops = sum(maps.values())
+        self.hops = hops
+        self.tree_visits = tree_visits
+
+
 @dataclass(slots=True)
 class RoutingResult:
     """What a routed query found, where it searched and what that cost: the
@@ -68,21 +94,19 @@ class RoutingResult:
     tree_visits: int
 
     @classmethod
-    def searched(cls, net: Network, relevant: int, maps: dict[SuperPeerId, int],
-                 response_time: float, hops: int, tree_visits: int) -> RoutingResult:
-        """The result of a route that searched the communities of the
-        super-peers in `maps`, each mapped to the mapping operations it
-        performed, in search order. A community answers with its members in
-        `relevant`, the query's relevant peer mask, and only if that is not
-        empty. The result shares values instead of holding equal copies: its
-        answering mask is `relevant` itself when the route found every
-        relevant peer, and otherwise the equal one that `net.shared` holds,
-        as is each super-peer set, so its answering set is its searched set
-        when every searched community answered."""
+    def searched(cls, net: Network, relevant: int, plan: RoutePlan) -> RoutingResult:
+        """The result of a route that followed `plan`. Each community the
+        plan searched answers with its members in `relevant`, the query's
+        relevant peer mask, and only if that is not empty; everything else
+        is the plan's. The result shares values instead of holding equal
+        copies: its answering mask is `relevant` itself when the route found
+        every relevant peer, and otherwise the equal one that `net.shared`
+        holds, as is each super-peer set, so its answering set is the plan's
+        searched set when every searched community answered."""
         member_masks = net.member_masks
         answering_mask = 0
         answering_sps = []
-        for spid in maps:
+        for spid in plan.sps:
             hits = relevant & member_masks[spid]
             if hits:
                 answering_mask |= hits
@@ -92,15 +116,14 @@ class RoutingResult:
             answering_mask = relevant
         else:
             answering_mask = shared.setdefault(answering_mask, answering_mask)
-        searched_sps = frozenset(maps)
-        searched_sps = shared.setdefault(searched_sps, searched_sps)
-        if len(answering_sps) == len(maps):
+        searched_sps = plan.searched_sps
+        if len(answering_sps) == len(plan.sps):
             answering = searched_sps
         else:
             answering = frozenset(answering_sps)
             answering = shared.setdefault(answering, answering)
         return cls(answering_mask, answering, searched_sps,
-                   response_time, sum(maps.values()), hops, tree_visits)
+                   plan.response_time, plan.mapping_ops, plan.hops, plan.tree_visits)
 
     @property
     def answering_peers(self) -> frozenset[PeerId]:
@@ -179,7 +202,8 @@ def generate_queries(peer: Peer, count: int, n_components: int, rng: Random,
 
 def route_baseline(net: Network, query: Query, sp: SuperPeerId,
                    relevant: int, eps_acc: float, costs: Costs,
-                   max_hops: int | None = 1) -> RoutingResult:
+                   max_hops: int | None = 1,
+                   plans: dict[tuple[SuperPeerId, ...], RoutePlan] | None = None) -> RoutingResult:
     """Route one query from super-peer `sp` (the origin peer's community head).
 
     `relevant` is the query's relevant peer mask (`relevant_mask` at
@@ -188,6 +212,12 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
     the forwarding depth: 0 is local-only, 1 reaches direct friends, None
     floods until no unvisited qualifying super-peer remains. Each searched
     super-peer is one segment of the forwarding, costed at `costs`.
+
+    The route's plan is keyed by the super-peers it reached, in search
+    order: with the origin, `max_hops` and the network, they fix the levels,
+    the forwards and the cost. `plans` is the memo of those plans, valid for
+    one network, one `costs` and one `max_hops`; None routes with a fresh
+    one. Every friend probe is still evaluated, in the same order.
     """
     if sp not in net.super_peers:
         raise ValueError(f"unknown super-peer {sp}")
@@ -195,6 +225,8 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
         raise ValueError(f"eps_acc must lie in [0, 1], got {eps_acc}")
     if max_hops is not None and max_hops < 0:
         raise ValueError("max_hops must be >= 0 or None for unbounded")
+    if plans is None:
+        plans = {}
 
     # Super-peers enter `maps` when reached, so it is also the visited set.
     # Forwarding runs one level at a time, which visits in the order a FIFO
@@ -223,19 +255,23 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
         level = reached
         depth += 1
 
-    cost: dict[SuperPeerId, float] = {}
-    for spid in reversed(maps):  # reverse search order: forwards are costed first
-        cost[spid] = segment_cost(costs, 0 if spid == sp else 1, maps[spid], 0,
-                                  [cost[friend] for friend in forwarded.get(spid, ())])
-
-    # One message reaches each searched super-peer but the origin.
-    return RoutingResult.searched(net, relevant, maps, cost[sp], len(maps) - 1, 0)
+    key = tuple(maps)
+    plan = plans.get(key)
+    if plan is None:
+        cost: dict[SuperPeerId, float] = {}
+        for spid in reversed(maps):  # reverse search order: forwards are costed first
+            cost[spid] = segment_cost(costs, 0 if spid == sp else 1, maps[spid], 0,
+                                      [cost[friend] for friend in forwarded.get(spid, ())])
+        # One message reaches each searched super-peer but the origin.
+        plan = plans[key] = RoutePlan(net, maps, cost[sp], len(maps) - 1, 0)
+    return RoutingResult.searched(net, relevant, plan)
 
 
 def run_baseline_epoch(net: Network, workload: list[Query],
                        relevant: list[int], eps_acc: float, costs: Costs,
                        max_hops: int | None = 1) -> tuple[QueryLog, list[RoutingResult]]:
-    """Route every query in order, costed at `costs`; one log record per query.
+    """Route every query in order, costed at `costs`, through one memo of
+    route plans; one log record per query.
 
     relevant[i] is the relevant peer mask of workload[i]; a length mismatch
     raises ValueError.
@@ -244,9 +280,11 @@ def run_baseline_epoch(net: Network, workload: list[Query],
         raise ValueError("workload is empty")
     records = []
     results = []
+    plans: dict[tuple[SuperPeerId, ...], RoutePlan] = {}
     for query, query_relevant in zip(workload, relevant, strict=True):
         origin_sp = net.peers[query.origin_peer].super_peer
-        result = route_baseline(net, query, origin_sp, query_relevant, eps_acc, costs, max_hops)
+        result = route_baseline(net, query, origin_sp, query_relevant, eps_acc, costs,
+                                max_hops, plans)
         results.append(result)
         records.append(LogRecord.routed(query, origin_sp, result))
     return QueryLog(records), results

@@ -14,15 +14,19 @@ what that reuses) and leaves a group that received no records as it is.
 Only `run_kb_epoch` decides when to refresh. Index-driven routing replaces
 all super-peer-level capacity evaluations with one tree walk; only
 peer-level evaluations remain metered as mapping work.
-As in the baseline, the route is costed while the query is routed, with
-the baseline's `segment_cost` rule: the origin community's scan runs in
-parallel with the index consult, after which the arrivals at the candidates
-run in parallel. The router only chooses the communities to search, the
-origin's and the candidates'; the baseline's one constructor,
-`RoutingResult.searched`, derives the answers, the searched set and the
-mapping total from them, each community answering with its members in the
-query's relevant mask, which the engine computes once per query with the
-relevance kernel, `model.relevant_mask`, and passes in.
+As in the baseline, a route's plan is everything its result holds but the
+answers, costed with the baseline's `segment_cost` rule: the origin
+community's scan runs in parallel with the index consult, after which the
+arrivals at the candidates run in parallel. The routing decision is the
+origin super-peer, the nodes the walk visited and the class labels where it
+ended; the candidates, relays and cost follow from it, so the router builds
+one `RoutePlan` per decision in the caller's memo (`plans`), valid for one
+network, one cost triple and one group partition. A refresh keeps the
+partition, so an epoch's memo outlives its refreshes. The baseline's one
+constructor, `RoutingResult.searched`, derives the answers from the plan,
+each searched community answering with its members in the query's relevant
+mask, which the engine computes once per query with the relevance kernel,
+`model.relevant_mask`, and passes in.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .baseline import Costs, LogRecord, QueryLog, RoutingResult, segment_cost
+from .baseline import Costs, LogRecord, QueryLog, RoutePlan, RoutingResult, segment_cost
 from .dtree import DecisionTree, Instance, Leaf, build_tree, class_counts, classify_traced, predict
 from .model import ExpertiseElement, Query, SuperPeerId
 from .model import capacity  # noqa: F401  benchmark/probe.py counts calls through ksp.capacity
@@ -172,7 +176,8 @@ def _induce(overlay: KspOverlay, records, min_leaf: int, keep: bool) -> KspOverl
 
 
 def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
-             relevant: int, costs: Costs) -> RoutingResult:
+             relevant: int, costs: Costs,
+             plans: dict[tuple[int, ...], RoutePlan] | None = None) -> RoutingResult:
     """Index-driven routing.
 
     The origin community is searched locally while the query travels one hop
@@ -182,6 +187,10 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
     (two hops). Every candidate community is then searched locally: its
     answers are its members in `relevant`, the query's relevant peer mask.
     The route is costed at `costs`.
+
+    The plan is keyed by (sp, tree visits, the class labels where the walk
+    ended). `plans` is the memo of those plans, valid for one network, one
+    `costs` and one `overlay.sp_to_group`; None routes with a fresh one.
     """
     if sp not in net.super_peers:
         raise ValueError(f"unknown super-peer {sp}")
@@ -189,19 +198,25 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
     index = overlay.groups[gid].index
     if index is None:
         raise ValueError("index not trained")
+    if plans is None:
+        plans = {}
 
     counts, tree_visits = classify_traced(index, query_attributes(query.components))
-    # Every class counted where the walk ends is a candidate.
-    targets = sorted(s for s in counts if s != sp and s in net.super_peers)
-    maps = {spid: len(net.super_peers[spid].members) for spid in (sp, *targets)}
+    key = (sp, tree_visits, *counts)
+    plan = plans.get(key)
+    if plan is None:
+        # Every class counted where the walk ends is a candidate.
+        targets = sorted(s for s in counts if s != sp and s in net.super_peers)
+        maps = {spid: len(net.super_peers[spid].members) for spid in (sp, *targets)}
 
-    relays = [1 if overlay.sp_to_group[t] == gid else 2 for t in targets]
-    local = segment_cost(costs, 0, maps[sp], 0, ())
-    consult = segment_cost(costs, 1, 0, tree_visits, [
-        segment_cost(costs, relay, maps[t], 0, ()) for t, relay in zip(targets, relays)])
-    response_time = segment_cost(costs, 0, 0, 0, (local, consult))
-    # One message to the knowledge node, then the relays.
-    return RoutingResult.searched(net, relevant, maps, response_time, 1 + sum(relays), tree_visits)
+        relays = [1 if overlay.sp_to_group[t] == gid else 2 for t in targets]
+        local = segment_cost(costs, 0, maps[sp], 0, ())
+        consult = segment_cost(costs, 1, 0, tree_visits, [
+            segment_cost(costs, relay, maps[t], 0, ()) for t, relay in zip(targets, relays)])
+        response_time = segment_cost(costs, 0, 0, 0, (local, consult))
+        # One message to the knowledge node, then the relays.
+        plan = plans[key] = RoutePlan(net, maps, response_time, 1 + sum(relays), tree_visits)
+    return RoutingResult.searched(net, relevant, plan)
 
 
 def refresh_knowledge(overlay: KspOverlay, records, min_leaf: int = 2) -> KspOverlay:
@@ -217,9 +232,9 @@ def refresh_knowledge(overlay: KspOverlay, records, min_leaf: int = 2) -> KspOve
 def run_kb_epoch(net: Network, overlay: KspOverlay, workload: list[Query],
                  relevant: list[int], costs: Costs, refresh_every: int = 0,
                  min_leaf: int = 2) -> tuple[QueryLog, list[RoutingResult], KspOverlay]:
-    """Route a workload with the knowledge strategy, costed at `costs`, and
-    log it, refreshing the indices with the newly logged records every
-    `refresh_every` queries.
+    """Route a workload with the knowledge strategy, costed at `costs`
+    through one memo of route plans, and log it, refreshing the indices with
+    the newly logged records every `refresh_every` queries.
 
     relevant[i] is the relevant peer mask of workload[i]; a length mismatch
     raises ValueError. refresh_every = 0 keeps the knowledge static for the
@@ -229,10 +244,11 @@ def run_kb_epoch(net: Network, overlay: KspOverlay, workload: list[Query],
         raise ValueError("workload is empty")
     records: list[LogRecord] = []
     results = []
+    plans: dict[tuple[int, ...], RoutePlan] = {}  # refreshes keep `sp_to_group`
     pairs = zip(workload, relevant, strict=True)
     for routed, (query, query_relevant) in enumerate(pairs, start=1):
         origin_sp = net.peers[query.origin_peer].super_peer
-        result = route_kb(net, overlay, query, origin_sp, query_relevant, costs)
+        result = route_kb(net, overlay, query, origin_sp, query_relevant, costs, plans)
         results.append(result)
         records.append(LogRecord.routed(query, origin_sp, result))
         if refresh_every > 0 and routed % refresh_every == 0:

@@ -93,8 +93,9 @@ class Network:
     def shared(self) -> dict[frozenset[SuperPeerId] | int, frozenset[SuperPeerId] | int]:
         """Each super-peer set and partial answering mask that the routing
         results over this network hold, mapped to itself, so that equal
-        values are one object (`baseline.RoutingResult.searched` fills it)
-        that lives only as long as the network."""
+        values are one object (`baseline.RoutePlan` and
+        `baseline.RoutingResult.searched` fill it) that lives only as long
+        as the network."""
         return {}
 
 

@@ -6,10 +6,11 @@ import pytest
 
 from sonsim.config import Config, substream
 from sonsim.baseline import LogRecord, QueryLog, generate_queries, run_baseline_epoch
-from sonsim.dtree import Leaf, build_tree, class_counts
+from sonsim.dtree import Leaf, build_tree, class_counts, classify_traced
 from sonsim.ksp import (
     form_groups,
     instances_from_records,
+    query_attributes,
     record_accuracy,
     refresh_knowledge,
     route_kb,
@@ -265,6 +266,48 @@ class TestRouteKb:
             result = route(net, overlay, query, sp, config.eps_acc)
             for pid in result.answering_peers:
                 assert is_relevant(net.peers[pid].expertise, query, config.eps_acc)
+
+
+class TestRoutePlans:
+    def test_routing_builds_one_plan_per_distinct_decision(self, monkeypatch):
+        """At 300/10, seed 9, routing the 1,500 evaluation queries through
+        one memo per router builds no plan twice: at most one per distinct
+        decision and at most 142 for the baseline (the super-peers reached
+        from an origin) and 157 for the knowledge router (the origin, the
+        tree nodes visited and the class labels where the walk ends).
+        Without the memo each router builds 1,500."""
+        import sonsim.baseline
+        import sonsim.ksp
+        from sonsim.baseline import RoutePlan, route_baseline
+        from sonsim.engine import run_pipeline
+        config = Config(np=300, nsp=10, seed=9)
+        artifacts = run_pipeline(config)
+        net, overlay = artifacts.net, artifacts.overlay
+        built = {"baseline": 0, "ksp": 0}
+
+        def counting(router):
+            def build(*args):
+                built[router] += 1
+                return RoutePlan(*args)
+            return build
+
+        monkeypatch.setattr(sonsim.baseline, "RoutePlan", counting("baseline"))
+        monkeypatch.setattr(sonsim.ksp, "RoutePlan", counting("ksp"))
+        baseline_plans, kb_plans = {}, {}
+        reached, decided = set(), set()
+        for query in artifacts.eval_workload:
+            sp = net.peers[query.origin_peer].super_peer
+            mask = relevant_mask(net, query, config.eps_acc)
+            result = route_baseline(net, query, sp, mask, config.eps_acc, COSTS,
+                                    config.max_hops, baseline_plans)
+            reached.add((sp, result.searched_sps))
+            route_kb(net, overlay, query, sp, mask, COSTS, kb_plans)
+            index = overlay.groups[overlay.sp_to_group[sp]].index
+            counts, visits = classify_traced(index, query_attributes(query.components))
+            decided.add((sp, visits, frozenset(counts)))
+        assert len(artifacts.eval_workload) == 1_500
+        assert built["baseline"] <= len(reached) and built["baseline"] <= 142
+        assert built["ksp"] <= len(decided) and built["ksp"] <= 157
 
 
 def _reid(queries, prefix):

@@ -88,7 +88,7 @@ class TestLinkFriends:
         expertise = {spid: set(sp.expertise) for spid, sp in net.super_peers.items()}
         friends = link_friends_and_duplicate(expertise, friends_per_sp, dup_count, rng())
         sps = {spid: dataclasses.replace(sp, expertise=frozenset(expertise[spid]),
-                                         friends=frozenset(friends[spid]))
+                                         friends=tuple(sorted(friends[spid])))
                for spid, sp in net.super_peers.items()}
         return Network(peers={}, super_peers=sps, config=net.config)
 

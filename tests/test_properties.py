@@ -5,13 +5,15 @@ the remaining invariants: capacity ranges, relevance boundaries, the
 relevance kernel's peer mask agreeing with the exhaustive oracle, popcount
 scoring agreeing with the set formula, both routers agreeing with a plain
 relevance scan of the communities they search, their message and mapping
-counts agreeing with where they searched, routing monotonicity in the
-threshold, distribution normalization, tree induction choosing the first best
-gain-ratio split, trees grown from a prior tree (also when the root
-switches back and forth between attributes) and indices after each refresh
-equal to from-scratch induction, the rows of the root's and its
-children's split tables holding every attribute's partition and class
-counts as counted from scratch, and grouping stability under relabeling.
+counts agreeing with where they searched, each epoch's results, routed
+through one memo of plans, equal to each query routed alone, routing
+monotonicity in the threshold, distribution normalization, tree induction
+choosing the first best gain-ratio split, trees grown from a prior tree
+(also when the root switches back and forth between attributes) and
+indices after each refresh equal to from-scratch induction, the rows of
+the root's and its children's split tables holding every attribute's
+partition and class counts as counted from scratch, and grouping stability
+under relabeling.
 """
 
 import dataclasses
@@ -344,6 +346,63 @@ def test_kb_counts_relays_and_tree_walk(key, drawn, tau, costs):
     assert result.response_time == pytest.approx(max(local, consult), rel=1e-9, abs=1e-12)
 
 
+def epoch_workload(net, seed, n_routed):
+    """`n_routed` three-component queries from random peers, with unique ids."""
+    rng = substream(seed, "kb")
+    pids = sorted(net.peers)
+    return [generate_queries(net.peers[rng.choice(pids)], 1, 3, rng, id_prefix=f"e{i}-")[0]
+            for i in range(n_routed)]
+
+
+@given(key=net_keys, extra=st.integers(min_value=0, max_value=3), eps=thresholds,
+       max_hops=st.sampled_from([0, 1, 2, None]), costs=cost_weights,
+       n_routed=st.integers(min_value=1, max_value=40),
+       seed=st.integers(min_value=0, max_value=1000))
+@settings(deadline=None)
+def test_baseline_epoch_results_equal_routes_without_a_memo(key, extra, eps, max_hops, costs,
+                                                            n_routed, seed):
+    """The epoch routes through one memo of plans; each of its results equals
+    the one `route_baseline` gives for that query alone. `extra` peers make
+    communities of unequal size, so routes from two origins that reach the
+    same super-peers cost differently."""
+    nsp, friends, dup, net_seed = key
+    net = cached_net(nsp * 4 + extra, nsp, min(friends, nsp - 1), dup, net_seed)
+    workload = epoch_workload(net, seed, n_routed)
+    relevant = [relevant_mask(net, q, eps) for q in workload]
+    _, results = run_baseline_epoch(net, workload, relevant, eps, costs, max_hops)
+    for query, mask, result in zip(workload, relevant, results, strict=True):
+        sp = net.peers[query.origin_peer].super_peer
+        assert result == route_baseline(net, query, sp, mask, eps, costs, max_hops)
+
+
+@given(key=net_keys, tau=st.sampled_from([3, 4]), costs=cost_weights,
+       refresh_every=st.integers(min_value=0, max_value=7),
+       n_routed=st.integers(min_value=1, max_value=40),
+       seed=st.integers(min_value=0, max_value=1000))
+@settings(deadline=None)
+def test_kb_epoch_results_equal_routes_without_a_memo(key, tau, costs, refresh_every,
+                                                      n_routed, seed):
+    """The epoch routes through one memo of plans that outlives its
+    refreshes; each of its results equals the one `route_kb` gives for that
+    query alone over the overlay refreshed as far as the epoch had."""
+    net = draw_net(key)
+    overlay = cached_overlay(key, tau, 3)
+    assume(len(overlay.groups) > 1)
+    workload = epoch_workload(net, seed, n_routed)
+    relevant = [relevant_mask(net, q, 0.5) for q in workload]
+    _, results, _ = run_kb_epoch(net, overlay, workload, relevant, costs,
+                                 refresh_every=refresh_every)
+    batch = []
+    for query, mask, result in zip(workload, relevant, results, strict=True):
+        sp = net.peers[query.origin_peer].super_peer
+        alone = route_kb(net, overlay, query, sp, mask, costs)
+        assert result == alone
+        batch.append(LogRecord.routed(query, sp, alone))
+        if len(batch) == refresh_every:
+            overlay = refresh_knowledge(overlay, batch)
+            batch = []
+
+
 @given(key=net_keys, tau=st.sampled_from([3, 4]),
        refresh_every=st.integers(min_value=1, max_value=7),
        n_routed=st.integers(min_value=1, max_value=20),
@@ -357,10 +416,7 @@ def test_refreshed_indices_equal_from_scratch_induction(key, tau, refresh_every,
     log = flooded_log(key, 3)
     overlay = cached_overlay(key, tau, 3)
     assume(len(overlay.groups) > 1)
-    rng = substream(seed, "kb")
-    pids = sorted(net.peers)
-    workload = [generate_queries(net.peers[rng.choice(pids)], 1, 3, rng, id_prefix=f"e{i}-")[0]
-                for i in range(n_routed)]
+    workload = epoch_workload(net, seed, n_routed)
     relevant = [relevant_mask(net, q, 0.5) for q in workload]
     kb_log, _, after = run_kb_epoch(net, overlay, workload, relevant, COSTS,
                                     refresh_every=refresh_every)
