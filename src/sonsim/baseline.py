@@ -7,8 +7,8 @@ most once.
 A router only chooses which communities to search and counts the mapping
 operations each one performs (the members and friends probed, one mapping
 each). That choice and its cost are the route's `RoutePlan`: the searched
-super-peers in search order, the searched set, the critical-path response
-time, the mapping total, the messages and the tree nodes visited. Only the
+super-peers as a set, the critical-path response time, the mapping total,
+the messages and the tree nodes visited. Only the
 answers depend on the query itself, so a router keys each plan by its
 routing decision, builds it once and reuses it for every later route that
 decides the same; the caller owns that memo (`plans`), and each router
@@ -56,17 +56,15 @@ def segment_cost(costs: Costs, hops: int, maps: int, tree_visits: int,
 
 class RoutePlan:
     """Everything a route's result holds except its answers: the searched
-    super-peers in search order (`sps`) and as a set, the critical-path
-    response time and the total mapping operations, messages and tree
-    nodes visited. Built from `maps`, each searched super-peer mapped to the
-    mapping operations it performed, in search order; the searched set is
-    the one `net.shared` holds."""
+    super-peers, the critical-path response time and the total mapping
+    operations, messages and tree nodes visited. Built from `maps`, each
+    searched super-peer mapped to the mapping operations it performed; the
+    searched set is the one `net.shared` holds."""
 
-    __slots__ = ("sps", "searched_sps", "response_time", "mapping_ops", "hops", "tree_visits")
+    __slots__ = ("searched_sps", "response_time", "mapping_ops", "hops", "tree_visits")
 
     def __init__(self, net: Network, maps: dict[SuperPeerId, int], response_time: float,
                  hops: int, tree_visits: int):
-        self.sps = tuple(maps)
         searched = frozenset(maps)
         self.searched_sps = net.shared.setdefault(searched, searched)
         self.response_time = response_time
@@ -106,7 +104,8 @@ class RoutingResult:
         member_masks = net.member_masks
         answering_mask = 0
         answering_sps = []
-        for spid in plan.sps:
+        searched_sps = plan.searched_sps
+        for spid in searched_sps:  # answers are a union, so any order gives them
             hits = relevant & member_masks[spid]
             if hits:
                 answering_mask |= hits
@@ -116,8 +115,7 @@ class RoutingResult:
             answering_mask = relevant
         else:
             answering_mask = shared.setdefault(answering_mask, answering_mask)
-        searched_sps = plan.searched_sps
-        if len(answering_sps) == len(plan.sps):
+        if len(answering_sps) == len(searched_sps):
             answering = searched_sps
         else:
             answering = frozenset(answering_sps)
@@ -150,14 +148,12 @@ class LogRecord:
 
 
 class QueryLog:
-    """The trace of routed queries, built once from its records; a repeated
-    query id is rejected."""
+    """The trace of routed queries, built once from its records. Query ids
+    are not checked here: an epoch's ids are distinct by construction, and
+    `read_query_log` rejects a file that repeats one."""
 
     def __init__(self, records: Iterable[LogRecord] = ()):
         self._records = tuple(records)
-        repeat = _first_repeat(self._records)
-        if repeat is not None:
-            raise ValueError(f"duplicate query id in log: {self._records[repeat].query_id}")
 
     @property
     def records(self) -> tuple[LogRecord, ...]:
@@ -168,17 +164,6 @@ class QueryLog:
 
     def __iter__(self):
         return iter(self._records)
-
-
-def _first_repeat(records: Sequence[LogRecord]) -> int | None:
-    """The position of the first record whose query id an earlier one has,
-    or None."""
-    seen = set()
-    for position, record in enumerate(records):
-        if record.query_id in seen:
-            return position
-        seen.add(record.query_id)
-    return None
 
 
 def generate_queries(peer: Peer, count: int, n_components: int, rng: Random,
@@ -312,9 +297,10 @@ def _log_int(text: str, field: str) -> int:
 
 def read_query_log(path) -> QueryLog:
     """Parse a log of `query_log_lines`; every record must have as
-    many query components as the first. Every error names the file and line."""
+    many query components as the first, and no query id may repeat. Every
+    error names the file and line."""
     records: list[LogRecord] = []
-    lines: list[int] = []  # the line of each record
+    ids: set[str] = set()
     width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -325,6 +311,9 @@ def read_query_log(path) -> QueryLog:
                 fields = line.split("\t")
                 if len(fields) < 5:
                     raise ValueError("expected at least 5 fields")
+                if fields[0] in ids:
+                    raise ValueError(f"duplicate query id in log: {fields[0]}")
+                ids.add(fields[0])
                 components = tuple(parse_element(c) for c in fields[3:-1])
                 if width is None:
                     width = len(components)
@@ -342,10 +331,6 @@ def read_query_log(path) -> QueryLog:
                     components=components,
                     answering_sps=answering,
                 ))
-                lines.append(lineno)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    try:
-        return QueryLog(records)
-    except ValueError as exc:
-        raise ValueError(f"{path}: line {lines[_first_repeat(records)]}: {exc}") from None
+    return QueryLog(records)

@@ -38,9 +38,12 @@ from .netgen import build_son, serialize_network
 OUTDIR_ENV = "SONSIM_OUTDIR"
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, skip: tuple[str, ...] = ()) -> None:
+    """`--config FILE` plus one override flag per `Config` field not in `skip`."""
     parser.add_argument("--config", metavar="FILE", help="key-value configuration file")
     for f in dataclasses.fields(Config):
+        if f.name in skip:
+            continue
         flag = "--" + f.name.replace("_", "-")
         kind = {"int": int, "float": float}.get(f.type, str)
         parser.add_argument(flag, type=kind, default=None, dest=f.name,
@@ -48,6 +51,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> Config:
+    """The config file's values (the defaults without one) with the flags'
+    overrides. It is not validated here: `build_son` validates each config a
+    network is built from, which for `sweep` is each point's, not this one."""
     text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
     config = Config.from_text(text)  # no file: the defaults
     overrides = {
@@ -55,9 +61,7 @@ def _build_config(args: argparse.Namespace) -> Config:
         for f in dataclasses.fields(Config)
         if getattr(args, f.name, None) is not None
     }
-    config = config.replace(**overrides)
-    config.validate()
-    return config
+    return config.replace(**overrides)
 
 
 def _outdir(args: argparse.Namespace) -> Path:
@@ -244,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run the experiment over several sizes")
-    _add_config_flags(p_sweep)
+    _add_config_flags(p_sweep, skip=("np", "nsp"))  # each size sets both
     p_sweep.add_argument("--sizes", required=True,
                          help="comma list of NP:NSP pairs, e.g. 300:10,600:12")
     p_sweep.add_argument("--outdir", default="out", help="output directory")

@@ -171,7 +171,10 @@ def build_tree(instances: Sequence[Instance], min_leaf: int = 1,
     the branch its instances and class counts.
 
     `prior`, if given, is the tree this function returned for a prefix of
-    `instances`, with the same `min_leaf`. The reuse rule: every node counts
+    `instances`, with the same `min_leaf`; a prior that counts more
+    instances than are given raises ValueError. Only the root's prior needs
+    that check: every deeper prior is a row's branch, induced from a prefix
+    of the row's instances. The reuse rule: every node counts
     the instances it was induced from, so the rest are the new ones. A node
     none of whose instances are new is the prior's node itself. In a tree
     built from a prior, the root and its children keep their split tables
@@ -197,7 +200,11 @@ def build_tree(instances: Sequence[Instance], min_leaf: int = 1,
     attrs = tuple(range(len(instances[0].attributes)))
     if prior is None:
         return _induce(instances, class_counts(instances), attrs, min_leaf, None, 0, {})
-    counts = _add_classes(dict(prior.counts), instances[sum(prior.counts.values()):])
+    induced = sum(prior.counts.values())
+    if induced > len(instances):
+        raise ValueError(f"prior induced from {induced} instances, "
+                         f"more than the {len(instances)} given")
+    counts = _add_classes(dict(prior.counts), instances[induced:])
     return _induce(instances, counts, attrs, min_leaf, prior, 2, {})
 
 
@@ -213,9 +220,6 @@ def _induce(instances: Sequence[Instance], counts: dict[SuperPeerId, int],
     every other child holds its row's counts, and an only child its
     parent's."""
     induced = 0 if prior is None else sum(prior.counts.values())
-    if induced > len(instances):
-        raise ValueError(f"prior induced from {induced} instances, "
-                         f"more than the {len(instances)} given")
     if induced == len(instances):
         return prior
     if len(counts) == 1 or not attrs or len(instances) < min_leaf:

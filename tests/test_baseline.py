@@ -1,9 +1,12 @@
 """Baseline routing: query generation, two-level search, epoch and log I/O."""
 
+import re
+
 import pytest
 
 import sonsim.baseline
 from sonsim.config import Config, substream
+from sonsim.engine import run_pipeline
 from sonsim.baseline import (
     LogRecord,
     QueryLog,
@@ -246,10 +249,20 @@ class TestEpochAndLog:
         with pytest.raises(ValueError):
             run_baseline_epoch(net, [], [], 0.5, COSTS)
 
-    def test_duplicate_query_ids_rejected(self):
-        record = LogRecord("q1", 0, 0, (), frozenset())
-        with pytest.raises(ValueError, match="duplicate"):
-            QueryLog([record, record])
+    def test_repeated_query_id_names_its_file_line(self, tmp_path):
+        path = tmp_path / "log.tsv"
+        path.write_text("q0\t1\t0\ta.b\t-\n\nq0\t2\t0\ta.b\t0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: duplicate query id in log: q0$"):
+            read_query_log(path)
+
+    @pytest.mark.parametrize("mode", ["replay", "fresh"])
+    def test_a_run_gives_distinct_query_ids(self, mode):
+        # No log a run builds checks its ids, so the ids must be distinct by construction.
+        artifacts = run_pipeline(Config(np=300, nsp=10, seed=9, workload_mode=mode))
+        for ids in ([r.query_id for r in artifacts.train_log],
+                    [r.query_id for r in artifacts.kb_log],
+                    [q.id for q in artifacts.eval_workload]):
+            assert ids and len(set(ids)) == len(ids)
 
     def test_log_round_trips_through_file(self, tmp_path):
         net = small_net(np=12, nsp=3, friends_per_sp=2)

@@ -361,6 +361,21 @@ class TestSweep:
         lines = (tmp_path / "sweep_summary.csv").read_text().splitlines()
         assert len(lines) == 5  # header + 2 sizes x 2 strategies
 
+    def test_each_point_is_validated_with_its_own_size(self, tmp_path, capsys):
+        # friends_per_sp 11 is valid at 12 super-peers, not at the default nsp of 10.
+        code = run_cli("sweep", "--sizes", "60:12", "--friends-per-sp", "11",
+                       "--queries-per-peer", "1", "--outdir", str(tmp_path))
+        assert code == 0, capsys.readouterr().err
+        lines = (tmp_path / "sweep_summary.csv").read_text().splitlines()
+        assert len(lines) == 3  # header + 1 size x 2 strategies
+
+    @pytest.mark.parametrize("flag", ["--np", "--nsp"])
+    def test_size_flags_rejected(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--sizes", "20:2", flag, "5", "--outdir", str(tmp_path))
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
     def test_duplicate_sizes_rejected(self, tmp_path, capsys):
         code = run_cli("sweep", "--sizes", "20:2,20:2", "--outdir", str(tmp_path))
         assert code == 1
