@@ -279,13 +279,17 @@ def query_log_lines(log: QueryLog) -> Iterator[str]:
     """The lines of a query log file, one per record, each ending in a
     newline: tab-separated id, origin peer, origin super-peer, the
     components, then the answering super-peers as a comma list ("-" when
-    none)."""
+    none); a record has at least one component. Answering sets repeat
+    (`Network.shared` holds one object per distinct set), so each distinct
+    set's text is joined once per file."""
+    tails: dict[frozenset[SuperPeerId], str] = {}
     for record in log:
-        answering = ",".join(str(s) for s in sorted(record.answering_sps)) or "-"
-        fields = [record.query_id, str(record.origin_peer), str(record.origin_sp)]
-        fields.extend(record.components)
-        fields.append(answering)
-        yield "\t".join(fields) + "\n"
+        answering = record.answering_sps
+        tail = tails.get(answering)
+        if tail is None:
+            tail = tails[answering] = "\t" + (",".join(map(str, sorted(answering))) or "-") + "\n"
+        components = "\t".join(record.components)
+        yield f"{record.query_id}\t{record.origin_peer}\t{record.origin_sp}\t{components}{tail}"
 
 
 def _log_int(text: str, field: str) -> int:

@@ -12,8 +12,8 @@ from the winning attribute's row for its value, which holds the branch's
 instances and class counts. Given the tree induced before some instances
 were appended, induction reuses what the new instances leave unchanged and
 returns the tree induced from scratch; `build_tree` states the reuse rule.
-Trees render in the same textual grammar the index dumps use, and datasets
-round-trip through ARFF.
+Trees render in the same textual grammar the index dumps use, each shared
+leaf's text once per tree, and datasets round-trip through ARFF.
 """
 
 from __future__ import annotations
@@ -326,23 +326,28 @@ def render_tree(tree: DecisionTree) -> str:
 
 def tree_lines(tree: DecisionTree) -> Iterator[str]:
     """The lines of `render_tree`'s text, each ending in a newline, yielded
-    one at a time so that a writer never holds the whole text."""
+    one at a time so that a writer never holds the whole text. Equal leaves
+    of one build are one object, so each leaf's text is rendered once per
+    tree and each node's "composanteWk = " prefix once per node."""
     if isinstance(tree, Leaf):
         yield f": {_leaf_text(tree.counts)}\n"
     else:
-        yield from _render(tree, 0)
+        yield from _render(tree, "", {})
 
 
-def _render(node: Node, depth: int) -> Iterator[str]:
-    prefix = "| " * depth
-    name = f"{ATTRIBUTE_PREFIX}{node.attr_index + 1}"
-    for value in sorted(node.branches):
-        child = node.branches[value]
+def _render(node: Node, indent: str, tails: dict[int, str]) -> Iterator[str]:
+    """The lines of `node`'s branches, indented by `indent`; `tails` maps the
+    id of each leaf already rendered, alive in the tree, to its text."""
+    head = f"{indent}{ATTRIBUTE_PREFIX}{node.attr_index + 1} = "
+    for value, child in sorted(node.branches.items()):
         if isinstance(child, Leaf):
-            yield f"{prefix}{name} = {value}: {_leaf_text(child.counts)}\n"
+            tail = tails.get(id(child))
+            if tail is None:
+                tail = tails[id(child)] = f": {_leaf_text(child.counts)}\n"
+            yield head + value + tail
         else:
-            yield f"{prefix}{name} = {value}\n"
-            yield from _render(child, depth + 1)
+            yield head + value + "\n"
+            yield from _render(child, indent + "| ", tails)
 
 
 def arff_export(instances: Sequence[Instance], relation_name: str,

@@ -14,6 +14,10 @@ The engine runs the relevance kernel in `model` (`relevant_mask`, which the
 test suite pins as equal to the plain exhaustive scan) once per query. That
 one peer mask is what both routers search communities with and what
 precision and recall are scored against, by counting bits.
+Reporting costs what the run's distinct values cost: `score` and
+`query_metrics` take the objects a result shares with the oracle (the mask
+itself, the searched set itself) as perfect scores without counting, and
+`metrics_csv_lines` formats each distinct run of values once per file.
 
 `run_pipeline` pauses automatic cyclic garbage collection for the run. A
 5000-peer run ends with about 380,000 tracked objects alive (tree nodes,
@@ -100,9 +104,14 @@ def score(result: RoutingResult, oracle: int) -> tuple[float, float]:
     """(precision, recall) of the retrieved peers against the oracle mask.
 
     Degenerate denominators score 1.0: nothing retrieved has precision 1.0
-    and an empty oracle set has recall 1.0.
+    and an empty oracle set has recall 1.0. A retrieved mask that is the
+    oracle object itself, which `RoutingResult.searched` stores when a route
+    found every relevant peer, scores (1.0, 1.0) without counting bits; an
+    equal but distinct mask scores the same by counting.
     """
     retrieved = result.answering_mask
+    if retrieved is oracle:
+        return 1.0, 1.0
     hits = (retrieved & oracle).bit_count()
     return _ratio(hits, retrieved.bit_count()), _ratio(hits, oracle.bit_count())
 
@@ -114,17 +123,16 @@ def _ratio(part: int, whole: int) -> float:
 
 
 def query_metrics(query: Query, result: RoutingResult, oracle: int) -> QueryMetrics:
+    """The row of `query`, routed to `result`, scored against `oracle`, its
+    relevant peer mask. Super-peer precision is the share of searched
+    super-peers that answered; it is 1.0 at once when the answering set is
+    the searched set itself, which a route whose every searched community
+    answered holds (`RoutingResult.searched`)."""
     precision, recall = score(result, oracle)
-    return QueryMetrics(
-        query_id=query.id,
-        response_time=result.response_time,
-        precision=precision,
-        recall=recall,
-        sp_precision=_ratio(len(result.answering_sps), len(result.searched_sps)),
-        mapping_ops=result.mapping_ops,
-        hops=result.hops,
-        tree_visits=result.tree_visits,
-    )
+    answering, searched = result.answering_sps, result.searched_sps
+    sp_precision = 1.0 if answering is searched else _ratio(len(answering), len(searched))
+    return QueryMetrics(query.id, result.response_time, precision, recall, sp_precision,
+                        result.mapping_ops, result.hops, result.tree_visits)
 
 
 def _mean(values: Iterable[float], n: int) -> float:
@@ -298,24 +306,19 @@ def run_pipeline(config: Config, include_kb: bool = True,
 
 def sweep(base_config: Config, sizes: list[tuple[int, int]]) -> list[ExperimentReport]:
     """One run_pipeline per (np, nsp) size with a derived per-point seed.
-    Each report keeps its summaries; its per-query rows are dropped."""
+    Every point's config is validated before the first one runs. Each report
+    keeps its summaries; its per-query rows are dropped."""
     if not sizes:
         raise ValueError("sizes list is empty")
+    points = [base_config.replace(np=n_peers, nsp=n_sps, seed=derive_seed(base_config.seed, index))
+              for index, (n_peers, n_sps) in enumerate(sizes)]
+    for point in points:
+        point.validate()
     reports = []
-    for index, (n_peers, n_sps) in enumerate(sizes):
-        point = base_config.replace(np=n_peers, nsp=n_sps,
-                                    seed=derive_seed(base_config.seed, index))
+    for point in points:
         report = run_pipeline(point).report
         reports.append(dataclasses.replace(report, per_query={s: [] for s in report.per_query}))
     return reports
-
-
-def metrics_rows(report: ExperimentReport) -> Iterator[tuple]:
-    """`metrics.csv` rows, yielded one at a time: each strategy's per-query
-    rows, strategies sorted."""
-    for strategy in sorted(report.per_query):
-        for m in report.per_query[strategy]:
-            yield (strategy, *m)
 
 
 def _csv_lines(columns: tuple[str, ...], rows: Iterable[tuple]) -> Iterator[str]:
@@ -327,8 +330,22 @@ def _csv_lines(columns: tuple[str, ...], rows: Iterable[tuple]) -> Iterator[str]
 
 
 def metrics_csv_lines(report: ExperimentReport) -> Iterator[str]:
-    """`metrics.csv`: the rows of `metrics_rows`."""
-    return _csv_lines(METRICS_COLUMNS, metrics_rows(report))
+    """`metrics.csv`: each strategy's per-query rows, strategies sorted, as
+    `_csv_lines` writes them. A row's text after its query id is formatted
+    once per distinct run of values there (a route plan's cost and counters
+    with scores that are mostly exactly 1.0), and held only while the file
+    is written. Each column holds one type and no value is -0.0 (costs are
+    non-negative), so equal values have equal text."""
+    yield ",".join(METRICS_COLUMNS) + "\n"
+    tails: dict[tuple, str] = {}
+    for strategy in sorted(report.per_query):
+        head = strategy + ","
+        for row in report.per_query[strategy]:
+            values = row[1:]
+            tail = tails.get(values)
+            if tail is None:
+                tail = tails[values] = "," + ",".join(map(str, values)) + "\n"
+            yield head + row[0] + tail
 
 
 def summary_csv_lines(report: ExperimentReport) -> Iterator[str]:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import sonsim
+import sonsim.engine
 from sonsim.cli import main
 from sonsim.config import Config, ConfigError
 
@@ -368,6 +369,17 @@ class TestSweep:
         assert code == 0, capsys.readouterr().err
         lines = (tmp_path / "sweep_summary.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 1 size x 2 strategies
+
+    def test_an_invalid_later_point_stops_the_sweep_before_any_run(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        runs = []
+        monkeypatch.setattr(sonsim.engine, "run_pipeline",
+                            lambda config: runs.append(config))
+        code = run_cli("sweep", "--sizes", "5000:54,20:30", "--outdir", str(tmp_path / "out"))
+        assert code == 2
+        assert runs == []
+        assert "need np >= nsp, got np=20 nsp=30" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep_summary.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--np", "--nsp"])
     def test_size_flags_rejected(self, tmp_path, capsys, flag):

@@ -16,7 +16,8 @@ from sonsim.engine import (
     KSP,
     QueryMetrics,
     make_workload,
-    metrics_rows,
+    metrics_csv_lines,
+    query_metrics,
     relevant_peers_indexed,
     run_pipeline,
     score,
@@ -107,6 +108,40 @@ class TestScore:
     def test_degenerate_denominators(self):
         assert score(self._r(set()), mask_of({1})) == (1.0, 0.0)
         assert score(self._r({1}), mask_of(set())) == (0.0, 1.0)
+
+
+class TestIdentityShortcut:
+    """A result whose answering mask is the oracle object itself, or whose
+    answering set is its searched set itself, scores as an equal copy does."""
+
+    SEARCHED = frozenset({0, 1, 2})
+
+    @pytest.mark.parametrize("peers", [set(), {3}, {1, 300, 4999}, set(range(0, 600, 7))])
+    def test_score_of_the_oracle_itself_equals_score_of_a_copy(self, peers):
+        mask = mask_of(peers)
+        copy = int(str(mask))
+        if mask > 256:  # CPython shares the small ints
+            assert copy is not mask
+        result = result_with(answering_mask=mask)
+        assert score(result, mask) == score(result, copy) == (1.0, 1.0)
+        assert score(result_with(answering_mask=copy), mask) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("peers", [set(), {3}, {1, 300, 4999}])
+    @pytest.mark.parametrize("answering", ["itself", "copy", {0}, set()])
+    def test_query_metrics_of_shared_values_equal_those_of_copies(self, peers, answering):
+        mask = mask_of(peers)
+        searched = self.SEARCHED
+        shared = searched if answering == "itself" else (
+            frozenset(sorted(searched)) if answering == "copy" else frozenset(answering))
+        assert (shared is searched) == (answering == "itself")
+        query = Query(id="e0", origin_peer=0, components=("a.b",))
+        rows = [query_metrics(query, result_with(answering_mask=m, answering_sps=a,
+                                                 searched_sps=searched, response_time=2.5,
+                                                 mapping_ops=7, hops=2, tree_visits=3), oracle)
+                for m, a, oracle in [(mask, shared, mask),
+                                     (int(str(mask)), frozenset(sorted(shared)), mask)]]
+        assert rows[0] == rows[1]
+        assert rows[0] == QueryMetrics("e0", 2.5, 1.0, 1.0, len(shared) / 3, 7, 2, 3)
 
 
 class TestSummarize:
@@ -436,7 +471,7 @@ class TestRunExperiment:
     def test_metrics_rows_are_column_ordered(self):
         report = run_pipeline(self._config(np=8, nsp=2, queries_per_peer=1,
                                            friends_per_sp=1)).report
-        rows = list(metrics_rows(report))
+        rows = [line.removesuffix("\n").split(",") for line in metrics_csv_lines(report)][1:]
         assert rows[0][0] == BASELINE
         assert len(rows[0]) == 9
 
@@ -453,6 +488,13 @@ class TestSweep:
     def test_empty_sizes_rejected(self):
         with pytest.raises(ValueError):
             sweep(self._config(), [])
+
+    def test_every_point_is_validated_before_the_first_runs(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(sonsim.engine, "run_pipeline", lambda config: runs.append(config))
+        with pytest.raises(ConfigError, match="need np >= nsp"):
+            sweep(self._config(), [(5000, 54), (20, 30)])
+        assert runs == []
 
     def test_mapping_ops_grow_with_network_size(self):
         reports = sweep(self._config(), [(20, 2), (60, 4), (120, 6)])
