@@ -177,12 +177,11 @@ def generate_queries(peer: Peer, count: int, n_components: int, rng: Random,
     if not peer.expertise:
         raise ValueError(f"peer {peer.id} has empty expertise")
     pool = sorted(peer.expertise)
-    queries = []
-    for k in range(count):
-        components = tuple(rng.choice(pool) for _ in range(n_components))
-        queries.append(Query(id=f"{id_prefix}{peer.id}-{k}", origin_peer=peer.id,
-                             components=components))
-    return queries
+    choice = rng.choice
+    positions = range(n_components)
+    pid = peer.id
+    return [Query(f"{id_prefix}{pid}-{k}", pid, tuple([choice(pool) for _ in positions]))
+            for k in range(count)]
 
 
 def route_baseline(net: Network, query: Query, sp: SuperPeerId,

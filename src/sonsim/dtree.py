@@ -29,22 +29,30 @@ CLASS_ATTRIBUTE = "class"
 CLASS_PREFIX = "SP"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Instance:
     """One training row: the query components (expertise element texts) plus
-    the answering super-peer."""
+    the answering super-peer. Like every tree type here, it is never
+    assigned after construction and is not frozen: a frozen dataclass sets
+    each field through `object.__setattr__`, paid once per row or node."""
 
     attributes: tuple[str, ...]
     class_label: SuperPeerId
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Leaf:
+    """A terminal node: the class counts of the instances that reached it,
+    never assigned after construction."""
+
     counts: dict[SuperPeerId, int]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Node:
+    """An inner node splitting on attribute `attr_index`, one branch per
+    observed value, never assigned after construction."""
+
     attr_index: int
     branches: dict[str, "DecisionTree"]
     counts: dict[SuperPeerId, int]  # fallback distribution for unseen values

@@ -259,7 +259,7 @@ def run_pipeline(config: Config, include_kb: bool = True,
         if config.workload_mode == "replay":
             if len(train_log) == 0:
                 raise ValueError("replay mode needs a non-empty training log")
-            eval_workload = [Query(id=f"e{i}", origin_peer=r.origin_peer, components=r.components)
+            eval_workload = [Query(f"e{i}", r.origin_peer, r.components)
                              for i, r in enumerate(train_log)]
             if not relevant:  # an external log: no training masks to reuse
                 relevant = relevance(eval_workload)

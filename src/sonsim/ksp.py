@@ -107,12 +107,19 @@ def query_attributes(components: tuple[ExpertiseElement, ...]) -> tuple[str, ...
 
 def instances_from_records(records) -> list[Instance]:
     """Training rows from log records: one instance per (query, answering
-    super-peer) pair, class labels in ascending order for determinism."""
+    super-peer) pair, class labels in ascending order for determinism.
+    Records share their answering sets, so each distinct set is sorted once
+    per call, found by its value."""
     instances = []
+    labels: dict[frozenset[SuperPeerId], list[SuperPeerId]] = {}
     for record in records:
         attributes = query_attributes(record.components)
-        for spid in sorted(record.answering_sps):
-            instances.append(Instance(attributes=attributes, class_label=spid))
+        answering = record.answering_sps
+        ordered = labels.get(answering)
+        if ordered is None:
+            ordered = labels[answering] = sorted(answering)
+        for spid in ordered:
+            instances.append(Instance(attributes, spid))
     return instances
 
 

@@ -15,8 +15,9 @@ trees, logs, ARFF files and the network dump, so nothing converts between
 forms. `element` is the only code that joins two tokens and `parse_element`
 the only code that reads one from outside the program.
 
-Everything here is an immutable value; the operations are pure functions, so
-they can be evaluated concurrently and give the same answer under replay.
+Every value here is never assigned after construction; the operations are
+pure functions, so they can be evaluated concurrently and give the same
+answer under replay.
 """
 
 from __future__ import annotations
@@ -58,9 +59,13 @@ def parse_element(text: str) -> ExpertiseElement:
 Expertise = frozenset[ExpertiseElement]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Query:
-    """An ordered conjunction of expertise elements issued by one peer."""
+    """An ordered conjunction of expertise elements issued by one peer. It
+    holds immutable values and is never assigned after construction; it is
+    not frozen, because a frozen dataclass sets each field through
+    `object.__setattr__`, which a workload of one query per draw would pay
+    for."""
 
     id: str
     origin_peer: PeerId

@@ -6,7 +6,8 @@ overlap, because each domain draws couples from its own token partition), then
 peers as subsets of their super-peer's final expertise. `build_son` grows
 plain expertise sets through the first two stages, then constructs each
 `SuperPeer` once, before it draws the peers, and the one `Network` at the
-end. Peers are attached round-robin (peer p under super-peer p mod nsp), so
+end; it sorts each super-peer's final expertise once, into the one pool
+every member draws from. Peers are attached round-robin (peer p under super-peer p mod nsp), so
 each community's members follow from the sizes alone: super-peer s heads
 `range(s, np, nsp)`. A super-peer's friends are stored in ascending order,
 the order `baseline.route_baseline` probes them in. What a `Network`
@@ -38,8 +39,12 @@ class SuperPeer:
     members: range  # the round-robin community: range(id, np, nsp)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Peer:
+    """A peer and its expertise, a subset of its super-peer's. It holds
+    immutable values, is never assigned after construction and is not
+    frozen, for the same per-item cost as `model.Query`."""
+
     id: PeerId
     expertise: Expertise
     super_peer: SuperPeerId
@@ -149,21 +154,24 @@ def link_friends_and_duplicate(expertise: dict[SuperPeerId, set[ExpertiseElement
     friends: dict[SuperPeerId, set[SuperPeerId]] = {spid: set() for spid in ids}
     for spid in ids:
         others = [j for j in ids if j != spid]
+        own = sorted(expertise[spid])  # only its friends' expertise grows in this loop
         for friend in rng.sample(others, friends_per_sp):
-            shared = rng.sample(sorted(expertise[spid]), dup_count)
+            shared = rng.sample(own, dup_count)
             expertise[friend].update(shared)
             friends[spid].add(friend)
             friends[friend].add(spid)
     return friends
 
 
-def generate_peer_expertise(sp: SuperPeer, min_size: int, rng: Random) -> Expertise:
-    """Uniform random subset of the super-peer's expertise, size in
-    [min_size, |expertise|]. Keeps every peer semantically inside its community."""
-    available = sorted(sp.expertise)
+def generate_peer_expertise(available: list[ExpertiseElement], min_size: int,
+                            rng: Random) -> Expertise:
+    """Uniform random subset of `available`, a super-peer's expertise in
+    sorted order, size in [min_size, len(available)]. Keeps every peer
+    semantically inside its community. `rng.sample` never mutates its
+    population, so every member of a community draws from one list."""
     if len(available) < min_size:
         raise ValueError(
-            f"super-peer {sp.id} expertise ({len(available)}) smaller than MIN ({min_size})"
+            f"super-peer expertise ({len(available)}) smaller than MIN ({min_size})"
         )
     size = rng.randint(min_size, len(available))
     return frozenset(rng.sample(available, size))
@@ -185,9 +193,10 @@ def build_son(config: Config) -> Network:
                         friends=tuple(sorted(friends[spid])), members=range(spid, np, nsp))
         for spid in range(nsp)
     }
+    pools = [sorted(expertise[spid]) for spid in range(nsp)]
     peers = {
         pid: Peer(id=pid, expertise=generate_peer_expertise(
-            sps[pid % nsp], config.min_peer_expertise, rng), super_peer=pid % nsp)
+            pools[pid % nsp], config.min_peer_expertise, rng), super_peer=pid % nsp)
         for pid in range(np)
     }
     return Network(peers=peers, super_peers=sps, config=config)

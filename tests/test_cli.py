@@ -545,3 +545,23 @@ def test_python_dash_m_runs_the_command_line():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "usage: sonsim" in done.stdout
+
+
+def test_outputs_do_not_depend_on_string_hash_order(tmp_path):
+    """A run writes the same bytes under two string hash seeds. Tests run in
+    one process, under one seed, so a draw or an output that iterates a set
+    of strings would pass them all and still differ between processes."""
+    src = str(Path(sonsim.__file__).resolve().parents[1])
+    digests = []
+    for hash_seed in ("0", "1"):
+        env = {k: v for k, v in os.environ.items() if k != "SONSIM_OUTDIR"}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        env["PYTHONHASHSEED"] = hash_seed
+        outdir = tmp_path / hash_seed
+        done = subprocess.run([sys.executable, "-m", "sonsim", "run", "--np", "300", "--nsp", "10",
+                               "--refresh-every", "5", "--outdir", str(outdir)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(hash_dir(outdir))
+    assert len(digests[0]) > 5
+    assert digests[0] == digests[1]

@@ -27,7 +27,7 @@ from sonsim.engine import (
 from sonsim.baseline import generate_queries
 from sonsim.ksp import form_groups, run_kb_epoch, train_indices
 from sonsim.model import Query, mask_of, oracle_relevant_peers, relevant_mask
-from sonsim.netgen import build_son
+from sonsim.netgen import Peer, build_son
 
 
 COSTS = (10.0, 1.0, 0.1)  # (c_hop, c_map, c_tree) at their Config defaults
@@ -239,7 +239,8 @@ class TestRelevanceSharing:
 
 class TestSharedRecords:
     """A replay run's per-query records share the values the run already
-    holds instead of keeping equal copies, and every record type is slotted."""
+    holds instead of keeping equal copies, and every per-item type is slotted
+    and not frozen."""
 
     @pytest.fixture(scope="class")
     def run(self):
@@ -317,12 +318,13 @@ class TestSharedRecords:
         group = next(g for g in artifacts.overlay.groups.values() if g.instances)
         records = [artifacts.eval_workload[0], artifacts.baseline_results[0],
                    artifacts.kb_results[0], artifacts.train_log.records[0],
-                   group.instances[0], tree, leaf]
+                   group.instances[0], tree, leaf, artifacts.net.peers[0]]
         assert {type(r) for r in records} == {Query, RoutingResult, LogRecord,
-                                              Instance, Node, Leaf}
+                                              Instance, Node, Leaf, Peer}
         for record in records:
             assert "__slots__" in vars(type(record))
             assert not hasattr(record, "__dict__")
+            assert not type(record).__dataclass_params__.frozen  # no object.__setattr__ per field
 
 
 def test_a_run_stays_within_its_memory_budget():

@@ -149,14 +149,14 @@ class TestGeneratePeerExpertise:
         net = build_son(Config(np=1, nsp=1, sp_expertise_size=5,
                                friends_per_sp=0, min_peer_expertise=1, seed=9))
         sp = net.super_peers[0]
-        assert generate_peer_expertise(sp, 5, rng()) == sp.expertise
+        assert generate_peer_expertise(sorted(sp.expertise), 5, rng()) == sp.expertise
 
     def test_subset_within_bounds(self):
         net = build_son(Config(np=1, nsp=1, sp_expertise_size=5,
                                friends_per_sp=0, min_peer_expertise=1, seed=9))
         sp = net.super_peers[0]
         for k in range(30):
-            expertise = generate_peer_expertise(sp, 1, rng(seed=k))
+            expertise = generate_peer_expertise(sorted(sp.expertise), 1, rng(seed=k))
             assert 1 <= len(expertise) <= 5
             assert expertise <= sp.expertise
 
@@ -164,14 +164,14 @@ class TestGeneratePeerExpertise:
         net = build_son(Config(np=1, nsp=1, sp_expertise_size=5,
                                friends_per_sp=0, min_peer_expertise=1, seed=9))
         sp = net.super_peers[0]
-        assert generate_peer_expertise(sp, 2, rng(seed=1)) == \
-            generate_peer_expertise(sp, 2, rng(seed=1))
+        assert generate_peer_expertise(sorted(sp.expertise), 2, rng(seed=1)) == \
+            generate_peer_expertise(sorted(sp.expertise), 2, rng(seed=1))
 
     def test_min_larger_than_expertise_rejected(self):
         net = build_son(Config(np=1, nsp=1, sp_expertise_size=3, dup_count=1,
                                friends_per_sp=0, min_peer_expertise=1, seed=9))
         with pytest.raises(ValueError):
-            generate_peer_expertise(net.super_peers[0], 4, rng())
+            generate_peer_expertise(sorted(net.super_peers[0].expertise), 4, rng())
 
 
 class TestBuildSon:

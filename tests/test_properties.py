@@ -2,6 +2,7 @@
 
 The six acceptance-gated property suites live in test_acceptance; these cover
 the remaining invariants: capacity ranges, relevance boundaries, the
+network and workloads drawn as a plain reference draws them, the
 relevance kernel's peer mask agreeing with the exhaustive oracle, popcount
 scoring agreeing with the set formula, both routers agreeing with a plain
 relevance scan of the communities they search, their message and mapping
@@ -53,7 +54,7 @@ from sonsim.model import (
     peers_of,
     relevant_mask,
 )
-from sonsim.netgen import Network, build_son, generate_sp_expertise
+from sonsim.netgen import Network, build_son, generate_domains, generate_sp_expertise
 from sonsim.ksp import (
     form_groups,
     instances_from_records,
@@ -64,7 +65,7 @@ from sonsim.ksp import (
     train_indices,
 )
 from sonsim.config import substream
-from sonsim.engine import score
+from sonsim.engine import make_workload, score
 
 TOKENS = ["a", "b", "c", "d", "e"]
 
@@ -125,6 +126,74 @@ def test_elements_sort_as_their_token_couples(domains, size, seed):
     rng = substream(seed, "vocabulary")
     held = [e for domain in domains for e in generate_sp_expertise(domain, size, rng)]
     assert sorted(held) == sorted(held, key=lambda e: tuple(e.split(".")))
+
+
+def reference_setup(config):
+    """The network and both workloads of `config` drawn as plainly as they
+    can be: each super-peer's and each peer's draw sorts its population
+    again, and each query's components come from a generator. Returns the
+    super-peers' expertise and friends, the peers' expertise and the
+    (id, origin, components) of each workload's queries."""
+    rng = substream(config.seed, "network")
+    domains = generate_domains(config.nsp, rng)
+    expertise = {spid: set(generate_sp_expertise(domains[spid], config.sp_expertise_size, rng))
+                 for spid in range(config.nsp)}
+    friends = {spid: set() for spid in expertise}
+    for spid in sorted(expertise):
+        others = [j for j in sorted(expertise) if j != spid]
+        for friend in rng.sample(others, config.friends_per_sp):
+            expertise[friend].update(rng.sample(sorted(expertise[spid]), config.dup_count))
+            friends[spid].add(friend)
+            friends[friend].add(spid)
+    peers = {}
+    for pid in range(config.np):
+        available = sorted(expertise[pid % config.nsp])
+        size = rng.randint(config.min_peer_expertise, len(available))
+        peers[pid] = frozenset(rng.sample(available, size))
+    workloads = []
+    for stream, prefix in (("workload-baseline", "t"), ("workload-kb", "e")):
+        rng = substream(config.seed, stream)
+        queries = []
+        for pid in sorted(peers):
+            pool = sorted(peers[pid])
+            for k in range(config.queries_per_peer):
+                components = tuple(rng.choice(pool) for _ in range(config.n_components))
+                queries.append((f"{prefix}{pid}-{pid}-{k}", pid, components))
+        workloads.append(queries)
+    return expertise, friends, peers, workloads
+
+
+@st.composite
+def setup_configs(draw):
+    nsp = draw(st.integers(min_value=2, max_value=6))
+    size = draw(st.integers(min_value=1, max_value=12))
+    return Config(np=draw(st.integers(min_value=nsp, max_value=30)), nsp=nsp,
+                  sp_expertise_size=size,
+                  friends_per_sp=draw(st.integers(min_value=0, max_value=nsp - 1)),
+                  dup_count=draw(st.integers(min_value=1, max_value=size)),
+                  min_peer_expertise=draw(st.integers(min_value=1, max_value=size)),
+                  n_components=draw(st.integers(min_value=1, max_value=5)),
+                  queries_per_peer=draw(st.integers(min_value=0, max_value=4)),
+                  seed=draw(st.integers(min_value=0, max_value=2**32)))
+
+
+@given(config=setup_configs())
+@settings(max_examples=60, deadline=None)
+def test_setup_draws_equal_a_plain_reference(config):
+    """`build_son` and `make_workload` make the reference's draws, call for
+    call over the same populations: sorting each pool once and sharing it
+    changes no draw."""
+    expertise, friends, peers, workloads = reference_setup(config)
+    net = build_son(config)
+    assert {spid: sp.expertise for spid, sp in net.super_peers.items()} == \
+        {spid: frozenset(held) for spid, held in expertise.items()}
+    assert {spid: set(sp.friends) for spid, sp in net.super_peers.items()} == friends
+    assert {pid: (peer.expertise, peer.super_peer) for pid, peer in net.peers.items()} == \
+        {pid: (held, pid % config.nsp) for pid, held in peers.items()}
+    for (stream, prefix), expected in zip((("workload-baseline", "t"), ("workload-kb", "e")),
+                                          workloads):
+        assert [(q.id, q.origin_peer, q.components)
+                for q in make_workload(net, config, stream, prefix)] == expected
 
 
 @given(key=net_keys, seed=st.integers(min_value=0, max_value=1000))
