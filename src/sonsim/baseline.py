@@ -23,7 +23,7 @@ costing a segment.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from random import Random
 
@@ -147,23 +147,16 @@ class LogRecord:
         return cls(query.id, query.origin_peer, origin_sp, query.components, result.answering_sps)
 
 
-class QueryLog:
-    """The trace of routed queries, built once from its records. Query ids
-    are not checked here: an epoch's ids are distinct by construction, and
-    `read_query_log` rejects a file that repeats one."""
+class QueryLog(tuple):
+    """The trace of routed queries: the tuple of its records, in routing
+    order. Query ids are not checked here: an epoch's ids are distinct by
+    construction, and `read_query_log` rejects a file that repeats one."""
 
-    def __init__(self, records: Iterable[LogRecord] = ()):
-        self._records = tuple(records)
+    __slots__ = ()
 
     @property
     def records(self) -> tuple[LogRecord, ...]:
-        return self._records
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self):
-        return iter(self._records)
+        return self
 
 
 def generate_queries(peer: Peer, count: int, n_components: int, rng: Random,

@@ -20,7 +20,7 @@ from collections.abc import Iterable
 from pathlib import Path
 
 from .baseline import query_log_lines, read_query_log
-from .config import Config, ConfigError
+from .config import FIELD_PARSERS, Config, ConfigError
 from .dtree import (arff_export, arff_import, arff_lines, build_tree, render_tree,
                     training_accuracy, tree_lines)
 from .engine import (
@@ -45,8 +45,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, skip: tuple[str, ...] = (
         if f.name in skip:
             continue
         flag = "--" + f.name.replace("_", "-")
-        kind = {"int": int, "float": float}.get(f.type, str)
-        parser.add_argument(flag, type=kind, default=None, dest=f.name,
+        parser.add_argument(flag, type=FIELD_PARSERS[f.type][0], default=None, dest=f.name,
                             help=f"override {f.name} (default {f.default})")
 
 
@@ -198,17 +197,16 @@ def cmd_train_index(args: argparse.Namespace) -> int:
     print(f"training accuracy (records): {record_accuracy(tree, log):.4f}")
     print(f"training accuracy (instances): {training_accuracy(tree, instances):.4f}")
     if args.holdout > 0.0:
-        records = log.records
-        split = int(len(records) * (1.0 - args.holdout))
-        if not 0 < split < len(records):
-            print(f"held-out accuracy skipped: too few records ({len(records)}) "
+        split = int(len(log) * (1.0 - args.holdout))
+        if not 0 < split < len(log):
+            print(f"held-out accuracy skipped: too few records ({len(log)}) "
                   f"for a {args.holdout:.0%} holdout")
-        elif not (held := instances_from_records(records[:split])):
+        elif not (held := instances_from_records(log[:split])):
             print(f"held-out accuracy skipped: no answered query in the first {split} "
                   f"records to learn from")
         else:
             held_acc = record_accuracy(build_tree(held, min_leaf=args.min_leaf),
-                                       records[split:])
+                                       log[split:])
             print(f"held-out accuracy ({args.holdout:.0%} tail, records): {held_acc:.4f}")
     return 0
 

@@ -114,18 +114,17 @@ class Config:
         return cls(**values)
 
 
+# A `Config` field's type -> the parser of its text, in a config file and on
+# the command line alike, and what an error says the text should have been.
+FIELD_PARSERS = {"int": (int, "an integer"), "float": (float, "a number"), "str": (str, "text")}
+
+
 def _coerce(field_type: str, text: str, key: str):
-    if field_type == "int":
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(key, f"expected an integer, got {text!r}") from None
-    if field_type == "float":
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(key, f"expected a number, got {text!r}") from None
-    return text
+    parse, expected = FIELD_PARSERS[field_type]
+    try:
+        return parse(text)
+    except ValueError:
+        raise ConfigError(key, f"expected {expected}, got {text!r}") from None
 
 
 def substream(seed: int, name: str) -> random.Random:

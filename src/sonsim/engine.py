@@ -173,10 +173,6 @@ def make_workload(net: Network, config: Config, stream_name: str,
     return workload
 
 
-def hops_limit(config: Config) -> int | None:
-    return None if config.max_hops < 0 else config.max_hops
-
-
 @dataclass
 class PipelineArtifacts:
     """Everything one experiment produced, for reporting and file dumps."""
@@ -222,16 +218,15 @@ def run_pipeline(config: Config, include_kb: bool = True,
     try:
         net = build_son(config)  # validates the config first
         costs = (config.c_hop, config.c_map, config.c_tree)
-
-        def relevance(workload: list[Query]) -> list[int]:
-            return [relevant_mask(net, q, config.eps_acc) for q in workload]
+        eps_acc = config.eps_acc
+        max_hops = None if config.max_hops < 0 else config.max_hops
 
         relevant: list[int] = []
         if train_log is None:
             train_workload = make_workload(net, config, "workload-baseline", "t")
-            relevant = relevance(train_workload)
-            train_log = run_baseline_epoch(net, train_workload, relevant, config.eps_acc,
-                                           costs, hops_limit(config))[0]
+            relevant = [relevant_mask(net, q, eps_acc) for q in train_workload]
+            train_log = run_baseline_epoch(net, train_workload, relevant, eps_acc,
+                                           costs, max_hops)[0]
         else:
             for record in train_log:
                 peer = net.peers.get(record.origin_peer)
@@ -261,15 +256,14 @@ def run_pipeline(config: Config, include_kb: bool = True,
                 raise ValueError("replay mode needs a non-empty training log")
             eval_workload = [Query(f"e{i}", r.origin_peer, r.components)
                              for i, r in enumerate(train_log)]
-            if not relevant:  # an external log: no training masks to reuse
-                relevant = relevance(eval_workload)
         else:
             relevant = []  # free the training masks before building the evaluation ones
             eval_workload = make_workload(net, config, "workload-kb", "e")
-            relevant = relevance(eval_workload)
+        if not relevant:  # fresh mode, or replay of an external log: no training masks apply
+            relevant = [relevant_mask(net, q, eps_acc) for q in eval_workload]
 
-        _, baseline_results = run_baseline_epoch(net, eval_workload, relevant, config.eps_acc,
-                                                 costs, hops_limit(config))
+        _, baseline_results = run_baseline_epoch(net, eval_workload, relevant, eps_acc,
+                                                 costs, max_hops)
 
         overlay = None
         kb_results = None
@@ -282,12 +276,10 @@ def run_pipeline(config: Config, include_kb: bool = True,
                 refresh_every=config.refresh_every, min_leaf=config.min_leaf,
             )
 
-        rows: dict[str, list[QueryMetrics]] = {}
-        rows[BASELINE] = [query_metrics(q, r, oracle)
-                          for q, r, oracle in zip(eval_workload, baseline_results, relevant)]
-        if kb_results is not None:
-            rows[KSP] = [query_metrics(q, r, oracle)
-                         for q, r, oracle in zip(eval_workload, kb_results, relevant)]
+        rows = {name: [query_metrics(q, r, oracle)
+                       for q, r, oracle in zip(eval_workload, results, relevant)]
+                for name, results in ((BASELINE, baseline_results), (KSP, kb_results))
+                if results is not None}
         summaries = {name: summarize(name, rs) for name, rs in rows.items()}
         report = ExperimentReport(config=config, per_query=rows,
                                   summaries=summaries)

@@ -22,6 +22,7 @@ answer under replay.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, AbstractSet, Iterable
@@ -37,6 +38,12 @@ SuperPeerId = int
 # token character ([a-z0-9]), so elements sort as their token couples do.
 ELEMENT_SEPARATOR = "."
 
+# Element text from outside the program: two tokens of ASCII letters and
+# digits, a superset of what netgen emits. Any other character could split or
+# quote a field of a file the element is written to (an ARFF row splits at
+# commas and spaces), so it is refused when read.
+_ELEMENT_TEXT = re.compile(f"[A-Za-z0-9]+{re.escape(ELEMENT_SEPARATOR)}[A-Za-z0-9]+")
+
 # An ordered token couple, the atomic unit of shareable knowledge, as its
 # text "x.y".
 ExpertiseElement = str
@@ -49,9 +56,9 @@ def element(x: str, y: str) -> ExpertiseElement:
 
 def parse_element(text: str) -> ExpertiseElement:
     """Check that `text` from outside the program is one element, two
-    non-empty tokens joined by the separator, and return it interned."""
-    parts = text.split(ELEMENT_SEPARATOR)
-    if len(parts) != 2 or not parts[0] or not parts[1]:
+    non-empty tokens of ASCII letters and digits joined by the separator,
+    and return it interned."""
+    if not _ELEMENT_TEXT.fullmatch(text):
         raise ValueError(f"malformed expertise element: {text!r}")
     return sys.intern(text)
 
@@ -131,7 +138,9 @@ def relevant_mask(net: "Network", query: Query, eps_acc: float) -> int:
     performance with variant indexes", SIGMOD 1997): after each component,
     `sliced[i]` holds the peers with more than `i` hits so far. A peer only
     has to reach `need`, the fewest hits `k` with `k / n >= eps_acc` -- the
-    comparison capacity() makes -- so the counter saturates there.
+    comparison capacity() makes -- so the counter saturates there. With
+    `need` 0 every peer is relevant, and every such query shares the one
+    mask `net.peer_mask`.
     """
     comps = query.components
     if not comps:
@@ -141,7 +150,7 @@ def relevant_mask(net: "Network", query: Query, eps_acc: float) -> int:
     n = len(comps)
     need = next(k for k in range(n + 1) if k / n >= eps_acc)
     if need == 0:
-        return mask_of(net.peers)
+        return net.peer_mask
     masks = net.element_masks
     sliced = [0] * need
     for comp in comps:

@@ -76,6 +76,11 @@ class Network:
         return masks
 
     @cached_property
+    def peer_mask(self) -> int:
+        """Every peer, the relevant mask of a query that needs no hits."""
+        return mask_of(self.peers)
+
+    @cached_property
     def member_masks(self) -> dict[SuperPeerId, int]:
         """Super-peer -> its members, read by the routers."""
         return {spid: mask_of(sp.members) for spid, sp in self.super_peers.items()}

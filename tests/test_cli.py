@@ -167,8 +167,9 @@ class TestRun:
         (2, "x", "origin super-peer 'x' is not an integer"),
         (-1, "0,y", "answering super-peer 'y' is not an integer"),
         (3, "kf", "malformed expertise element: 'kf'"),
+        (4, "a,b.c", "malformed expertise element: 'a,b.c'"),
         (0, None, "duplicate query id in log: "),
-    ], ids=["peer", "super-peer", "answering", "element", "duplicate-id"])
+    ], ids=["peer", "super-peer", "answering", "element", "element-token", "duplicate-id"])
     def test_bad_log_field_names_file_and_line(self, tmp_path, capsys, field, value, problem):
         run_cli("run", "--strategy", "baseline", *FAST, "--outdir", str(tmp_path / "log"))
         lines = (tmp_path / "log" / "train_log.tsv").read_text().splitlines()
@@ -519,18 +520,24 @@ class TestUnusableInput:
         ("arff-without-rows", "ARFF file contains no data rows"),
         ("log-without-answers", "log contains no answered queries to learn from"),
         ("no-sizes", "no sizes given"),
+        ("log-element-outside-token-rule",
+         "{tmp}/token.tsv: line 1: malformed expertise element: 'a,b.c'"),
     ])
     def test_is_named_and_writes_nothing(self, tmp_path, capsys, case, message):
         arff = tmp_path / "empty.arff"
         arff.write_text("@relation rel\n@attribute class {}\n@data\n")
         log = tmp_path / "unanswered.tsv"
         log.write_text("q0\t0\t0\ta.b\tc.d\t-\n")
+        token = tmp_path / "token.tsv"  # a comma would split the element's ARFF field
+        token.write_text("q0\t0\t0\ta,b.c\tc.d\t0\n")
         out = str(tmp_path / "out")
         argv = {
             "missing-arff": ["render-tree", "--arff", str(tmp_path / "none.arff")],
             "arff-without-rows": ["render-tree", "--arff", str(arff)],
             "log-without-answers": ["train-index", "--log", str(log), "--outdir", out],
             "no-sizes": ["sweep", "--sizes", ",", "--outdir", out],
+            "log-element-outside-token-rule": ["train-index", "--log", str(token),
+                                               "--outdir", out],
         }[case]
         assert run_cli(*argv) == 1
         assert capsys.readouterr().err == f"sonsim: error: {message.format(tmp=tmp_path)}\n"

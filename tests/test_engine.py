@@ -339,6 +339,31 @@ def test_a_run_stays_within_its_memory_budget():
     assert peak <= 10 * 2**20
 
 
+@pytest.mark.parametrize("changes, budget", [
+    (dict(np=5000, nsp=54), 290_750),
+    (dict(np=2000, nsp=24, tau_trust=4, workload_mode="fresh"), 115_010),
+    (dict(np=300, nsp=10, refresh_every=20), 16_800),
+    (dict(np=300, nsp=10, max_hops=-1), 26_400),
+], ids=["replay-5000", "fresh-groups-2000", "refresh-300", "flood-300"])
+def test_capacity_calls_stay_within_their_budget(monkeypatch, changes, budget):
+    """`capacity` calls of a seed-9 run, counted through the name
+    `route_baseline` calls (the knowledge router makes none), at each
+    benchmark workload's configuration and flooding at 300/10. At one hop no
+    probed friend has been reached yet, so only the flood fails when a
+    reached friend is evaluated again (30,252 calls)."""
+    import sonsim.baseline
+    calls = []
+    capacity = sonsim.baseline.capacity
+
+    def counting(expertise, query):
+        calls.append(None)
+        return capacity(expertise, query)
+
+    monkeypatch.setattr(sonsim.baseline, "capacity", counting)
+    run_pipeline(Config(seed=9, **changes))
+    assert len(calls) <= budget
+
+
 class TestCollectorPause:
     """run_pipeline pauses automatic cyclic garbage collection for the run,
     which is sound only while a run builds no reference cycles."""

@@ -32,9 +32,16 @@ class TestElements:
         assert parse_element("k.f") == E("k", "f")
 
     def test_parse_rejects_malformed(self):
-        for bad in ("kf", "k.f.g", ".f", "k.", ""):
+        # Each token is ASCII letters and digits: any other character could
+        # split or quote a field of the ARFF and log files an element is
+        # written to.
+        for bad in ("kf", "k.f.g", ".f", "k.", "", "a,b.c", "a b.c", "{a}.b", "a.b%",
+                    "a'.b", "a.b\n", "\u00e9.b", "a_b.c"):
             with pytest.raises(ValueError):
                 parse_element(bad)
+
+    def test_parse_accepts_ascii_letters_and_digits(self):
+        assert parse_element("Aa10.zZ9") == "Aa10.zZ9"
 
     def test_equality_is_coordinatewise(self):
         assert E("a", "b") == E("a", "b")
@@ -143,6 +150,13 @@ class TestOracle:
                     if 0.0 <= eps <= 1.0:
                         assert relevant_mask(net, query, eps) == \
                             mask_of(oracle_relevant_peers(net, query, eps))
+
+    def test_queries_needing_no_hits_share_one_mask(self):
+        net = build_son(Config(np=300, nsp=10, seed=9))
+        first = relevant_mask(net, Q(*sorted(net.peers[0].expertise)[:2], qid="a"), 0.0)
+        second = relevant_mask(net, Q(E("zz", "zz"), qid="b"), 0.0)
+        assert first is second
+        assert first == mask_of(net.peers)
 
     def test_empty_query_rejected_by_the_kernel(self):
         net = self._three_peer_net()
