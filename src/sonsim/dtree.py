@@ -12,21 +12,29 @@ from the winning attribute's row for its value, which holds the branch's
 instances and class counts. Given the tree induced before some instances
 were appended, induction reuses what the new instances leave unchanged and
 returns the tree induced from scratch; `build_tree` states the reuse rule.
-Trees render in the same textual grammar the index dumps use, each shared
-leaf's text once per tree, and datasets round-trip through ARFF.
+Given the attribute tuples the tree will next be walked with, induction
+re-induces only the branches they enter and leaves the rest pending, so a
+subtree is revised when it is next used (Utgoff, Berkman & Clouse,
+"Decision tree induction based on efficient tree restructuring", Machine
+Learning 29, 1997). Trees render in the same textual grammar the index
+dumps use, each shared leaf's text once per tree, and datasets round-trip
+through ARFF.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence, Union
 
 from .model import SuperPeerId
 
 ATTRIBUTE_PREFIX = "composanteW"
 CLASS_ATTRIBUTE = "class"
 CLASS_PREFIX = "SP"
+
+# The pending values of every node that has none (see `Node.pending`).
+_SETTLED: frozenset[str] = frozenset()
 
 
 @dataclass(slots=True)
@@ -56,9 +64,12 @@ class Node:
     attr_index: int
     branches: dict[str, "DecisionTree"]
     counts: dict[SuperPeerId, int]  # fallback distribution for unseen values
-    # Split tables, attribute -> value -> row, of a node at depth 0 or 1
-    # induced from a prior (see build_tree); they are no part of the tree's value.
-    tables: dict[int, dict[str, _Row]] | None = field(default=None, compare=False, repr=False)
+    # Split tables of a node at depth 0 or 1 induced from a prior (see
+    # build_tree); they are no part of the tree's value.
+    tables: _Tables | None = field(default=None, compare=False, repr=False)
+    # The values whose branch lags its row after a build with walks (see
+    # build_tree), one shared empty set when none; no part of the tree's value.
+    pending: AbstractSet[str] = field(default=_SETTLED, compare=False, repr=False)
 
 
 DecisionTree = Union[Leaf, Node]
@@ -167,8 +178,17 @@ class _Row:
         self.branch: DecisionTree | None = None
 
 
+class _Tables(dict):
+    """A node's split tables, attribute -> value -> row, and `total`, the
+    number of instances every table holds, None while a count is under
+    way."""
+
+    __slots__ = ("total",)
+
+
 def build_tree(instances: Sequence[Instance], min_leaf: int = 1,
-               prior: DecisionTree | None = None) -> DecisionTree:
+               prior: DecisionTree | None = None,
+               walks: Sequence[Sequence[str]] | None = None) -> DecisionTree:
     """Induce a tree: leaf when pure, out of attributes, or below min_leaf;
     otherwise split on the gain-ratio-maximizing attribute (ties to the lowest
     index) with one branch per observed value, never reusing an attribute on
@@ -176,75 +196,104 @@ def build_tree(instances: Sequence[Instance], min_leaf: int = 1,
     counts a value -> row table per attribute, whose rows hold the class
     counts and the instances of each value, chooses the split from the
     tables, and induces each branch from a row of the winner, which gives
-    the branch its instances and class counts.
+    the branch its instances and class counts. A node whose instances all
+    share one attribute tuple, and that keeps no tables, is built as its
+    chain without counting: every attribute left scores 0.0 there, so each
+    level splits on the lowest one.
 
     `prior`, if given, is the tree this function returned for a prefix of
-    `instances`, with the same `min_leaf`; a prior that counts more
-    instances than are given raises ValueError. Only the root's prior needs
-    that check: every deeper prior is a row's branch, induced from a prefix
-    of the row's instances. The reuse rule: every node counts
-    the instances it was induced from, so the rest are the new ones. A node
-    none of whose instances are new is the prior's node itself. In a tree
+    `instances`, with the same `min_leaf`, with or without walks; a prior
+    that counts more instances than are given raises ValueError. Only the
+    root's prior needs that check: every deeper prior is a row's branch,
+    induced from a prefix of the row's instances. The reuse rule: every node
+    counts the instances it was induced from, so the rest are the new ones.
+    A node none of whose instances are new, and none of whose pending
+    branches (below) the build reads, is the prior's node itself. In a tree
     built from a prior, the root and its children keep their split tables
-    (`Node.tables`, no part of the tree's value); every deeper node drops
-    them once its branches are built. If every attribute's rows in a prior
-    node's tables hold exactly that node's instances, the tables belong to
-    that node and its new instances alone advance them in place; otherwise
-    (the node keeps no tables, or a later or interrupted build advanced
-    them) every instance is counted into fresh tables. The rows under the
-    prior's attribute hold the prior's branches, and each branch is induced
-    with its row's branch as the prior: the one last induced under that
-    attribute and value, from a prefix of the row's instances, so a branch
-    no new instance reaches is that one itself; under the prior's attribute
-    it is taken without an induction call.
+    (`Node.tables`, no part of the tree's value), each with the number of
+    instances it holds; every deeper node drops them once its branches are
+    built. If a prior node's tables hold exactly that node's instances, they
+    belong to that node and its new instances alone advance them in place;
+    otherwise (the node keeps no tables, or a later or interrupted build
+    advanced them) every instance is counted into fresh tables. The rows
+    under the prior's attribute hold the prior's branches, and each branch
+    is induced with its row's branch as the prior: the one last induced
+    under that attribute and value, from a prefix of the row's instances, so
+    a branch no new instance reaches is that one itself; under the prior's
+    attribute it is taken without an induction call.
     Instances are only appended, so counts and tables order classes and
     values as a scan from scratch does, and gain ratios are the same floats.
     A subtree depends only on its instances in order, its remaining
-    attributes and `min_leaf`, and rows keep order, so the result equals
-    `build_tree(instances, min_leaf)`. Equal leaves of one build, with their
-    class counts in the same order, are one object."""
+    attributes and `min_leaf`, and rows keep order, so without `walks` the
+    result equals `build_tree(instances, min_leaf)`. Equal leaves of one
+    build, with their class counts in the same order, are one object.
+
+    `walks`, if given, are the attribute tuples the tree will be walked with
+    before it is next built, and the result is partial: every node keeps its
+    split and counts, but a node re-induces only the branches some walk
+    enters. A branch that must be re-induced and that no walk enters keeps
+    the prior's subtree for its value if the node splits as the prior did,
+    and is absent otherwise, and its value is pending on its node
+    (`Node.pending`); so is the value of a branch with pending values below
+    it. A pending branch lags its row, so a prior may be such a partial
+    tree: a build re-induces each pending branch it reads, every one without
+    walks. Each walk passes only nodes that are complete along it, so
+    `classify_traced` gives every walk what it gives on
+    `build_tree(instances, min_leaf)`."""
     if not instances:
         raise ValueError("cannot induce a tree from zero instances")
     attrs = tuple(range(len(instances[0].attributes)))
     if prior is None:
-        return _induce(instances, class_counts(instances), attrs, min_leaf, None, 0, {})
+        return _induce(instances, class_counts(instances), attrs, min_leaf, None, 0, {}, walks)
     induced = sum(prior.counts.values())
     if induced > len(instances):
         raise ValueError(f"prior induced from {induced} instances, "
                          f"more than the {len(instances)} given")
     counts = _add_classes(dict(prior.counts), instances[induced:])
-    return _induce(instances, counts, attrs, min_leaf, prior, 2, {})
+    return _induce(instances, counts, attrs, min_leaf, prior, 2, {}, walks)
 
 
 def _induce(instances: Sequence[Instance], counts: dict[SuperPeerId, int],
             attrs: tuple[int, ...], min_leaf: int, prior: DecisionTree | None,
-            keep: int, leaves: dict[tuple, Leaf]) -> DecisionTree:
+            keep: int, leaves: dict[tuple, Leaf],
+            walks: Sequence[Sequence[str]] | None) -> DecisionTree:
     """`build_tree` at one node, given `counts`, the class counts of
-    `instances`, which the node holds; it keeps its split tables if `keep`,
-    the number of levels from this node down that keep them, is positive.
-    `leaves` maps the ordered class counts of each leaf the build induced to
-    that leaf. A kept row's counts advance in place in later builds, so a
-    node that keeps its tables hands each child a copy of its row's counts;
-    every other child holds its row's counts, and an only child its
-    parent's."""
+    `instances`, which the node holds, and `walks`, those of the build's
+    walks that enter the node (None for a build without walks); `prior` may
+    be a partial tree whose pending branches lag their rows. The node keeps
+    its split tables if `keep`, the number of levels from this node down
+    that keep them, is positive. `leaves` maps the ordered class counts of
+    each leaf the build induced to that leaf. A kept row's counts advance in
+    place in later builds, so a node that keeps its tables hands each child
+    a copy of its row's counts; every other child holds its row's counts,
+    and an only child its parent's."""
     induced = 0 if prior is None else sum(prior.counts.values())
-    if induced == len(instances):
+    # No new instance: the prior is this node, unless the build reads one of
+    # its pending branches.
+    if induced == len(instances) and not (
+            isinstance(prior, Node) and prior.pending and (
+                walks is None or any(walk[prior.attr_index] in prior.pending for walk in walks))):
         return prior
     if len(counts) == 1 or not attrs or len(instances) < min_leaf:
-        key = tuple(counts.items())
-        leaf = leaves.get(key)
-        if leaf is None:
-            leaf = leaves[key] = Leaf(counts)
-        return leaf
+        return _leaf(counts, leaves)
+    first = instances[0].attributes
+    # One attribute tuple: every attribute left scores 0.0, so each level
+    # splits on the lowest one left.
+    if keep <= 0 and all(inst.attributes == first for inst in instances):
+        tree = _leaf(counts, leaves)
+        for attr_index in reversed(attrs):
+            tree = Node(attr_index, {first[attr_index]: tree}, counts)
+        return tree
 
     tables = prior.tables if keep > 0 and isinstance(prior, Node) else None
-    if tables is not None and all(sum(len(row.instances) for row in table.values()) == induced
-                                  for table in tables.values()):
+    if tables is not None and tables.total == induced:
         new = instances[induced:]
     else:  # fresh tables, to which every instance is new
-        tables, new = {attr_index: {} for attr_index in attrs}, instances
+        tables, new = _Tables({attr_index: {} for attr_index in attrs}), instances
+    tables.total = None  # until every table is counted
     for attr_index, table in tables.items():
         _count(new, attr_index, table)
+    tables.total = len(instances)
     if isinstance(prior, Node):
         for value, branch in prior.branches.items():
             tables[prior.attr_index][value].branch = branch
@@ -254,21 +303,41 @@ def _induce(instances: Sequence[Instance], counts: dict[SuperPeerId, int],
     remaining = tuple(a for a in attrs if a != best_attr)
     rows = tables[best_attr]
     if isinstance(prior, Node) and prior.attr_index == best_attr:
-        # A branch that no new instance reaches is the prior's, which its
-        # `_induce` would return at once.
+        # A branch that no new instance reaches and that is not pending is
+        # the prior's, which its `_induce` would return at once.
         branches = dict(prior.branches)
         values = {inst.attributes[best_attr] for inst in instances[induced:]}
+        values.update(prior.pending)
     else:
         branches, values = {}, rows
+    entering: dict[str, list[Sequence[str]]] | None = None if walks is None else {}
+    for walk in walks or ():  # the walks that enter each branch
+        entering.setdefault(walk[best_attr], []).append(walk)
+    pending = set()
     known = len(branches)
     for value in sorted(values):
+        if entering is not None and value not in entering:
+            pending.add(value)
+            continue
         row = rows[value]
         branch_counts = counts if len(rows) == 1 else dict(row.counts) if keep > 0 else row.counts
-        branches[value] = _induce(row.instances, branch_counts, remaining, min_leaf,
-                                  row.branch, keep - 1, leaves)
+        branch = branches[value] = _induce(
+            row.instances, branch_counts, remaining, min_leaf, row.branch, keep - 1, leaves,
+            None if entering is None else entering[value])
+        if isinstance(branch, Node) and branch.pending:
+            pending.add(value)
     if known and len(branches) > known:  # the prior's branches gained a value
         branches = dict(sorted(branches.items()))
-    return Node(best_attr, branches, counts, tables if keep > 0 else None)
+    return Node(best_attr, branches, counts, tables if keep > 0 else None, pending or _SETTLED)
+
+
+def _leaf(counts: dict[SuperPeerId, int], leaves: dict[tuple, Leaf]) -> Leaf:
+    """The leaf of `counts` in one build's `leaves`, made on first use."""
+    key = tuple(counts.items())
+    leaf = leaves.get(key)
+    if leaf is None:
+        leaf = leaves[key] = Leaf(counts)
+    return leaf
 
 
 def _majority(counts: Mapping[SuperPeerId, int]) -> SuperPeerId:
@@ -387,8 +456,13 @@ def arff_lines(instances: Sequence[Instance], relation_name: str,
     yield f"@attribute {CLASS_ATTRIBUTE} {{{class_values}}}\n"
     yield "\n"
     yield "@data\n"
+    # The instances of one record are adjacent and share its attribute
+    # tuple, so a row's attribute text is joined once per run of them.
+    last = row = None
     for inst in instances:
-        row = ",".join(inst.attributes) + ("," if inst.attributes else "")
+        if inst.attributes is not last:
+            last = inst.attributes
+            row = ",".join(last) + ("," if last else "")
         yield f"{row}{CLASS_PREFIX}{inst.class_label}\n"
 
 

@@ -11,9 +11,14 @@ induced from; a log record becomes its instances once, and a refresh adds
 only the records routed since the last one. A refresh passes each index to
 `dtree.build_tree` as the prior of its next induction (its docstring states
 what that reuses) and leaves a group that received no records as it is.
-Only `run_kb_epoch` decides when to refresh. Index-driven routing replaces
-all super-peer-level capacity evaluations with one tree walk; only
-peer-level evaluations remain metered as mapping work.
+Only `run_kb_epoch` decides when to refresh. Until the next refresh an index
+is read only by the walks of the queries routed in between, which the epoch
+already holds, so every refresh but its last hands each group those walks:
+the index then re-induces only the branches they enter, and the rest of it
+lags its instances until a later walk or the last, complete refresh reads
+it. Index-driven routing replaces all super-peer-level capacity evaluations
+with one tree walk; only peer-level evaluations remain metered as mapping
+work.
 As in the baseline, a route's plan is everything its result holds but the
 answers, costed with the baseline's `segment_cost` rule: the origin
 community's scan runs in parallel with the index consult, after which the
@@ -46,7 +51,9 @@ KspId = int
 @dataclass(frozen=True)
 class KspGroup:
     """A domain group; `index` was induced from exactly `instances`, the
-    instances of its members' log records in log order."""
+    instances of its members' log records in log order, though a refresh
+    with walks leaves the branches they do not enter lagging (see
+    `refresh_knowledge`)."""
 
     members: frozenset[SuperPeerId]
     index: DecisionTree | None = None
@@ -151,10 +158,13 @@ def train_indices(overlay: KspOverlay, log: QueryLog, min_leaf: int = 2) -> KspO
     return _induce(overlay, log, min_leaf, keep=False)
 
 
-def _induce(overlay: KspOverlay, records, min_leaf: int, keep: bool) -> KspOverlay:
+def _induce(overlay: KspOverlay, records, min_leaf: int, keep: bool,
+            walks: list[tuple[SuperPeerId, tuple[str, ...]]] | None = None) -> KspOverlay:
     """Add each record's instances once to its origin super-peer's group,
     after the group's current instances if `keep`, and induce every group's
-    index from its instances. A record whose origin super-peer is in no group raises.
+    index from its instances, handing `build_tree` the attributes of the
+    `walks` from the group's members, if given. A record whose origin
+    super-peer is in no group raises.
 
     When `keep`, every group with instances passes its index to `build_tree`
     as the prior (see its reuse rule); the indices must have been induced at
@@ -166,13 +176,17 @@ def _induce(overlay: KspOverlay, records, min_leaf: int, keep: bool) -> KspOverl
             raise ValueError(f"log record {record.query_id}: origin super-peer "
                              f"{record.origin_sp} is in no group")
         slices[overlay.sp_to_group[record.origin_sp]].append(record)
+    paths = None if walks is None else {gid: [] for gid in overlay.groups}
+    for origin_sp, attributes in walks or ():
+        paths[overlay.sp_to_group[origin_sp]].append(attributes)
     groups = {}
     for gid in sorted(overlay.groups):
         group = overlay.groups[gid]
         old = group.instances if keep else ()
         own = old + tuple(instances_from_records(slices[gid]))
         prior = group.index if old else None
-        index = build_tree(own, min_leaf=min_leaf, prior=prior) if own else None
+        index = build_tree(own, min_leaf=min_leaf, prior=prior,
+                           walks=None if paths is None else paths[gid]) if own else None
         groups[gid] = dataclasses.replace(group, index=index, instances=own)
     empty = [gid for gid, group in groups.items() if not group.instances]
     if empty:
@@ -226,14 +240,20 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
     return RoutingResult.searched(net, relevant, plan)
 
 
-def refresh_knowledge(overlay: KspOverlay, records, min_leaf: int = 2) -> KspOverlay:
+def refresh_knowledge(overlay: KspOverlay, records, min_leaf: int = 2,
+                      walks: list[tuple[SuperPeerId, tuple[str, ...]]] | None = None
+                      ) -> KspOverlay:
     """Append `records`, the queries routed since the previous refresh, to
     their groups' instances and re-induce each index from its prior tree
     (see `dtree.build_tree`); each index equals the one induced from
     scratch, as long as `min_leaf` is the one the indices were trained
-    with. Always returns a new overlay; when to refresh is `run_kb_epoch`'s
-    decision."""
-    return _induce(overlay, records, min_leaf, keep=True)
+    with. `walks`, if given, are the (origin super-peer, attributes) of the
+    queries to be routed before the next refresh: each index is then
+    re-induced only along the walks from its group's members, and walking
+    it with any of them gives what the index induced from scratch gives,
+    though the branches they do not enter may lag. Always returns a new
+    overlay; when to refresh is `run_kb_epoch`'s decision."""
+    return _induce(overlay, records, min_leaf, keep=True, walks=walks)
 
 
 def run_kb_epoch(net: Network, overlay: KspOverlay, workload: list[Query],
@@ -241,7 +261,9 @@ def run_kb_epoch(net: Network, overlay: KspOverlay, workload: list[Query],
                  min_leaf: int = 2) -> tuple[QueryLog, list[RoutingResult], KspOverlay]:
     """Route a workload with the knowledge strategy, costed at `costs`
     through one memo of route plans, and log it, refreshing the indices with
-    the newly logged records every `refresh_every` queries.
+    the newly logged records every `refresh_every` queries. A refresh that a
+    later one follows gets the walks of the queries routed up to that one;
+    the last gets none, so the returned overlay's indices are complete.
 
     relevant[i] is the relevant peer mask of workload[i]; a length mismatch
     raises ValueError. refresh_every = 0 keeps the knowledge static for the
@@ -259,5 +281,9 @@ def run_kb_epoch(net: Network, overlay: KspOverlay, workload: list[Query],
         results.append(result)
         records.append(LogRecord.routed(query, origin_sp, result))
         if refresh_every > 0 and routed % refresh_every == 0:
-            overlay = refresh_knowledge(overlay, records[-refresh_every:], min_leaf)
+            # The walks of the next period; the last refresh gets none.
+            walks = None if routed + refresh_every > len(workload) else [
+                (net.peers[q.origin_peer].super_peer, query_attributes(q.components))
+                for q in workload[routed:routed + refresh_every]]
+            overlay = refresh_knowledge(overlay, records[-refresh_every:], min_leaf, walks)
     return QueryLog(records), results, overlay

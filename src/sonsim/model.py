@@ -22,6 +22,7 @@ answer under replay.
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 from dataclasses import dataclass
@@ -138,17 +139,16 @@ def relevant_mask(net: "Network", query: Query, eps_acc: float) -> int:
     performance with variant indexes", SIGMOD 1997): after each component,
     `sliced[i]` holds the peers with more than `i` hits so far. A peer only
     has to reach `need`, the fewest hits `k` with `k / n >= eps_acc` -- the
-    comparison capacity() makes -- so the counter saturates there. With
-    `need` 0 every peer is relevant, and every such query shares the one
-    mask `net.peer_mask`.
+    comparison capacity() makes, computed once per (n, eps_acc) -- so the
+    counter saturates there. With `need` 0 every peer is relevant, and
+    every such query shares the one mask `net.peer_mask`.
     """
     comps = query.components
     if not comps:
         raise ValueError("empty query")
     if not 0.0 <= eps_acc <= 1.0:
         raise ValueError(f"eps_acc must lie in [0, 1], got {eps_acc}")
-    n = len(comps)
-    need = next(k for k in range(n + 1) if k / n >= eps_acc)
+    need = _hits_needed(len(comps), eps_acc)
     if need == 0:
         return net.peer_mask
     masks = net.element_masks
@@ -159,6 +159,14 @@ def relevant_mask(net: "Network", query: Query, eps_acc: float) -> int:
             sliced[i] |= sliced[i - 1] & holders
         sliced[0] |= holders
     return sliced[need - 1]
+
+
+@functools.lru_cache(maxsize=None)
+def _hits_needed(n: int, eps_acc: float) -> int:
+    """The fewest hits `k` of an `n`-component query with `k / n >= eps_acc`,
+    the comparison capacity() makes; a run asks for a few (n, eps_acc)
+    pairs, each computed once."""
+    return next(k for k in range(n + 1) if k / n >= eps_acc)
 
 
 def relevant_peers_indexed(net: "Network", query: Query, eps_acc: float) -> set[PeerId]:

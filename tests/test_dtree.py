@@ -191,6 +191,72 @@ class TestPriorTree:
             build_tree(FIXTURE[:-1], prior=build_tree(FIXTURE))
 
 
+class TestWalks:
+    """Builds that re-induce only the branches the given walks enter."""
+
+    ADDED = [Instance(("rain", "mild", "high", "weak"), 1),
+             Instance(("sunny", "hot", "high", "strong"), 0)]
+    WALKS = [("rain", "hot", "high", "weak"), ("hail", "hot", "high", "weak")]
+
+    def test_branches_no_walk_enters_are_pending(self):
+        prior = build_tree(FIXTURE, min_leaf=1)
+        tree = build_tree(FIXTURE + self.ADDED, min_leaf=1, prior=prior, walks=self.WALKS)
+        scratch = build_tree(FIXTURE + self.ADDED, min_leaf=1)
+        assert tree.attr_index == scratch.attr_index == 0
+        assert tree.counts == scratch.counts
+        assert tree.pending == {"sunny"}
+        assert tree.branches["sunny"] is prior.branches["sunny"] != scratch.branches["sunny"]
+        assert tree.branches["overcast"] is prior.branches["overcast"]
+        assert tree.branches["rain"] == scratch.branches["rain"]
+        for walk in self.WALKS:
+            assert classify_traced(tree, walk) == classify_traced(scratch, walk)
+
+    def test_complete_build_re_induces_the_pending_branches(self):
+        prior = build_tree(FIXTURE, min_leaf=1)
+        partial = build_tree(FIXTURE + self.ADDED, min_leaf=1, prior=prior, walks=self.WALKS)
+        tree = build_tree(FIXTURE + self.ADDED, min_leaf=1, prior=partial)
+        assert tree == build_tree(FIXTURE + self.ADDED, min_leaf=1)
+        assert not tree.pending
+        assert tree.branches["rain"] is partial.branches["rain"]
+
+    def test_walks_reading_no_pending_branch_return_the_partial_tree(self):
+        prior = build_tree(FIXTURE, min_leaf=1)
+        partial = build_tree(FIXTURE + self.ADDED, min_leaf=1, prior=prior, walks=self.WALKS)
+        assert build_tree(FIXTURE + self.ADDED, min_leaf=1, prior=partial,
+                          walks=[("overcast", "hot", "high", "weak")]) is partial
+        grown = build_tree(FIXTURE + self.ADDED, min_leaf=1, prior=partial,
+                           walks=[("sunny", "hot", "high", "weak")])
+        assert grown.branches["sunny"] == build_tree(FIXTURE + self.ADDED,
+                                                     min_leaf=1).branches["sunny"]
+        assert not grown.pending
+
+    def test_a_branch_with_pending_values_below_is_pending(self):
+        """A walk that enters a branch but none of that branch's own
+        branches leaves its value pending too, so a later walk past it
+        re-induces it."""
+        instances = [Instance(("b", "b", "b"), 0), Instance(("c", "b", "a"), 0),
+                     Instance(("b", "a", "b"), 0), Instance(("c", "b", "b"), 1),
+                     Instance(("a", "a", "b"), 1)]
+        partial = build_tree(instances[:4], prior=build_tree(instances[:2]),
+                             walks=[("c", "c", "c")])
+        assert partial.branches["c"].pending == {"a", "b"}
+        assert partial.pending == {"b", "c"}
+        walk = ("c", "c", "b")
+        tree = build_tree(instances, prior=partial, walks=[walk])
+        assert classify_traced(tree, walk) == classify_traced(build_tree(instances), walk)
+
+    def test_one_attribute_tuple_is_built_as_its_chain_without_counting(self, monkeypatch):
+        def counting(instances, attr_index, table):
+            raise AssertionError("counted")
+
+        instances = [Instance(("a.a", "b.b", "c.c"), label) for label in (0, 1, 1)]
+        monkeypatch.setattr(sonsim.dtree, "_count", counting)
+        tree = build_tree(instances)
+        leaf = Leaf({0: 1, 1: 2})
+        assert tree == Node(0, {"a.a": Node(1, {"b.b": Node(2, {"c.c": leaf}, leaf.counts)},
+                                            leaf.counts)}, leaf.counts)
+
+
 def rows_in_order(tables):
     """Each attribute's rows as (value, class counts, instances) triples,
     values and classes in table order."""
@@ -246,6 +312,13 @@ class TestRootTables:
         assert tree.branches["sunny"].attr_index == sunny.attr_index
         assert tree.branches["sunny"].tables is sunny.tables
         assert row_totals(sunny.tables) == {6}
+
+    def test_tables_carry_the_number_of_instances_they_hold(self):
+        prior = build_tree(FIXTURE[:12], min_leaf=1, prior=build_tree(FIXTURE[:10], min_leaf=1))
+        assert prior.tables.total == 12
+        tree = build_tree(FIXTURE, min_leaf=1, prior=prior)
+        assert tree.tables is prior.tables and tree.tables.total == len(FIXTURE)
+        assert row_totals(tree.tables) == {len(FIXTURE)}
 
     def test_unchanged_splits_count_only_the_new_instances(self, monkeypatch):
         prior = build_tree(FIXTURE, min_leaf=1, prior=build_tree(FIXTURE[:10], min_leaf=1))

@@ -373,34 +373,43 @@ class TestRefresh:
         for gid in overlay.groups:
             assert overlay.groups[gid].index == again.groups[gid].index
 
-    @pytest.mark.parametrize("refresh_every", [0, 1, 7, 30])
+    @pytest.mark.parametrize("refresh_every", [0, 1, 7, 10, 30])
     def test_epoch_refreshes_once_per_period(self, monkeypatch, refresh_every):
         """run_kb_epoch alone decides when to refresh: once after every
         `refresh_every` routed queries, never at 0, each call with the
-        records routed since the previous one."""
+        records routed since the previous one. Exactly the refreshes that a
+        later refresh follows get walks: the (origin super-peer, attributes)
+        of the queries routed before that later one."""
         import sonsim.ksp
         net, log, workload, config = net_and_log()
         overlay = train_indices(form_groups(net, config.tau_trust), log, 2)
         replay = _reid(workload[:20], "e")
         batches = []
 
-        def counting(overlay, records, min_leaf=2):
-            batches.append([r.query_id for r in records])
-            return refresh_knowledge(overlay, records, min_leaf)
+        def counting(overlay, records, min_leaf=2, walks=None):
+            batches.append(([r.query_id for r in records], walks))
+            return refresh_knowledge(overlay, records, min_leaf, walks)
+
+        def walks_of(queries):
+            return [(net.peers[q.origin_peer].super_peer, query_attributes(q.components))
+                    for q in queries]
 
         monkeypatch.setattr(sonsim.ksp, "refresh_knowledge", counting)
         run_kb_epoch(net, overlay, replay, relevance(net, replay, config.eps_acc), COSTS,
                      refresh_every=refresh_every)
         calls = len(replay) // refresh_every if refresh_every else 0
-        assert batches == [[q.id for q in replay[k * refresh_every:(k + 1) * refresh_every]]
+        periods = [replay[k * refresh_every:(k + 1) * refresh_every] for k in range(calls + 1)]
+        assert batches == [([q.id for q in periods[k]],
+                            walks_of(periods[k + 1]) if k + 1 < calls else None)
                            for k in range(calls)]
 
     def test_refresh_work_stays_within_its_budget(self, monkeypatch):
         """At 300/10, seed 9, refreshing every 10 queries, induction counts
-        at most 114,759 instances into split tables, and class-counts each
-        instance of the final groups exactly once: a build counts the
-        classes of its new instances at the root, and every other node takes
-        its class counts from its parent's table."""
+        at most 79,994 instances into split tables (90,646 when no refresh
+        gets walks), and class-counts each instance of the final groups
+        exactly once: a build counts the classes of its new instances at the
+        root, and every other node takes its class counts from its parent's
+        table."""
         import sonsim.dtree
         from sonsim.engine import run_pipeline
         tabled, classed = [], []
@@ -419,15 +428,19 @@ class TestRefresh:
         monkeypatch.setattr(sonsim.dtree, "_count", counting)
         monkeypatch.setattr(sonsim.dtree, "_add_classes", class_counting)
         overlay = run_pipeline(Config(np=300, nsp=10, seed=9, refresh_every=10)).overlay
-        assert len(tabled) <= 114_759
+        assert len(tabled) <= 79_994
         final = [inst for group in overlay.groups.values() for inst in group.instances]
         assert sorted(map(id, classed)) == sorted(map(id, final))
 
     def test_refresh_induces_only_the_branches_new_instances_reach(self, monkeypatch):
         """At 300/10, seed 9, refreshing every 10 queries, induction makes at
-        most 15,000 `_induce` calls (14,928): a node that splits on its
-        prior's attribute takes the prior's branch for every value no new
-        instance takes, without a call. Inducing every branch makes 46,150."""
+        most 5,737 `_induce` calls: a node that splits on its prior's
+        attribute takes the prior's branch for every value no new instance
+        takes, without a call, a refresh that a later one follows induces
+        only the branches the next period's walks enter, and a node whose
+        instances share one attribute tuple is built as its chain. Without
+        the walks it makes 10,077; inducing every branch of every refresh
+        made 46,150."""
         import sonsim.dtree
         from sonsim.engine import run_pipeline
         calls = []
@@ -439,4 +452,4 @@ class TestRefresh:
 
         monkeypatch.setattr(sonsim.dtree, "_induce", counting)
         run_pipeline(Config(np=300, nsp=10, seed=9, refresh_every=10))
-        assert len(calls) <= 15_000
+        assert len(calls) <= 5_737

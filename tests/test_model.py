@@ -7,6 +7,7 @@ import pytest
 from sonsim.config import Config, substream
 from sonsim.model import (
     Query,
+    _hits_needed,
     capacity,
     element,
     is_relevant,
@@ -150,6 +151,18 @@ class TestOracle:
                     if 0.0 <= eps <= 1.0:
                         assert relevant_mask(net, query, eps) == \
                             mask_of(oracle_relevant_peers(net, query, eps))
+
+    def test_hits_needed_is_the_fewest_hits_at_the_threshold(self):
+        """The cached helper gives what a scan over k gives, for n 1-16, at
+        every k/n, the floats next to it and a grid of thresholds."""
+        grid = {i / 100 for i in range(101)}
+        for n in range(1, 17):
+            for k in range(n + 1):
+                grid.update(eps for eps in (math.nextafter(k / n, 0.0), k / n,
+                                            math.nextafter(k / n, 1.0)) if 0.0 <= eps <= 1.0)
+        for n in range(1, 17):
+            for eps in sorted(grid):
+                assert _hits_needed(n, eps) == next(k for k in range(n + 1) if k / n >= eps)
 
     def test_queries_needing_no_hits_share_one_mask(self):
         net = build_son(Config(np=300, nsp=10, seed=9))

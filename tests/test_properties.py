@@ -11,10 +11,11 @@ through one memo of plans, equal to each query routed alone, routing
 monotonicity in the threshold, distribution normalization, tree induction
 choosing the first best gain-ratio split, trees grown from a prior tree
 (also when the root switches back and forth between attributes) and
-indices after each refresh equal to from-scratch induction, the rows of
-the root's and its children's split tables holding every attribute's
-partition and class counts as counted from scratch, and grouping stability
-under relabeling.
+indices after each refresh equal to from-scratch induction, trees built
+with walks reading as from-scratch trees along each walk and completed by
+a build without walks, the rows of the root's and its children's split
+tables holding every attribute's partition and class counts as counted
+from scratch, and grouping stability under relabeling.
 """
 
 import dataclasses
@@ -763,6 +764,78 @@ def test_root_tables_grown_from_priors_equal_counts_from_scratch(instances, min_
             node = below.pop()
             assert node.tables is None
             below.extend(child for child in node.branches.values() if isinstance(child, Node))
+
+
+RECORD_TOKENS = ["a.a", "a.b", "b.a", "b.b"]
+UNSEEN = "z.z"
+
+# Records over few values, so attribute tuples repeat across records, each
+# record's instances sharing one tuple object as in the pipeline; a node of
+# one tuple and several classes is built as its chain.
+record_streams = st.lists(
+    st.tuples(st.tuples(*[st.sampled_from(RECORD_TOKENS) for _ in range(4)]),
+              st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=3,
+                       unique=True)),
+    min_size=1, max_size=60,
+).map(lambda records: [Instance(attributes=a, class_label=c)
+                       for a, labels in records for c in labels])
+# A walk set: "every" walks each instance's tuple; otherwise a few tuples,
+# some with values never seen; an empty set reads no branch.
+walk_sets = st.one_of(st.just("every"), st.lists(
+    st.tuples(*[st.sampled_from([*RECORD_TOKENS, UNSEEN]) for _ in range(4)]), max_size=6))
+
+
+def grown_with_walks(instances, min_leaf, cuts, walk_sets):
+    """Each prefix the cuts close, with the partial tree built for it, with
+    its walk set, from the previous prefix's partial tree, and that walk set."""
+    ends = sorted({min(cut, len(instances)) for cut in cuts} | {len(instances)})
+    tree = None
+    for i, end in enumerate(ends):
+        grown = instances[:end]
+        walks = walk_sets[i % len(walk_sets)]
+        if walks == "every":
+            walks = [inst.attributes for inst in grown]
+        tree = build_tree(grown, min_leaf=min_leaf, prior=tree, walks=walks)
+        yield grown, tree, walks
+
+
+@given(instances=record_streams, min_leaf=st.sampled_from([1, 2, 3]),
+       cuts=st.lists(st.integers(min_value=1, max_value=180), max_size=5),
+       walk_sets=st.lists(walk_sets, min_size=1, max_size=6))
+@settings(deadline=None)
+def test_tree_built_with_walks_classifies_them_as_from_scratch(instances, min_leaf, cuts,
+                                                               walk_sets):
+    """Growing a tree prefix by prefix, each build with a walk set and the
+    previous partial tree as its prior, every walk of a build ends where it
+    ends on the tree induced from that prefix anew, after as many visits."""
+    for grown, tree, walks in grown_with_walks(instances, min_leaf, cuts, walk_sets):
+        scratch = build_tree(grown, min_leaf=min_leaf)
+        for walk in walks:
+            assert classify_traced(tree, walk) == classify_traced(scratch, walk)
+
+
+@given(instances=record_streams, min_leaf=st.sampled_from([1, 2, 3]),
+       cuts=st.lists(st.integers(min_value=1, max_value=180), max_size=5),
+       walk_sets=st.lists(walk_sets, min_size=1, max_size=6))
+@settings(deadline=None)
+def test_complete_build_from_partial_priors_equals_from_scratch(instances, min_leaf, cuts,
+                                                                walk_sets):
+    """A build without walks from any tree of a chain of builds with walks,
+    and from it again after one more instance, is the tree induced anew,
+    with every node's class counts in the same key order, and pends no
+    value; the chain goes on from its own partial tree."""
+    for grown, tree, _ in grown_with_walks(instances, min_leaf, cuts, walk_sets):
+        for end in (len(grown), min(len(grown) + 1, len(instances))):
+            complete = build_tree(instances[:end], min_leaf=min_leaf, prior=tree)
+            scratch = build_tree(instances[:end], min_leaf=min_leaf)
+            assert complete == scratch
+            assert counts_in_order(complete) == counts_in_order(scratch)
+            nodes = [complete]
+            while nodes:
+                node = nodes.pop()
+                if isinstance(node, Node):
+                    assert not node.pending
+                    nodes.extend(node.branches.values())
 
 
 @given(key=net_keys, tau=st.integers(min_value=1, max_value=4),
