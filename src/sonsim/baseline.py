@@ -163,12 +163,6 @@ def generate_queries(peer: Peer, count: int, n_components: int, rng: Random,
                      id_prefix: str = "q") -> list[Query]:
     """Generate `count` queries whose components are drawn uniformly, with
     replacement, from the peer's own expertise."""
-    if count < 0:
-        raise ValueError("query count must be >= 0")
-    if n_components < 1:
-        raise ValueError("queries need at least one component")
-    if not peer.expertise:
-        raise ValueError(f"peer {peer.id} has empty expertise")
     pool = sorted(peer.expertise)
     choice = rng.choice
     positions = range(n_components)
@@ -196,12 +190,6 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
     one network, one `costs` and one `max_hops`; None routes with a fresh
     one. Every friend probe is still evaluated, in the same order.
     """
-    if sp not in net.super_peers:
-        raise ValueError(f"unknown super-peer {sp}")
-    if not 0.0 <= eps_acc <= 1.0:
-        raise ValueError(f"eps_acc must lie in [0, 1], got {eps_acc}")
-    if max_hops is not None and max_hops < 0:
-        raise ValueError("max_hops must be >= 0 or None for unbounded")
     if plans is None:
         plans = {}
 
@@ -253,8 +241,6 @@ def run_baseline_epoch(net: Network, workload: list[Query],
     relevant[i] is the relevant peer mask of workload[i]; a length mismatch
     raises ValueError.
     """
-    if not workload:
-        raise ValueError("workload is empty")
     records = []
     results = []
     plans: dict[tuple[SuperPeerId, ...], RoutePlan] = {}

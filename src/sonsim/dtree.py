@@ -240,8 +240,6 @@ def build_tree(instances: Sequence[Instance], min_leaf: int = 1,
     walks. Each walk passes only nodes that are complete along it, so
     `classify_traced` gives every walk what it gives on
     `build_tree(instances, min_leaf)`."""
-    if not instances:
-        raise ValueError("cannot induce a tree from zero instances")
     attrs = tuple(range(len(instances[0].attributes)))
     if prior is None:
         return _induce(instances, class_counts(instances), attrs, min_leaf, None, 0, {}, walks)
@@ -354,11 +352,6 @@ def classify_traced(tree: DecisionTree,
     node = tree
     visits = 1
     while isinstance(node, Node):
-        if node.attr_index >= len(attributes):
-            raise ValueError(
-                f"{len(attributes)} attribute values given but the tree tests "
-                f"{ATTRIBUTE_PREFIX}{node.attr_index + 1}"
-            )
         child = node.branches.get(attributes[node.attr_index])
         if child is None:
             # Value never observed at this node during training.
@@ -375,8 +368,6 @@ def predict(tree: DecisionTree, attributes: Sequence[str]) -> SuperPeerId:
 
 
 def training_accuracy(tree: DecisionTree, instances: Sequence[Instance]) -> float:
-    if not instances:
-        raise ValueError("no instances")
     correct = sum(1 for inst in instances if predict(tree, inst.attributes) == inst.class_label)
     return correct / len(instances)
 
@@ -440,12 +431,6 @@ def arff_lines(instances: Sequence[Instance], relation_name: str,
     one at a time so that a writer never holds the whole text."""
     if n_attributes is None:
         n_attributes = len(instances[0].attributes) if instances else 0
-    for inst in instances:
-        if len(inst.attributes) != n_attributes:
-            raise ValueError(
-                f"inconsistent attribute count: expected {n_attributes}, "
-                f"got {len(inst.attributes)}"
-            )
     yield f"@relation {relation_name}\n"
     yield "\n"
     for i in range(n_attributes):

@@ -45,7 +45,7 @@ from .baseline import (
     generate_queries,
     run_baseline_epoch,
 )
-from .config import Config, derive_seed, substream
+from .config import Config, ConfigError, derive_seed, substream
 from .ksp import KspOverlay, form_groups, run_kb_epoch, train_indices
 from .model import Query, relevant_mask
 from .model import relevant_peers_indexed  # noqa: F401  benchmark/worker.py calls it
@@ -195,12 +195,14 @@ def run_pipeline(config: Config, include_kb: bool = True,
 
     The training log is the log of a baseline epoch over a workload drawn
     from its own stream, unless an external `train_log` is supplied; then the
-    training epoch is skipped. A record of an external log whose origin peer
-    is not in this network, or is not under its origin super-peer, or whose
-    component count is not `n_components`, or that names an answering
-    super-peer outside this network, or that has a component outside its
-    origin peer's expertise (every generated query draws from it), raises
-    ValueError.
+    training epoch is skipped. A run that must draw a workload (no
+    `train_log`, or fresh mode) with `queries_per_peer` 0 raises ConfigError.
+    A record of an external log whose origin peer is not in this network, or
+    is not under its origin super-peer, or whose component count is not
+    `n_components`, or that names an answering super-peer outside this
+    network, or that has a component outside its origin peer's expertise
+    (every generated query draws from it), raises ValueError. These are the
+    checks of what a run is given; nothing downstream checks it again.
 
     In replay mode (the default) the evaluation workload is the training
     log's queries, record by record under the ids "e0", "e1", ..., whether
@@ -217,6 +219,8 @@ def run_pipeline(config: Config, include_kb: bool = True,
     gc.disable()
     try:
         net = build_son(config)  # validates the config first
+        if config.queries_per_peer == 0 and (train_log is None or config.workload_mode == "fresh"):
+            raise ConfigError("queries_per_peer", "must be >= 1 to generate a workload")
         costs = (config.c_hop, config.c_map, config.c_tree)
         eps_acc = config.eps_acc
         max_hops = None if config.max_hops < 0 else config.max_hops

@@ -80,8 +80,6 @@ def form_groups(net: Network, tau_trust: int) -> KspOverlay:
     search starts from the unreached ids in ascending order, so each start is
     its component's smallest member.
     """
-    if tau_trust < 1:
-        raise ValueError("tau_trust must be >= 1")
     adjacency: dict[int, list[int]] = {spid: [] for spid in net.super_peers}
     for (i, j), shared in net.cormat.items():
         if shared >= tau_trust:
@@ -138,8 +136,6 @@ def record_accuracy(tree: DecisionTree, records) -> float:
     one-instance-per-answerer expansion the way instance-level accuracy is.
     """
     records = list(records)
-    if not records:
-        raise ValueError("no records")
     hits = 0
     for record in records:
         if predict(tree, query_attributes(record.components)) in record.answering_sps:
@@ -163,8 +159,8 @@ def _induce(overlay: KspOverlay, records, min_leaf: int, keep: bool,
     """Add each record's instances once to its origin super-peer's group,
     after the group's current instances if `keep`, and induce every group's
     index from its instances, handing `build_tree` the attributes of the
-    `walks` from the group's members, if given. A record whose origin
-    super-peer is in no group raises.
+    `walks` from the group's members, if given. Every record's origin
+    super-peer is in a group: `run_pipeline` checks an external log's origins.
 
     When `keep`, every group with instances passes its index to `build_tree`
     as the prior (see its reuse rule); the indices must have been induced at
@@ -172,9 +168,6 @@ def _induce(overlay: KspOverlay, records, min_leaf: int, keep: bool,
     group's class distribution; that leaf is never a prior."""
     slices: dict[KspId, list[LogRecord]] = {gid: [] for gid in overlay.groups}
     for record in records:
-        if record.origin_sp not in overlay.sp_to_group:
-            raise ValueError(f"log record {record.query_id}: origin super-peer "
-                             f"{record.origin_sp} is in no group")
         slices[overlay.sp_to_group[record.origin_sp]].append(record)
     paths = None if walks is None else {gid: [] for gid in overlay.groups}
     for origin_sp, attributes in walks or ():
@@ -213,12 +206,8 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
     ended). `plans` is the memo of those plans, valid for one network, one
     `costs` and one `overlay.sp_to_group`; None routes with a fresh one.
     """
-    if sp not in net.super_peers:
-        raise ValueError(f"unknown super-peer {sp}")
     gid = overlay.sp_to_group[sp]
     index = overlay.groups[gid].index
-    if index is None:
-        raise ValueError("index not trained")
     if plans is None:
         plans = {}
 
@@ -269,8 +258,6 @@ def run_kb_epoch(net: Network, overlay: KspOverlay, workload: list[Query],
     raises ValueError. refresh_every = 0 keeps the knowledge static for the
     whole epoch. Returns the epoch's log, its results and the final overlay.
     """
-    if not workload:
-        raise ValueError("workload is empty")
     records: list[LogRecord] = []
     results = []
     plans: dict[tuple[int, ...], RoutePlan] = {}  # refreshes keep `sp_to_group`

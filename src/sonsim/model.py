@@ -144,10 +144,6 @@ def relevant_mask(net: "Network", query: Query, eps_acc: float) -> int:
     every such query shares the one mask `net.peer_mask`.
     """
     comps = query.components
-    if not comps:
-        raise ValueError("empty query")
-    if not 0.0 <= eps_acc <= 1.0:
-        raise ValueError(f"eps_acc must lie in [0, 1], got {eps_acc}")
     need = _hits_needed(len(comps), eps_acc)
     if need == 0:
         return net.peer_mask

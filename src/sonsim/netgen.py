@@ -127,8 +127,6 @@ def generate_sp_expertise(domain: DomainLabel, size: int, rng: Random) -> Expert
     collide before duplication. The token pool is the smallest one that
     admits `size` distinct couples.
     """
-    if size < 1:
-        raise ValueError("expertise size must be >= 1")
     vocab_size = math.isqrt(size - 1) + 1  # smallest k with k * k >= size
     tokens = [f"{domain}{k}" for k in range(vocab_size)]
     couples = [element(a, b) for a in tokens for b in tokens]
@@ -146,15 +144,6 @@ def link_friends_and_duplicate(expertise: dict[SuperPeerId, set[ExpertiseElement
     every chosen friend guarantees each friend pair shares at least dup_count
     elements, i.e. a mapping exists between them.
     """
-    nsp = len(expertise)
-    if friends_per_sp >= nsp:
-        raise ValueError(f"friends_per_sp must be < number of super-peers ({nsp})")
-    if dup_count < 1:
-        raise ValueError("dup_count must be >= 1 so friend links carry a mapping")
-    smallest = min(map(len, expertise.values()))
-    if dup_count > smallest:
-        raise ValueError(f"dup_count {dup_count} exceeds smallest expertise size {smallest}")
-
     ids = sorted(expertise)
     friends: dict[SuperPeerId, set[SuperPeerId]] = {spid: set() for spid in ids}
     for spid in ids:
@@ -174,10 +163,6 @@ def generate_peer_expertise(available: list[ExpertiseElement], min_size: int,
     sorted order, size in [min_size, len(available)]. Keeps every peer
     semantically inside its community. `rng.sample` never mutates its
     population, so every member of a community draws from one list."""
-    if len(available) < min_size:
-        raise ValueError(
-            f"super-peer expertise ({len(available)}) smaller than MIN ({min_size})"
-        )
     size = rng.randint(min_size, len(available))
     return frozenset(rng.sample(available, size))
 

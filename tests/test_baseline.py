@@ -1,11 +1,12 @@
 """Baseline routing: query generation, two-level search, epoch and log I/O."""
 
+import dataclasses
 import re
 
 import pytest
 
 import sonsim.baseline
-from sonsim.config import Config, substream
+from sonsim.config import Config, ConfigError, substream
 from sonsim.engine import run_pipeline
 from sonsim.baseline import (
     LogRecord,
@@ -26,6 +27,8 @@ from sonsim.model import (
 from sonsim.netgen import build_son
 
 COSTS = (10.0, 1.0, 0.1)  # (c_hop, c_map, c_tree) at their Config defaults
+# A whole run is where each value the routers take is checked.
+RUN = Config(np=40, nsp=4, seed=21, queries_per_peer=1)
 
 
 def small_net(np=40, nsp=4, seed=21, **kw):
@@ -71,20 +74,17 @@ class TestGenerateQueries:
             assert len(q.components) == 6
 
     def test_empty_expertise_rejected(self):
-        net = small_net()
-        import dataclasses
-        bare = dataclasses.replace(net.peers[0], expertise=frozenset())
-        with pytest.raises(ValueError, match="empty expertise"):
-            generate_queries(bare, 1, 4, substream(1, "x"))
+        assert all(peer.expertise for peer in small_net(min_peer_expertise=1).peers.values())
+        with pytest.raises(ConfigError, match="min_peer_expertise"):
+            run_pipeline(RUN.replace(min_peer_expertise=0))
 
     @pytest.mark.parametrize("count, n_components, problem", [
-        (-1, 4, "query count must be >= 0"),
-        (1, 0, "queries need at least one component"),
+        (-1, 4, "queries_per_peer: must be >= 0"),
+        (1, 0, "n_components: queries need at least one component"),
     ])
     def test_negative_count_or_no_component_rejected(self, count, n_components, problem):
-        net = small_net()
-        with pytest.raises(ValueError, match=problem):
-            generate_queries(net.peers[0], count, n_components, substream(1, "x"))
+        with pytest.raises(ConfigError, match=problem):
+            run_pipeline(RUN.replace(queries_per_peer=count, n_components=n_components))
 
 
 def _reference_route_one_hop(net, query, eps_acc):
@@ -164,23 +164,19 @@ class TestRouteBaseline:
         assert result.searched_sps == frozenset({net.peers[1].super_peer})
 
     def test_unknown_sp_rejected(self):
-        net = small_net()
-        q = queries_for(net, 0, count=1)[0]
-        with pytest.raises(ValueError, match="unknown super-peer"):
-            route(net, q, 99, 0.5)
+        log = run_pipeline(RUN, include_kb=False).train_log
+        forged = QueryLog([dataclasses.replace(log[0], origin_sp=99), *log[1:]])
+        with pytest.raises(ValueError, match="under super-peer 99 is not in this network"):
+            run_pipeline(RUN, train_log=forged)
 
     @pytest.mark.parametrize("eps", [-0.1, 1.5])
     def test_threshold_out_of_range_rejected(self, eps):
-        net = small_net()
-        q = queries_for(net, 0, count=1)[0]
-        with pytest.raises(ValueError, match=r"eps_acc must lie in \[0, 1\]"):
-            route_baseline(net, q, net.peers[0].super_peer, 0, eps, COSTS)
+        with pytest.raises(ConfigError, match=r"eps_acc: must lie in \[0, 1\]"):
+            run_pipeline(RUN.replace(eps_acc=eps))
 
     def test_negative_max_hops_rejected(self):
-        net = small_net()
-        q = queries_for(net, 0, count=1)[0]
-        with pytest.raises(ValueError, match="max_hops must be >= 0"):
-            route(net, q, net.peers[0].super_peer, 0.5, max_hops=-1)
+        with pytest.raises(ConfigError, match="max_hops: must be >= 0, or -1 for unbounded"):
+            run_pipeline(RUN.replace(max_hops=-2))
 
     def test_each_sp_processed_once_under_flood(self):
         net = small_net(np=30, nsp=6, friends_per_sp=3)
@@ -245,9 +241,10 @@ class TestEpochAndLog:
         assert len(log) == 100
 
     def test_empty_workload_rejected(self):
-        net = small_net()
-        with pytest.raises(ValueError):
-            run_baseline_epoch(net, [], [], 0.5, COSTS)
+        with pytest.raises(ConfigError, match="queries_per_peer: must be >= 1 to generate"):
+            run_pipeline(RUN.replace(queries_per_peer=0))
+        with pytest.raises(ValueError, match="replay mode needs a non-empty training log"):
+            run_pipeline(RUN, train_log=QueryLog())
 
     def test_repeated_query_id_names_its_file_line(self, tmp_path):
         path = tmp_path / "log.tsv"

@@ -59,8 +59,10 @@ class TestConfigFile:
         ("dup_count = 0", "dup_count", "must be >= 1"),
         ("dup_count = 13", "dup_count", "cannot exceed sp_expertise_size"),
         ("min_peer_expertise = 0", "min_peer_expertise", "must lie in [1, sp_expertise_size]"),
+        ("min_peer_expertise = 13", "min_peer_expertise", "must lie in [1, sp_expertise_size]"),
         ("n_components = 0", "n_components", "at least one component"),
         ("queries_per_peer = -1", "queries_per_peer", "must be >= 0"),
+        ("eps_acc = -0.1", "eps_acc", "must lie in [0, 1], got -0.1"),
         ("max_hops = -2", "max_hops", "-1 for unbounded"),
         ("tau_trust = 0", "tau_trust", "must be >= 1"),
         ("min_leaf = 0", "min_leaf", "must be >= 1"),
@@ -161,6 +163,30 @@ class TestRun:
                        "--train-log", str(tmp_path / "first" / "train_log.tsv"),
                        "--outdir", str(tmp_path / "second")) == 0
         assert hash_dir(tmp_path / "second") == hash_dir(tmp_path / "first")
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--np", "30", "--nsp", "5", "--workload-mode", "replay"],
+        ["run", "--np", "30", "--nsp", "5", "--workload-mode", "fresh"],
+        ["sweep", "--sizes", "30:5,60:6"],
+    ], ids=["replay", "fresh", "sweep"])
+    def test_no_queries_to_generate_is_named_and_writes_nothing(self, tmp_path, capsys, argv):
+        code = run_cli(*argv, "--queries-per-peer", "0", "--outdir", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == ("sonsim: invalid configuration: queries_per_peer: "
+                                           "must be >= 1 to generate a workload\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_replaying_a_train_log_generates_no_queries(self, tmp_path):
+        assert run_cli("run", *FAST, "--outdir", str(tmp_path / "first")) == 0
+        log = str(tmp_path / "first" / "train_log.tsv")
+        assert run_cli("run", *FAST, "--train-log", log, "--outdir", str(tmp_path / "default")) == 0
+        assert run_cli("run", *FAST, "--train-log", log, "--queries-per-peer", "0",
+                       "--outdir", str(tmp_path / "zero")) == 0
+        default, zero = hash_dir(tmp_path / "default"), hash_dir(tmp_path / "zero")
+        differ = {name for name in default if default[name] != zero.get(name)}
+        assert zero.keys() == default.keys()
+        assert differ == {"config.txt", "network.txt"}  # each prints the config
+        assert "queries_per_peer = 0\n" in (tmp_path / "zero" / "config.txt").read_text()
 
     @pytest.mark.parametrize("field, value, problem", [
         (1, "x", "origin peer 'x' is not an integer"),

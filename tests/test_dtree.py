@@ -7,9 +7,13 @@ The gain fixtures are hand-computed on a fixed 14-row categorical table
                                 = 0.246750
 """
 
+import dataclasses
+
 import pytest
 
 import sonsim.dtree
+from sonsim.baseline import LogRecord, QueryLog, query_log_lines, read_query_log
+from sonsim.config import Config
 from sonsim.dtree import (
     Instance,
     Leaf,
@@ -27,6 +31,8 @@ from sonsim.dtree import (
     render_tree,
     training_accuracy,
 )
+from sonsim.engine import run_pipeline
+from sonsim.model import element
 
 
 # 14-row weather-style fixture; classes: 1 = positive, 0 = negative.
@@ -132,10 +138,6 @@ class TestBuildTree:
     def test_min_leaf_stops_splitting(self):
         tree = build_tree(FIXTURE, min_leaf=15)
         assert tree == Leaf({0: 5, 1: 9})
-
-    def test_zero_instances_rejected(self):
-        with pytest.raises(ValueError, match="zero instances"):
-            build_tree([])
 
     def test_deterministic_rebuild(self):
         assert build_tree(FIXTURE) == build_tree(list(FIXTURE))
@@ -428,11 +430,6 @@ class TestClassify:
             assert inst.class_label in counts
             assert all(count > 0 for count in counts.values())
 
-    def test_too_few_attributes_rejected(self):
-        tree = build_tree(FIXTURE, min_leaf=1)
-        with pytest.raises(ValueError):
-            classify_traced(tree, ())
-
     def test_trace_counts_nodes_visited(self):
         tree = Leaf({0: 1})
         assert classify_traced(tree, ())[1] == 1
@@ -442,6 +439,15 @@ class TestClassify:
 
     def test_predict_breaks_ties_to_lowest_label(self):
         assert predict(Leaf({3: 2, 1: 2}), ()) == 1
+
+    def test_too_few_attributes_rejected(self):
+        # classify_traced reads as many attributes as the tree tests; a run
+        # rejects an external log whose queries are shorter than n_components.
+        config = Config(np=40, nsp=4, seed=21, queries_per_peer=1)
+        log = run_pipeline(config, include_kb=False).train_log
+        short = QueryLog(dataclasses.replace(r, components=r.components[:-1]) for r in log)
+        with pytest.raises(ValueError, match="3 query components, but n_components is 4"):
+            run_pipeline(config, train_log=short)
 
 
 class TestRelevantSps:
@@ -544,13 +550,17 @@ class TestArff:
             arff_import(text)
         assert str(excinfo.value) == problem
 
-    def test_inconsistent_attribute_count_rejected(self):
-        instances = [*self._instances(), Instance(("k.f", "p.i"), 1)]
-        with pytest.raises(ValueError, match="inconsistent attribute count: expected 4, got 2"):
-            arff_export(instances, "rel")
-
     def test_undeclared_value_rejected(self):
         text = arff_export(self._instances(), "rel")
         broken = text.replace("k.f,p.i,a.b,c.d,SP0", "zz.zz,p.i,a.b,c.d,SP0")
         with pytest.raises(ValueError, match="not declared"):
             arff_import(broken)
+
+    def test_inconsistent_attribute_count_rejected(self, tmp_path):
+        # arff_export takes one attribute count; a log read from a file has one.
+        record = LogRecord("q0", 1, 0, (element("a", "b"), element("c", "d")), frozenset({0}))
+        shorter = dataclasses.replace(record, query_id="q1", components=record.components[:1])
+        path = tmp_path / "log.tsv"
+        path.write_text("".join(query_log_lines(QueryLog([record, shorter]))))
+        with pytest.raises(ValueError, match="line 2: 1 query components, but the first record has 2"):
+            read_query_log(path)

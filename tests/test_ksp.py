@@ -4,20 +4,21 @@ import dataclasses
 
 import pytest
 
-from sonsim.config import Config, substream
+import sonsim.ksp
+from sonsim.config import Config, ConfigError, substream
 from sonsim.baseline import LogRecord, QueryLog, generate_queries, run_baseline_epoch
 from sonsim.dtree import Leaf, build_tree, class_counts, classify_traced
 from sonsim.ksp import (
     form_groups,
     instances_from_records,
     query_attributes,
-    record_accuracy,
     refresh_knowledge,
     route_kb,
     run_kb_epoch,
     train_indices,
 )
-from sonsim.model import Query, element, relevant_mask
+from sonsim.engine import run_pipeline
+from sonsim.model import Query, relevant_mask
 from sonsim.netgen import build_son
 
 COSTS = (10.0, 1.0, 0.1)  # (c_hop, c_map, c_tree) at their Config defaults
@@ -114,9 +115,8 @@ class TestFormGroups:
         assert minima == sorted(minima)
 
     def test_bad_threshold_rejected(self):
-        net, _, _, _ = net_and_log()
-        with pytest.raises(ValueError):
-            form_groups(net, 0)
+        with pytest.raises(ConfigError, match="tau_trust: must be >= 1"):
+            run_pipeline(Config(np=60, nsp=6, seed=31, queries_per_peer=2, tau_trust=0))
 
 
 class TestTrainIndices:
@@ -167,11 +167,28 @@ class TestTrainIndices:
             train_indices(form_groups(net, 2), unanswered, 2)
 
     def test_record_from_unknown_super_peer_rejected(self):
-        net, log, _, _ = net_and_log()
+        net, log, _, config = net_and_log()
         stray = LogRecord("x", 0, len(net.super_peers), log.records[0].components,
                           frozenset({0}))
-        with pytest.raises(ValueError, match="in no group"):
-            train_indices(form_groups(net, 2), QueryLog([*log, stray]), 2)
+        with pytest.raises(ValueError, match="train log record x: peer 0 under super-peer 6 "
+                                             "is not in this network"):
+            run_pipeline(config, train_log=QueryLog([*log, stray]))
+
+    def test_no_group_induces_from_zero_instances(self, monkeypatch):
+        # build_tree takes its instances as given; a group without any gets the fallback leaf.
+        original = sonsim.ksp.build_tree
+        sizes = []
+
+        def counting(instances, **kw):
+            assert instances
+            sizes.append(len(instances))
+            return original(instances, **kw)
+
+        monkeypatch.setattr(sonsim.ksp, "build_tree", counting)
+        net, log, _, config = net_and_log()
+        partial = QueryLog([r for r in log if r.origin_sp == 0])
+        train_indices(form_groups(net, 10_000), partial, config.min_leaf)
+        assert sizes == [len(instances_from_records(partial))]
 
 
 class TestRouteKb:
@@ -181,27 +198,29 @@ class TestRouteKb:
                                 config.min_leaf)
         return net, overlay, log, workload, config
 
-    def test_untrained_index_rejected(self):
-        net, log, _, config = net_and_log()
-        overlay = form_groups(net, config.tau_trust)
-        q = Query("x", 0, (element("a", "b"),))
-        with pytest.raises(ValueError, match="index not trained"):
-            route(net, overlay, q, 0, 0.5)
+    def test_training_leaves_no_group_untrained(self):
+        # route_kb reads the index of the origin's group without a check.
+        net, log, _, _ = net_and_log()
+        partial = QueryLog([r for r in log if r.origin_sp == 0])
+        for tau in (1, 2, 10_000):
+            overlay = form_groups(net, tau)
+            assert all(group.index is None for group in overlay.groups.values())
+            trained = train_indices(overlay, partial)
+            assert all(group.index is not None for group in trained.groups.values())
 
     def test_unknown_super_peer_rejected(self):
-        net, overlay, _, workload, config = self._trained()
-        with pytest.raises(ValueError, match="unknown super-peer 6"):
-            route(net, overlay, workload[0], len(net.super_peers), config.eps_acc)
+        net, log, _, config = net_and_log()
+        record = log[0]
+        moved = dataclasses.replace(record, origin_sp=(record.origin_sp + 1) % len(net.super_peers))
+        with pytest.raises(ValueError, match=f"train log record {record.query_id}: peer "
+                                             f"{record.origin_peer} under super-peer "
+                                             f"{moved.origin_sp} is not in this network"):
+            run_pipeline(config, train_log=QueryLog([moved, *log[1:]]))
 
     def test_empty_workload_rejected(self):
-        net, overlay, _, _, _ = self._trained()
-        with pytest.raises(ValueError, match="workload is empty"):
-            run_kb_epoch(net, overlay, [], [], COSTS)
-
-    def test_accuracy_over_no_records_rejected(self):
-        net, overlay, _, _, _ = self._trained()
-        with pytest.raises(ValueError, match="no records"):
-            record_accuracy(overlay.groups[0].index, [])
+        _, log, _, config = net_and_log()
+        with pytest.raises(ConfigError, match="queries_per_peer: must be >= 1 to generate"):
+            run_pipeline(config.replace(workload_mode="fresh", queries_per_peer=0), train_log=log)
 
     def test_memorized_query_reaches_its_training_answerers(self):
         net, overlay, log, workload, config = self._trained()

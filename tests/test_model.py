@@ -1,10 +1,14 @@
 """Capacity, relevance and the exhaustive oracle."""
 
+import dataclasses
 import math
 
 import pytest
 
-from sonsim.config import Config, substream
+import sonsim.engine
+from sonsim.config import Config, ConfigError, substream
+from sonsim.engine import run_pipeline
+from sonsim.baseline import QueryLog
 from sonsim.model import (
     Query,
     _hits_needed,
@@ -171,18 +175,23 @@ class TestOracle:
         assert first is second
         assert first == mask_of(net.peers)
 
-    def test_empty_query_rejected_by_the_kernel(self):
-        net = self._three_peer_net()
-        with pytest.raises(ValueError, match="empty query"):
-            relevant_mask(net, Q(), 0.5)
+    def test_empty_query_never_reaches_the_kernel(self, monkeypatch):
+        config = Config(np=40, nsp=4, seed=21, queries_per_peer=1)
+        log = run_pipeline(config, include_kb=False).train_log
+        empty = QueryLog(dataclasses.replace(r, components=()) for r in log)
+        monkeypatch.setattr(sonsim.engine, "relevant_mask",
+                            lambda *args: pytest.fail("the kernel got a query"))
+        with pytest.raises(ValueError, match="0 query components, but n_components is 4"):
+            run_pipeline(config, train_log=empty)
+        with pytest.raises(ConfigError, match="n_components: queries need at least one"):
+            run_pipeline(config.replace(n_components=0))
 
     def test_threshold_out_of_range_rejected_like_the_kernel(self):
         net = build_son(Config(np=300, nsp=10, seed=9))
         query = Q(*sorted(net.peers[0].expertise)[:4], qid="probe")
         for eps in (-0.5, 1.5, float("nan")):
-            for relevance in (oracle_relevant_peers, relevant_mask):
-                with pytest.raises(ValueError, match=r"eps_acc must lie in \[0, 1\]"):
-                    relevance(net, query, eps)
+            with pytest.raises(ValueError, match=r"eps_acc must lie in \[0, 1\]"):
+                oracle_relevant_peers(net, query, eps)
 
     def test_matches_independent_counting_scan(self):
         net = build_son(Config(np=50, nsp=5, seed=11))

@@ -5,7 +5,8 @@ from random import Random
 
 import pytest
 
-from sonsim.config import Config, substream
+import sonsim.netgen
+from sonsim.config import Config, ConfigError, substream
 from sonsim.netgen import (
     Network,
     build_son,
@@ -19,6 +20,18 @@ from sonsim.netgen import (
 
 def rng(name="t", seed=5):
     return substream(seed, name)
+
+
+def rejected_before_drawing(monkeypatch, field, **changes):
+    """build_son rejects the config, naming `field`, before any builder
+    draws: the builders take their sizes as given and check none of them."""
+    def no_draws(*args):
+        raise AssertionError("a builder drew before the config was checked")
+    monkeypatch.setattr(sonsim.netgen, "substream", no_draws)
+    with pytest.raises(ConfigError) as excinfo:
+        build_son(Config(**changes))
+    assert excinfo.value.field == field
+    return str(excinfo.value)
 
 
 class TestGenerateDomains:
@@ -58,10 +71,6 @@ class TestGenerateSpExpertise:
         expertise = generate_sp_expertise("aa", 3, rng())
         assert len(expertise) == 3
 
-    def test_empty_expertise_rejected(self):
-        with pytest.raises(ValueError, match="expertise size must be >= 1"):
-            generate_sp_expertise("aa", 0, rng())
-
     def test_domains_are_disjoint_before_duplication(self):
         e1 = generate_sp_expertise("aa", 8, rng(seed=1))
         e2 = generate_sp_expertise("bb", 8, rng(seed=1))
@@ -76,6 +85,9 @@ class TestGenerateSpExpertise:
             x, y = element.split(".")
             assert x.startswith("zz")
             assert y.startswith("zz")
+
+    def test_empty_expertise_rejected(self, monkeypatch):
+        rejected_before_drawing(monkeypatch, "sp_expertise_size", sp_expertise_size=0)
 
 
 class TestLinkFriends:
@@ -128,20 +140,16 @@ class TestLinkFriends:
         assert linked.cormat == {}
         assert all(not sp.friends for sp in linked.super_peers.values())
 
-    def test_zero_dup_count_rejected(self):
-        net = self._sp_only_net(3)
-        with pytest.raises(ValueError, match="dup_count"):
-            self._link(net, 1, 0)
+    def test_zero_dup_count_rejected(self, monkeypatch):
+        rejected_before_drawing(monkeypatch, "dup_count", dup_count=0)
 
-    def test_dup_count_above_smallest_expertise_rejected(self):
-        net = self._sp_only_net(3, size=4)
-        with pytest.raises(ValueError, match="dup_count 5 exceeds smallest expertise size 4"):
-            self._link(net, 1, 5)
+    def test_dup_count_above_smallest_expertise_rejected(self, monkeypatch):
+        problem = rejected_before_drawing(monkeypatch, "dup_count", sp_expertise_size=4,
+                                          dup_count=5, min_peer_expertise=4)
+        assert problem == "dup_count: cannot exceed sp_expertise_size"
 
-    def test_too_many_friends_rejected(self):
-        net = self._sp_only_net(3)
-        with pytest.raises(ValueError):
-            self._link(net, 3, 1)
+    def test_too_many_friends_rejected(self, monkeypatch):
+        rejected_before_drawing(monkeypatch, "friends_per_sp", np=30, nsp=3, friends_per_sp=3)
 
 
 class TestGeneratePeerExpertise:
@@ -167,11 +175,10 @@ class TestGeneratePeerExpertise:
         assert generate_peer_expertise(sorted(sp.expertise), 2, rng(seed=1)) == \
             generate_peer_expertise(sorted(sp.expertise), 2, rng(seed=1))
 
-    def test_min_larger_than_expertise_rejected(self):
-        net = build_son(Config(np=1, nsp=1, sp_expertise_size=3, dup_count=1,
-                               friends_per_sp=0, min_peer_expertise=1, seed=9))
-        with pytest.raises(ValueError):
-            generate_peer_expertise(sorted(net.super_peers[0].expertise), 4, rng())
+    def test_min_larger_than_expertise_rejected(self, monkeypatch):
+        rejected_before_drawing(monkeypatch, "min_peer_expertise", np=1, nsp=1,
+                                sp_expertise_size=3, dup_count=1, friends_per_sp=0,
+                                min_peer_expertise=4)
 
 
 class TestBuildSon:
