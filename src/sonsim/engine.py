@@ -276,9 +276,7 @@ def run_pipeline(config: Config, include_kb: bool = True,
             overlay = form_groups(net, config.tau_trust)
             overlay = train_indices(overlay, train_log, config.min_leaf)
             kb_log, kb_results, overlay = run_kb_epoch(
-                net, overlay, eval_workload, relevant, costs,
-                refresh_every=config.refresh_every, min_leaf=config.min_leaf,
-            )
+                net, overlay, eval_workload, relevant, costs, config.refresh_every)
 
         rows = {name: [query_metrics(q, r, oracle)
                        for q, r, oracle in zip(eval_workload, results, relevant)]

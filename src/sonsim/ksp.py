@@ -64,10 +64,12 @@ class KspGroup:
 class KspOverlay:
     """Partition of the super-peer set into domain groups. `form_groups`
     builds `sp_to_group` and nothing mutates it, so every overlay trained
-    or refreshed from that one shares its dict."""
+    or refreshed from that one shares its dict. `min_leaf` is the leaf floor
+    of every index: `train_indices` sets it and each refresh induces at it."""
 
     groups: dict[KspId, KspGroup]
     sp_to_group: dict[SuperPeerId, KspId]
+    min_leaf: int = 2
 
 
 def form_groups(net: Network, tau_trust: int) -> KspOverlay:
@@ -135,7 +137,6 @@ def record_accuracy(tree: DecisionTree, records) -> float:
     This is the accuracy the index needs in routing; it is not capped by the
     one-instance-per-answerer expansion the way instance-level accuracy is.
     """
-    records = list(records)
     hits = 0
     for record in records:
         if predict(tree, query_attributes(record.components)) in record.answering_sps:
@@ -145,27 +146,30 @@ def record_accuracy(tree: DecisionTree, records) -> float:
 
 def train_indices(overlay: KspOverlay, log: QueryLog, min_leaf: int = 2) -> KspOverlay:
     """Train every group's index on the instances of its slice of the log
-    (records whose origin super-peer is a member), replacing any it had. A
-    group whose members never submitted queries keeps a degenerate leaf over
-    the global class distribution. A log in which no query was answered, an
-    empty one included, has no class to learn and is rejected."""
+    (records whose origin super-peer is a member) at leaf floor `min_leaf`,
+    replacing any index and instances it had: training is the first append
+    to groups emptied to their members. A group whose members never
+    submitted queries keeps a degenerate leaf over the global class
+    distribution. A log in which no query was answered, an empty one
+    included, has no class to learn and is rejected."""
     if not any(record.answering_sps for record in log):
         raise ValueError("log contains no answered queries to learn from")
-    return _induce(overlay, log, min_leaf, keep=False)
+    emptied = {gid: KspGroup(group.members) for gid, group in overlay.groups.items()}
+    return _induce(KspOverlay(emptied, overlay.sp_to_group, min_leaf), log)
 
 
-def _induce(overlay: KspOverlay, records, min_leaf: int, keep: bool,
+def _induce(overlay: KspOverlay, records,
             walks: list[tuple[SuperPeerId, tuple[str, ...]]] | None = None) -> KspOverlay:
-    """Add each record's instances once to its origin super-peer's group,
-    after the group's current instances if `keep`, and induce every group's
-    index from its instances, handing `build_tree` the attributes of the
-    `walks` from the group's members, if given. Every record's origin
-    super-peer is in a group: `run_pipeline` checks an external log's origins.
+    """Append each record's instances once to its origin super-peer's
+    group's instances and induce every group's index from them at the
+    overlay's `min_leaf`, handing `build_tree` the attributes of the `walks`
+    from the group's members, if given. Every record's origin super-peer is
+    in a group: `run_pipeline` checks an external log's origins.
 
-    When `keep`, every group with instances passes its index to `build_tree`
-    as the prior (see its reuse rule); the indices must have been induced at
-    this `min_leaf`. A group without instances gets the leaf over every
-    group's class distribution; that leaf is never a prior."""
+    Every group with instances before the append passes its index to
+    `build_tree` as the prior (see its reuse rule). A group without
+    instances gets the leaf over every group's class distribution; that leaf
+    is never a prior."""
     slices: dict[KspId, list[LogRecord]] = {gid: [] for gid in overlay.groups}
     for record in records:
         slices[overlay.sp_to_group[record.origin_sp]].append(record)
@@ -175,10 +179,9 @@ def _induce(overlay: KspOverlay, records, min_leaf: int, keep: bool,
     groups = {}
     for gid in sorted(overlay.groups):
         group = overlay.groups[gid]
-        old = group.instances if keep else ()
-        own = old + tuple(instances_from_records(slices[gid]))
-        prior = group.index if old else None
-        index = build_tree(own, min_leaf=min_leaf, prior=prior,
+        own = group.instances + tuple(instances_from_records(slices[gid]))
+        prior = group.index if group.instances else None
+        index = build_tree(own, min_leaf=overlay.min_leaf, prior=prior,
                            walks=None if paths is None else paths[gid]) if own else None
         groups[gid] = dataclasses.replace(group, index=index, instances=own)
     empty = [gid for gid, group in groups.items() if not group.instances]
@@ -186,7 +189,7 @@ def _induce(overlay: KspOverlay, records, min_leaf: int, keep: bool,
         fallback = Leaf(class_counts(inst for group in groups.values() for inst in group.instances))
         for gid in empty:
             groups[gid] = dataclasses.replace(groups[gid], index=fallback)
-    return KspOverlay(groups=groups, sp_to_group=overlay.sp_to_group)
+    return dataclasses.replace(overlay, groups=groups)
 
 
 def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
@@ -216,7 +219,7 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
     plan = plans.get(key)
     if plan is None:
         # Every class counted where the walk ends is a candidate.
-        targets = sorted(s for s in counts if s != sp and s in net.super_peers)
+        targets = sorted(s for s in counts if s != sp)
         maps = {spid: len(net.super_peers[spid].members) for spid in (sp, *targets)}
 
         relays = [1 if overlay.sp_to_group[t] == gid else 2 for t in targets]
@@ -229,25 +232,25 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
     return RoutingResult.searched(net, relevant, plan)
 
 
-def refresh_knowledge(overlay: KspOverlay, records, min_leaf: int = 2,
+def refresh_knowledge(overlay: KspOverlay, records,
                       walks: list[tuple[SuperPeerId, tuple[str, ...]]] | None = None
                       ) -> KspOverlay:
     """Append `records`, the queries routed since the previous refresh, to
     their groups' instances and re-induce each index from its prior tree
-    (see `dtree.build_tree`); each index equals the one induced from
-    scratch, as long as `min_leaf` is the one the indices were trained
-    with. `walks`, if given, are the (origin super-peer, attributes) of the
-    queries to be routed before the next refresh: each index is then
-    re-induced only along the walks from its group's members, and walking
-    it with any of them gives what the index induced from scratch gives,
-    though the branches they do not enter may lag. Always returns a new
-    overlay; when to refresh is `run_kb_epoch`'s decision."""
-    return _induce(overlay, records, min_leaf, keep=True, walks=walks)
+    (see `dtree.build_tree`) at the overlay's `min_leaf`; each index equals
+    the one induced from scratch. `walks`, if given, are the (origin
+    super-peer, attributes) of the queries to be routed before the next
+    refresh: each index is then re-induced only along the walks from its
+    group's members, and walking it with any of them gives what the index
+    induced from scratch gives, though the branches they do not enter may
+    lag. Always returns a new overlay; when to refresh is `run_kb_epoch`'s
+    decision."""
+    return _induce(overlay, records, walks)
 
 
 def run_kb_epoch(net: Network, overlay: KspOverlay, workload: list[Query],
-                 relevant: list[int], costs: Costs, refresh_every: int = 0,
-                 min_leaf: int = 2) -> tuple[QueryLog, list[RoutingResult], KspOverlay]:
+                 relevant: list[int], costs: Costs, refresh_every: int = 0
+                 ) -> tuple[QueryLog, list[RoutingResult], KspOverlay]:
     """Route a workload with the knowledge strategy, costed at `costs`
     through one memo of route plans, and log it, refreshing the indices with
     the newly logged records every `refresh_every` queries. A refresh that a
@@ -272,5 +275,5 @@ def run_kb_epoch(net: Network, overlay: KspOverlay, workload: list[Query],
             walks = None if routed + refresh_every > len(workload) else [
                 (net.peers[q.origin_peer].super_peer, query_attributes(q.components))
                 for q in workload[routed:routed + refresh_every]]
-            overlay = refresh_knowledge(overlay, records[-refresh_every:], min_leaf, walks)
+            overlay = refresh_knowledge(overlay, records[-refresh_every:], walks)
     return QueryLog(records), results, overlay

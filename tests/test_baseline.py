@@ -18,7 +18,6 @@ from sonsim.baseline import (
     run_baseline_epoch,
 )
 from sonsim.model import (
-    Query,
     capacity,
     is_relevant,
     oracle_relevant_peers,

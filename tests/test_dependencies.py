@@ -1,15 +1,17 @@
 """Runtime dependencies stay stdlib-only: every module `src/sonsim` imports
-is in the standard library or is `sonsim` itself. No module imports a name
-it does not use. One constructor turns the communities a route searched
-into its result. One function, `cli._write`, opens every output file. The
-modules are the package's API: `sonsim/__init__.py` re-exports nothing, and
-every module defines only what the package's own code uses."""
+is in the standard library or is `sonsim` itself. No module, and no test
+module, imports a name it does not use. One constructor turns the
+communities a route searched into its result. One function, `cli._write`,
+opens every output file. The modules are the package's API:
+`sonsim/__init__.py` re-exports nothing, and every module defines only what
+the package's own code uses."""
 
 import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sonsim"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "sonsim"
 
 
 def _imported_roots(path: Path) -> set[str]:
@@ -74,8 +76,8 @@ def _unused_imports(path: Path) -> set[str]:
 
 
 def test_every_imported_name_is_used():
-    sources = sorted(SRC.glob("*.py"))
-    assert sources
+    sources = [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))]
+    assert SRC / "ksp.py" in sources and TESTS / "test_ksp.py" in sources
     assert set().union(*map(_unused_imports, sources)) == set()
 
 

@@ -361,7 +361,7 @@ class TestRefresh:
         net, log, _, _ = net_and_log()
         overlay = train_indices(form_groups(net, 10_000), log, 2)  # singletons
         batch = [r for r in log if r.origin_sp == 0][:3]
-        after = refresh_knowledge(overlay, batch, 2)
+        after = refresh_knowledge(overlay, batch)
         assert after is not overlay
         for gid, group in after.groups.items():
             before = overlay.groups[gid]
@@ -377,7 +377,7 @@ class TestRefresh:
         partial = QueryLog([r for r in log if r.origin_sp == 0])
         overlay = train_indices(form_groups(net, 10_000), partial, 2)  # singletons
         batch = [r for r in log if r.origin_sp == 1]
-        after = refresh_knowledge(overlay, batch, 2)
+        after = refresh_knowledge(overlay, batch)
         silent = [g.index for g in after.groups.values() if not g.instances]
         assert len(silent) >= 2 and all(leaf is silent[0] for leaf in silent)
         assert silent[0] == Leaf(class_counts(instances_from_records([*partial, *batch])))
@@ -405,9 +405,9 @@ class TestRefresh:
         replay = _reid(workload[:20], "e")
         batches = []
 
-        def counting(overlay, records, min_leaf=2, walks=None):
+        def counting(overlay, records, walks=None):
             batches.append(([r.query_id for r in records], walks))
-            return refresh_knowledge(overlay, records, min_leaf, walks)
+            return refresh_knowledge(overlay, records, walks)
 
         def walks_of(queries):
             return [(net.peers[q.origin_peer].super_peer, query_attributes(q.components))
@@ -421,6 +421,24 @@ class TestRefresh:
         assert batches == [([q.id for q in periods[k]],
                             walks_of(periods[k + 1]) if k + 1 < calls else None)
                            for k in range(calls)]
+
+    def test_epoch_refreshes_at_the_leaf_floor_the_indices_were_trained_at(self):
+        """At 300/10, seed 9, replay, indices trained at `min_leaf` 5 and
+        refreshed every 20 queries by an epoch that is not told the floor
+        end as the 2,022-node tree `min_leaf` 5 gives, not the 2,739-node
+        tree of `min_leaf` 2. A floor of 1 or 2 gives the same tree (a node
+        of one instance is pure), so the check needs 3 or more."""
+        config = Config(np=300, nsp=10, seed=9)
+        artifacts = run_pipeline(config, include_kb=False)
+        net, workload = artifacts.net, artifacts.eval_workload
+        overlay = train_indices(form_groups(net, config.tau_trust), artifacts.train_log, 5)
+        _, _, after = run_kb_epoch(net, overlay, workload,
+                                   relevance(net, workload, config.eps_acc), COSTS,
+                                   refresh_every=20)
+        assert overlay.min_leaf == after.min_leaf == 5
+        for group in after.groups.values():
+            assert group.index == build_tree(group.instances, min_leaf=5)
+            assert group.index != build_tree(group.instances, min_leaf=2)
 
     def test_refresh_work_stays_within_its_budget(self, monkeypatch):
         """At 300/10, seed 9, refreshing every 10 queries, induction counts

@@ -390,7 +390,7 @@ def test_kb_answers_match_plain_scan(key, drawn, eps, tau):
 @given(key=net_keys, drawn=router_queries, tau=st.sampled_from([3, 4]), costs=cost_weights)
 @settings(deadline=None)
 def test_kb_counts_relays_and_tree_walk(key, drawn, tau, costs):
-    """The origin and every network super-peer the walk counts are searched;
+    """The origin and every super-peer the walk counts are searched;
     one message to the knowledge node, then one per same-group target and
     two per foreign target; the tree visits are those of the walk. Response
     time is the larger of the origin's local scan and the consult followed
@@ -403,7 +403,7 @@ def test_kb_counts_relays_and_tree_walk(key, drawn, tau, costs):
     result = route_kb(net, overlay, q, sp, relevant_mask(net, q, 0.5), costs)
     gid = overlay.sp_to_group[sp]
     walk = classify_traced(overlay.groups[gid].index, query_attributes(q.components))
-    assert result.searched_sps == {sp} | {s for s in walk[0] if s in net.super_peers}
+    assert result.searched_sps == {sp} | set(walk[0])
     targets = result.searched_sps - {sp}
     relays = {t: 1 if overlay.sp_to_group[t] == gid else 2 for t in targets}
     assert result.hops == 1 + sum(relays.values())
@@ -524,7 +524,7 @@ def test_every_refresh_equals_from_scratch_induction(key, tau, min_leaf, refresh
         batch.append(LogRecord.routed(query, sp, result))
         if len(batch) < refresh_every:
             continue
-        overlay = refresh_knowledge(overlay, batch, min_leaf)
+        overlay = refresh_knowledge(overlay, batch)
         seen += batch
         batch = []
         for group in overlay.groups.values():
