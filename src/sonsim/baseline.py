@@ -14,11 +14,11 @@ routing decision, builds it once and reuses it for every later route that
 decides the same; the caller owns that memo (`plans`), and each router
 says what its memo is valid for. One constructor, `RoutingResult.searched`,
 turns a plan into a result for both routers: each searched community
-answers with its members in the query's relevant mask, which the engine
-computes once per query with the relevance kernel, `model.relevant_mask`,
-and passes in. A plan is costed as the critical path of its forwarding,
-one segment per searched super-peer: `segment_cost` is the one rule for
-costing a segment.
+answers with its entry in the query's relevant set (a `model.PeerSet`, a
+mask over the community's own members), which the engine computes once per
+query with the relevance kernel, `model.relevant_mask`, and passes in. A
+plan is costed as the critical path of its forwarding, one segment per
+searched super-peer: `segment_cost` is the one rule for costing a segment.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from random import Random
 from .model import (
     ExpertiseElement,
     PeerId,
+    PeerSet,
     Query,
     SuperPeerId,
     capacity,
@@ -77,55 +78,52 @@ class RoutePlan:
 class RoutingResult:
     """What a routed query found, where it searched and what that cost: the
     critical-path response time and the total mapping operations, messages
-    and tree nodes visited. The answering peers are stored as a mask (bit `p`
-    for peer `p`). Every field holds an immutable value and nothing assigns
-    one after construction; the class is not frozen because a frozen
-    dataclass sets each field through `object.__setattr__`, which a router
-    building one result per query would pay for."""
+    and tree nodes visited. The answers are a `model.PeerSet` over the
+    network's `nsp` communities. Every field holds an immutable value and
+    nothing assigns one after construction; the class is not frozen because
+    a frozen dataclass sets each field through `object.__setattr__`, which a
+    router building one result per query would pay for."""
 
-    answering_mask: int
+    answers: PeerSet
     answering_sps: frozenset[SuperPeerId]
     searched_sps: frozenset[SuperPeerId]
     response_time: float
     mapping_ops: int
     hops: int
     tree_visits: int
+    nsp: int
 
     @classmethod
-    def searched(cls, net: Network, relevant: int, plan: RoutePlan) -> RoutingResult:
+    def searched(cls, net: Network, relevant: PeerSet, plan: RoutePlan) -> RoutingResult:
         """The result of a route that followed `plan`. Each community the
-        plan searched answers with its members in `relevant`, the query's
-        relevant peer mask, and only if that is not empty; everything else
-        is the plan's. The result shares values instead of holding equal
-        copies: its answering mask is `relevant` itself when the route found
-        every relevant peer, and otherwise the equal one that `net.shared`
-        holds, as is each super-peer set, so its answering set is the plan's
-        searched set when every searched community answered."""
-        member_masks = net.member_masks
-        answering_mask = 0
-        answering_sps = []
+        plan searched answers with its entry in `relevant`, the query's
+        relevant set, if it has one; everything else is the plan's. The
+        result shares values instead of holding equal copies: its answers
+        are `relevant` itself when the plan searched every relevant
+        community, and otherwise hold the entries of `relevant`; each
+        super-peer set is the one `net.shared` holds, so its answering set
+        is the plan's searched set when every searched community answered."""
         searched_sps = plan.searched_sps
-        for spid in searched_sps:  # answers are a union, so any order gives them
-            hits = relevant & member_masks[spid]
-            if hits:
-                answering_mask |= hits
-                answering_sps.append(spid)
-        shared = net.shared
-        if answering_mask == relevant:
-            answering_mask = relevant
+        answering = relevant[::2]
+        if searched_sps.issuperset(answering):
+            answers = relevant
         else:
-            answering_mask = shared.setdefault(answering_mask, answering_mask)
-        if len(answering_sps) == len(searched_sps):
-            answering = searched_sps
+            answers = ()
+            for i in range(0, len(relevant), 2):
+                if relevant[i] in searched_sps:
+                    answers += relevant[i:i + 2]
+            answering = answers[::2]
+        if len(answering) == len(searched_sps):
+            answering_sps = searched_sps
         else:
-            answering = frozenset(answering_sps)
-            answering = shared.setdefault(answering, answering)
-        return cls(answering_mask, answering, searched_sps,
-                   plan.response_time, plan.mapping_ops, plan.hops, plan.tree_visits)
+            answering_sps = frozenset(answering)
+            answering_sps = net.shared.setdefault(answering_sps, answering_sps)
+        return cls(answers, answering_sps, searched_sps, plan.response_time, plan.mapping_ops,
+                   plan.hops, plan.tree_visits, len(net.super_peers))
 
     @property
     def answering_peers(self) -> frozenset[PeerId]:
-        return frozenset(peers_of(self.answering_mask))
+        return frozenset(peers_of(self.answers, self.nsp))
 
 
 @dataclass(slots=True)
@@ -150,7 +148,11 @@ class LogRecord:
 class QueryLog(tuple):
     """The trace of routed queries: the tuple of its records, in routing
     order. Query ids are not checked here: an epoch's ids are distinct by
-    construction, and `read_query_log` rejects a file that repeats one."""
+    construction, and `read_query_log` rejects a file that repeats one.
+    CPython builds a tuple subclass from a copy of its argument as a plain
+    tuple unless that is a plain tuple already, so the builders hand it one
+    after dropping the list they appended to: the records' pointers are then
+    held twice at most, not three times."""
 
     __slots__ = ()
 
@@ -172,13 +174,13 @@ def generate_queries(peer: Peer, count: int, n_components: int, rng: Random,
 
 
 def route_baseline(net: Network, query: Query, sp: SuperPeerId,
-                   relevant: int, eps_acc: float, costs: Costs,
+                   relevant: PeerSet, eps_acc: float, costs: Costs,
                    max_hops: int | None = 1,
                    plans: dict[tuple[SuperPeerId, ...], RoutePlan] | None = None) -> RoutingResult:
     """Route one query from super-peer `sp` (the origin peer's community head).
 
-    `relevant` is the query's relevant peer mask (`relevant_mask` at
-    `eps_acc`); every searched community answers with its members in it.
+    `relevant` is the query's relevant set (`relevant_mask` at `eps_acc`);
+    every searched community answers with its entry in it.
     `eps_acc` still decides which friend super-peers qualify. max_hops bounds
     the forwarding depth: 0 is local-only, 1 reaches direct friends, None
     floods until no unvisited qualifying super-peer remains. Each searched
@@ -233,12 +235,12 @@ def route_baseline(net: Network, query: Query, sp: SuperPeerId,
 
 
 def run_baseline_epoch(net: Network, workload: list[Query],
-                       relevant: list[int], eps_acc: float, costs: Costs,
+                       relevant: list[PeerSet], eps_acc: float, costs: Costs,
                        max_hops: int | None = 1) -> tuple[QueryLog, list[RoutingResult]]:
     """Route every query in order, costed at `costs`, through one memo of
     route plans; one log record per query.
 
-    relevant[i] is the relevant peer mask of workload[i]; a length mismatch
+    relevant[i] is the relevant set of workload[i]; a length mismatch
     raises ValueError.
     """
     records = []
@@ -250,6 +252,7 @@ def run_baseline_epoch(net: Network, workload: list[Query],
                                 max_hops, plans)
         results.append(result)
         records.append(LogRecord.routed(query, origin_sp, result))
+    records = tuple(records)  # the list goes before QueryLog copies its items
     return QueryLog(records), results
 
 
@@ -315,4 +318,5 @@ def read_query_log(path) -> QueryLog:
                 ))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    records = tuple(records)  # the list goes before QueryLog copies its items
     return QueryLog(records)

@@ -12,12 +12,12 @@ A per-query row and a strategy summary are named tuples whose fields are
 their CSV columns, so the column lists derive from the types.
 The engine runs the relevance kernel in `model` (`relevant_mask`, which the
 test suite pins as equal to the plain exhaustive scan) once per query. That
-one peer mask is what both routers search communities with and what
-precision and recall are scored against, by counting bits.
-Reporting costs what the run's distinct values cost: `score` and
-`query_metrics` take the objects a result shares with the oracle (the mask
-itself, the searched set itself) as perfect scores without counting, and
-`metrics_csv_lines` formats each distinct run of values once per file.
+one peer set, community by community (`model.PeerSet`), is what both
+routers search communities with and what recall is scored against: a
+route's answers are the set's entries for the communities it searched, so
+precision is 1.0 by construction and recall counts communities, then bits.
+Reporting costs what the run's distinct values cost: `metrics_csv_lines`
+formats each distinct run of values once per file.
 
 `run_pipeline` pauses automatic cyclic garbage collection for the run. A
 5000-peer run ends with about 380,000 tracked objects alive (tree nodes,
@@ -47,7 +47,7 @@ from .baseline import (
 )
 from .config import Config, ConfigError, derive_seed, substream
 from .ksp import KspOverlay, form_groups, run_kb_epoch, train_indices
-from .model import Query, relevant_mask
+from .model import PeerSet, Query, relevant_mask
 from .model import relevant_peers_indexed  # noqa: F401  benchmark/worker.py calls it
 from .netgen import Network, build_son
 
@@ -100,20 +100,23 @@ class ExperimentReport:
     summaries: dict[str, StrategySummary]
 
 
-def score(result: RoutingResult, oracle: int) -> tuple[float, float]:
-    """(precision, recall) of the retrieved peers against the oracle mask.
+def score(result: RoutingResult, oracle: PeerSet) -> tuple[float, float]:
+    """(precision, recall) of the retrieved peers against the oracle set.
 
-    Degenerate denominators score 1.0: nothing retrieved has precision 1.0
-    and an empty oracle set has recall 1.0. A retrieved mask that is the
-    oracle object itself, which `RoutingResult.searched` stores when a route
-    found every relevant peer, scores (1.0, 1.0) without counting bits; an
-    equal but distinct mask scores the same by counting.
+    The answers are entries of the oracle set (`RoutingResult.searched`),
+    so precision is 1.0, also when nothing is retrieved, and recall is the
+    share of the oracle's peers they hold: 1.0 when they hold every one of
+    its communities, an empty oracle included, and otherwise the ratio of
+    the two peer counts.
     """
-    retrieved = result.answering_mask
-    if retrieved is oracle:
+    answers = result.answers
+    if len(answers) == len(oracle):
         return 1.0, 1.0
-    hits = (retrieved & oracle).bit_count()
-    return _ratio(hits, retrieved.bit_count()), _ratio(hits, oracle.bit_count())
+    return 1.0, _peer_count(answers) / _peer_count(oracle)
+
+
+def _peer_count(peers: PeerSet) -> int:
+    return sum(mask.bit_count() for mask in peers[1::2])
 
 
 def _ratio(part: int, whole: int) -> float:
@@ -122,12 +125,12 @@ def _ratio(part: int, whole: int) -> float:
     return 1.0 if part == whole else part / whole
 
 
-def query_metrics(query: Query, result: RoutingResult, oracle: int) -> QueryMetrics:
+def query_metrics(query: Query, result: RoutingResult, oracle: PeerSet) -> QueryMetrics:
     """The row of `query`, routed to `result`, scored against `oracle`, its
-    relevant peer mask. Super-peer precision is the share of searched
-    super-peers that answered; it is 1.0 at once when the answering set is
-    the searched set itself, which a route whose every searched community
-    answered holds (`RoutingResult.searched`)."""
+    relevant set. Super-peer precision is the share of searched super-peers
+    that answered; it is 1.0 at once when the answering set is the searched
+    set itself, which a route whose every searched community answered holds
+    (`RoutingResult.searched`)."""
     precision, recall = score(result, oracle)
     answering, searched = result.answering_sps, result.searched_sps
     sp_precision = 1.0 if answering is searched else _ratio(len(answering), len(searched))
@@ -210,10 +213,10 @@ def run_pipeline(config: Config, include_kb: bool = True,
     stream.
 
     Relevance is computed once per query with `relevant_mask`. The training
-    workload's masks drive the training epoch and, when replay evaluates that
-    same generated workload, are reused for it. The evaluation masks feed the
-    evaluation baseline epoch, the knowledge epoch and the precision/recall
-    oracle.
+    workload's relevant sets drive the training epoch and, when replay
+    evaluates that same generated workload, are reused for it. The
+    evaluation sets feed the evaluation baseline epoch, the knowledge epoch
+    and the precision/recall oracle.
     """
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -225,7 +228,7 @@ def run_pipeline(config: Config, include_kb: bool = True,
         eps_acc = config.eps_acc
         max_hops = None if config.max_hops < 0 else config.max_hops
 
-        relevant: list[int] = []
+        relevant: list[PeerSet] = []
         if train_log is None:
             train_workload = make_workload(net, config, "workload-baseline", "t")
             relevant = [relevant_mask(net, q, eps_acc) for q in train_workload]
@@ -261,9 +264,9 @@ def run_pipeline(config: Config, include_kb: bool = True,
             eval_workload = [Query(f"e{i}", r.origin_peer, r.components)
                              for i, r in enumerate(train_log)]
         else:
-            relevant = []  # free the training masks before building the evaluation ones
+            relevant = []  # free the training sets before building the evaluation ones
             eval_workload = make_workload(net, config, "workload-kb", "e")
-        if not relevant:  # fresh mode, or replay of an external log: no training masks apply
+        if not relevant:  # fresh mode, or replay of an external log: no training sets apply
             relevant = [relevant_mask(net, q, eps_acc) for q in eval_workload]
 
         _, baseline_results = run_baseline_epoch(net, eval_workload, relevant, eps_acc,

@@ -29,8 +29,8 @@ one `RoutePlan` per decision in the caller's memo (`plans`), valid for one
 network, one cost triple and one group partition. A refresh keeps the
 partition, so an epoch's memo outlives its refreshes. The baseline's one
 constructor, `RoutingResult.searched`, derives the answers from the plan,
-each searched community answering with its members in the query's relevant
-mask, which the engine computes once per query with the relevance kernel,
+each searched community answering with its entry in the query's relevant
+set, which the engine computes once per query with the relevance kernel,
 `model.relevant_mask`, and passes in.
 """
 
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from .baseline import Costs, LogRecord, QueryLog, RoutePlan, RoutingResult, segment_cost
 from .dtree import DecisionTree, Instance, Leaf, build_tree, class_counts, classify_traced, predict
-from .model import ExpertiseElement, Query, SuperPeerId
+from .model import ExpertiseElement, PeerSet, Query, SuperPeerId
 from .model import capacity  # noqa: F401  benchmark/probe.py counts calls through ksp.capacity
 from .netgen import Network
 
@@ -193,7 +193,7 @@ def _induce(overlay: KspOverlay, records,
 
 
 def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
-             relevant: int, costs: Costs,
+             relevant: PeerSet, costs: Costs,
              plans: dict[tuple[int, ...], RoutePlan] | None = None) -> RoutingResult:
     """Index-driven routing.
 
@@ -202,7 +202,7 @@ def route_kb(net: Network, overlay: KspOverlay, query: Query, sp: SuperPeerId,
     without any super-peer-level mapping. Same-group candidates are one hop
     away; foreign ones are relayed through their own group's knowledge node
     (two hops). Every candidate community is then searched locally: its
-    answers are its members in `relevant`, the query's relevant peer mask.
+    answers are its entry in `relevant`, the query's relevant set.
     The route is costed at `costs`.
 
     The plan is keyed by (sp, tree visits, the class labels where the walk
@@ -249,7 +249,7 @@ def refresh_knowledge(overlay: KspOverlay, records,
 
 
 def run_kb_epoch(net: Network, overlay: KspOverlay, workload: list[Query],
-                 relevant: list[int], costs: Costs, refresh_every: int = 0
+                 relevant: list[PeerSet], costs: Costs, refresh_every: int = 0
                  ) -> tuple[QueryLog, list[RoutingResult], KspOverlay]:
     """Route a workload with the knowledge strategy, costed at `costs`
     through one memo of route plans, and log it, refreshing the indices with
@@ -257,7 +257,7 @@ def run_kb_epoch(net: Network, overlay: KspOverlay, workload: list[Query],
     later one follows gets the walks of the queries routed up to that one;
     the last gets none, so the returned overlay's indices are complete.
 
-    relevant[i] is the relevant peer mask of workload[i]; a length mismatch
+    relevant[i] is the relevant set of workload[i]; a length mismatch
     raises ValueError. refresh_every = 0 keeps the knowledge static for the
     whole epoch. Returns the epoch's log, its results and the final overlay.
     """
@@ -276,4 +276,5 @@ def run_kb_epoch(net: Network, overlay: KspOverlay, workload: list[Query],
                 (net.peers[q.origin_peer].super_peer, query_attributes(q.components))
                 for q in workload[routed:routed + refresh_every]]
             overlay = refresh_knowledge(overlay, records[-refresh_every:], walks)
+    records = tuple(records)  # the list goes before QueryLog copies its items
     return QueryLog(records), results, overlay

@@ -2,13 +2,18 @@
 
 Relevance is decided here and nowhere else: `capacity` and `is_relevant`
 score one expertise, `relevant_mask` finds every relevant peer of a network
-from its per-element peer masks, and `oracle_relevant_peers` is the plain
-exhaustive scan the tests hold the kernel to. The engine runs the kernel once
-per query and hands that one mask to both routers and to its scoring.
+from its per-community element masks, and `oracle_relevant_peers` is the
+plain exhaustive scan the tests hold the kernel to. The engine runs the
+kernel once per query and hands that one peer set to both routers and to
+its scoring.
 
-A set of peers travels as one int bitmask, bit `p` set for peer `p`
-(`mask_of` and `peers_of` convert), so intersections and counts are single
-big-int operations instead of per-peer set work.
+A set of peers travels community by community, as a `PeerSet`: the flat
+tuple `(c0, m0, c1, m1, ...)` of the communities that hold one of its peers,
+ascending, each with a nonzero mask over its own members. Peers are attached
+round-robin, so peer `p` is bit `p // nsp` of community `p % nsp`
+(`peer_set_of` and `peers_of` convert). A set costs what the communities it
+touches cost, and no int in it has more than ceil(np / nsp) bits, so the
+sets a run holds grow with the query count alone, not with np as well.
 
 An expertise element is its own text, "x.y": the same string in routing, in
 trees, logs, ARFF files and the network dump, so nothing converts between
@@ -26,13 +31,16 @@ import functools
 import re
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, AbstractSet, Iterable
+from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable
 
 if TYPE_CHECKING:
     from .netgen import Network
 
 PeerId = int
 SuperPeerId = int
+
+# A set of peers, community by community (see the module docstring).
+PeerSet = tuple[int, ...]
 
 # Joins the two tokens of an element. Token labels must therefore never
 # contain it; the generators in netgen never emit it. It sorts below every
@@ -118,43 +126,76 @@ def oracle_relevant_peers(net: "Network", query: Query, eps_acc: float) -> set[P
     }
 
 
-def mask_of(peers: Iterable[PeerId]) -> int:
-    """The bitmask of a peer set: bit `p` is set for each peer `p`."""
-    mask = 0
+def peer_set_of(peers: Iterable[PeerId], nsp: int) -> PeerSet:
+    """The `PeerSet` of the peers `peers` over `nsp` communities."""
+    masks: dict[int, int] = {}
     for pid in peers:
-        mask |= 1 << pid
-    return mask
+        community = pid % nsp
+        masks[community] = masks.get(community, 0) | 1 << pid // nsp
+    return tuple(entry for community in sorted(masks) for entry in (community, masks[community]))
 
 
-def peers_of(mask: int) -> list[PeerId]:
-    """Inverse of mask_of: the peers whose bits are set, ascending."""
-    return [pid for pid, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+def peers_of(peer_set: PeerSet, nsp: int) -> list[PeerId]:
+    """The peers of a peer set over `nsp` communities, community by
+    community, each community's ascending."""
+    return [i * nsp + c for c, mask in zip(peer_set[::2], peer_set[1::2])
+            for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
-def relevant_mask(net: "Network", query: Query, eps_acc: float) -> int:
-    """Mask of the peers whose expertise covers at least an eps_acc fraction
-    of the query: the relevance kernel, equal to oracle_relevant_peers.
+def relevant_mask(net: "Network", query: Query, eps_acc: float) -> PeerSet:
+    """The peers whose expertise covers at least an eps_acc fraction of the
+    query, as a `PeerSet`: the relevance kernel, equal to
+    oracle_relevant_peers.
 
-    A bit-sliced counter per peer (O'Neil & Quass, "Improved query
-    performance with variant indexes", SIGMOD 1997): after each component,
-    `sliced[i]` holds the peers with more than `i` hits so far. A peer only
-    has to reach `need`, the fewest hits `k` with `k / n >= eps_acc` -- the
-    comparison capacity() makes, computed once per (n, eps_acc) -- so the
-    counter saturates there. With `need` 0 every peer is relevant, and
-    every such query shares the one mask `net.peer_mask`.
+    A peer only has to reach `need`, the fewest hits `k` with
+    `k / n >= eps_acc` -- the comparison capacity() makes, computed once per
+    (n, eps_acc). Its community then has members holding `need` of the
+    components, so one count over the communities
+    (`net.element_communities`) names the candidates, and one count over
+    each candidate's members (`net.element_members`) finds its relevant
+    ones. With `need` 0 every peer is relevant, and every such query shares
+    the one set `net.every_peer`.
     """
     comps = query.components
     need = _hits_needed(len(comps), eps_acc)
     if need == 0:
-        return net.peer_mask
-    masks = net.element_masks
+        return net.every_peer
+    members = net.element_members
+    found: PeerSet = ()
+    candidates = _at_least(net.element_communities.get, comps, need)
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        community = low.bit_length() - 1
+        mask = _at_least(members[community].get, comps, need)
+        if mask:
+            found += (community, mask)
+    return found
+
+
+def _at_least(holders: Callable[[ExpertiseElement, int], int],
+              comps: tuple[ExpertiseElement, ...], need: int) -> int:
+    """The bits set in at least `need` >= 1 of the masks `holders(comp, 0)`
+    gives the components, counted bit-sliced (O'Neil & Quass, "Improved
+    query performance with variant indexes", SIGMOD 1997): after each
+    component `sliced[i]` holds the bits set more than `i` times so far, and
+    the count saturates at `need`. Up to two slices live in locals: a list
+    of slices costs a loop per component, which doubles the kernel's time
+    at the `need` of the default threshold."""
+    if need <= 2:
+        once = twice = 0
+        for comp in comps:
+            held = holders(comp, 0)
+            twice |= once & held
+            once |= held
+        return once if need == 1 else twice
     sliced = [0] * need
     for comp in comps:
-        holders = masks.get(comp, 0)
+        held = holders(comp, 0)
         for i in range(need - 1, 0, -1):
-            sliced[i] |= sliced[i - 1] & holders
-        sliced[0] |= holders
-    return sliced[need - 1]
+            sliced[i] |= sliced[i - 1] & held
+        sliced[0] |= held
+    return sliced[-1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,4 +208,4 @@ def _hits_needed(n: int, eps_acc: float) -> int:
 
 def relevant_peers_indexed(net: "Network", query: Query, eps_acc: float) -> set[PeerId]:
     """relevant_mask decoded to a set of peer ids."""
-    return set(peers_of(relevant_mask(net, query, eps_acc)))
+    return set(peers_of(relevant_mask(net, query, eps_acc), len(net.super_peers)))

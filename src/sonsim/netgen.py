@@ -10,10 +10,13 @@ end; it sorts each super-peer's final expertise once, into the one pool
 every member draws from. Peers are attached round-robin (peer p under super-peer p mod nsp), so
 each community's members follow from the sizes alone: super-peer s heads
 `range(s, np, nsp)`. A super-peer's friends are stored in ascending order,
-the order `baseline.route_baseline` probes them in. What a `Network`
-derives from its peers and super-peers (the peer masks and the
-correspondence matrix) it computes on first read, so it always agrees with
-them.
+the order `baseline.route_baseline` probes them in, and peer `p` is bit
+`p // nsp` of its community's masks (`model.PeerSet`). What a `Network`
+derives from its peers and super-peers (the relevance kernel's element
+masks, the set of every peer and the correspondence matrix) it computes on
+first read, so it always agrees with them; each element mask is one
+community's, of at most ceil(np / nsp) bits, so the index is built in time
+linear in the peers' expertise.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import cached_property
 from random import Random
 
 from .config import MAX_NSP, Config, substream
-from .model import Expertise, ExpertiseElement, PeerId, SuperPeerId, element, mask_of
+from .model import Expertise, ExpertiseElement, PeerId, PeerSet, SuperPeerId, element, peer_set_of
 
 DomainLabel = str
 
@@ -56,34 +59,41 @@ class Network:
     inter-community structure lives in friend links plus the correspondence
     matrix.
 
-    The peer sets and the matrix below are derived from the fields, never
-    passed in, and computed on first read. Peer sets are bitmasks (bit p for
-    peer p)."""
+    The element masks, the set of every peer and the matrix below are
+    derived from the fields, never passed in, and computed on first read.
+    Peer sets are `model.PeerSet`s: peer p is bit p // nsp of community
+    p % nsp."""
 
     peers: dict[PeerId, Peer]
     super_peers: dict[SuperPeerId, SuperPeer]
     config: Config
 
     @cached_property
-    def element_masks(self) -> dict[ExpertiseElement, int]:
-        """Element -> the peers holding it, read by the relevance kernel
-        model.relevant_mask."""
-        masks: dict[ExpertiseElement, int] = {}
+    def element_members(self) -> tuple[dict[ExpertiseElement, int], ...]:
+        """Per community, element -> the members holding it, bit p // nsp
+        for peer p: what the relevance kernel counts within a community."""
+        nsp = len(self.super_peers)
+        masks: tuple[dict[ExpertiseElement, int], ...] = tuple({} for _ in range(nsp))
         for pid, peer in self.peers.items():
-            bit = 1 << pid
+            community, bit = masks[pid % nsp], 1 << pid // nsp
             for held in peer.expertise:
-                masks[held] = masks.get(held, 0) | bit
+                community[held] = community.get(held, 0) | bit
         return masks
 
     @cached_property
-    def peer_mask(self) -> int:
-        """Every peer, the relevant mask of a query that needs no hits."""
-        return mask_of(self.peers)
+    def element_communities(self) -> dict[ExpertiseElement, int]:
+        """Element -> the communities with a member holding it, bit c for
+        community c: what the relevance kernel counts to find candidates."""
+        communities: dict[ExpertiseElement, int] = {}
+        for community, masks in enumerate(self.element_members):
+            for held in masks:
+                communities[held] = communities.get(held, 0) | 1 << community
+        return communities
 
     @cached_property
-    def member_masks(self) -> dict[SuperPeerId, int]:
-        """Super-peer -> its members, read by the routers."""
-        return {spid: mask_of(sp.members) for spid, sp in self.super_peers.items()}
+    def every_peer(self) -> PeerSet:
+        """Every peer, the relevant set of a query that needs no hits."""
+        return peer_set_of(self.peers, len(self.super_peers))
 
     @cached_property
     def cormat(self) -> dict[tuple[SuperPeerId, SuperPeerId], int]:
@@ -100,12 +110,11 @@ class Network:
         return cormat
 
     @cached_property
-    def shared(self) -> dict[frozenset[SuperPeerId] | int, frozenset[SuperPeerId] | int]:
-        """Each super-peer set and partial answering mask that the routing
-        results over this network hold, mapped to itself, so that equal
-        values are one object (`baseline.RoutePlan` and
-        `baseline.RoutingResult.searched` fill it) that lives only as long
-        as the network."""
+    def shared(self) -> dict[frozenset[SuperPeerId], frozenset[SuperPeerId]]:
+        """Each super-peer set that the routing results over this network
+        hold, mapped to itself, so that equal sets are one object
+        (`baseline.RoutePlan` and `baseline.RoutingResult.searched` fill it)
+        that lives only as long as the network."""
         return {}
 
 

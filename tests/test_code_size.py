@@ -16,7 +16,7 @@ import tokenize
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "sonsim"
-CEILING = 1321
+CEILING = 1350
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}

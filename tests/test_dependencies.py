@@ -84,7 +84,9 @@ def test_every_imported_name_is_used():
 class _ScopeVisitor(ast.NodeVisitor):
     """Records, per `module:Class.function` scope, each construction of a
     `RoutingResult` (a call of that name, or of `cls` inside its class) and
-    each read of a `member_masks` attribute."""
+    each read of a relevant set's entries (a subscript of a name that
+    contains `relevant`), the per-community read that turns a searched
+    community into its answers."""
 
     def __init__(self, module: str):
         self.module = module
@@ -109,8 +111,8 @@ class _ScopeVisitor(ast.NodeVisitor):
             self.constructs.add(self._where())
         self.generic_visit(node)
 
-    def visit_Attribute(self, node):
-        if node.attr == "member_masks":
+    def visit_Subscript(self, node):
+        if isinstance(node.value, ast.Name) and "relevant" in node.value.id:
             self.reads.add(self._where())
         self.generic_visit(node)
 

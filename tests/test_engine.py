@@ -2,7 +2,9 @@
 
 import dataclasses
 import gc
+import math
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -26,17 +28,22 @@ from sonsim.engine import (
 )
 from sonsim.baseline import generate_queries
 from sonsim.ksp import form_groups, run_kb_epoch, train_indices
-from sonsim.model import Query, mask_of, oracle_relevant_peers, relevant_mask
+from sonsim.model import Query, oracle_relevant_peers, peer_set_of, relevant_mask
 from sonsim.netgen import Peer, build_son
 
 
 COSTS = (10.0, 1.0, 0.1)  # (c_hop, c_map, c_tree) at their Config defaults
+NSP = 54
+
+
+def peer_set(peers):
+    return peer_set_of(peers, NSP)
 
 
 def result_with(**kw):
-    defaults = dict(answering_mask=0, answering_sps=frozenset(),
+    defaults = dict(answers=(), answering_sps=frozenset(),
                     searched_sps=frozenset({0}), response_time=0.0, mapping_ops=0,
-                    hops=0, tree_visits=0)
+                    hops=0, tree_visits=0, nsp=NSP)
     defaults.update(kw)
     return RoutingResult(**defaults)
 
@@ -93,53 +100,65 @@ class TestResponseTime:
 
 
 class TestScore:
+    """A route's answers are entries of the oracle set, so precision is
+    always 1.0 and recall is a ratio of peer counts."""
+
     def _r(self, peers):
-        return result_with(answering_mask=mask_of(peers))
+        return result_with(answers=peer_set(peers))
 
     def test_exact_match(self):
-        assert score(self._r({1, 2}), mask_of({1, 2})) == (1.0, 1.0)
+        assert score(self._r({1, 2}), peer_set({1, 2})) == (1.0, 1.0)
 
-    def test_disjoint_sets(self):
-        assert score(self._r({1, 2}), mask_of({3, 4})) == (0.0, 0.0)
+    def test_no_answers(self):
+        assert score(self._r(set()), peer_set({3, 4})) == (1.0, 0.0)
 
     def test_half_recall(self):
-        assert score(self._r({1}), mask_of({1, 2})) == (1.0, 0.5)
+        assert score(self._r({1}), peer_set({1, 2})) == (1.0, 0.5)
+
+    def test_recall_counts_peers_not_communities(self):
+        oracle = peer_set({0, NSP, 2 * NSP, 5})
+        assert score(result_with(answers=oracle[:2]), oracle) == (1.0, 0.75)
+        assert score(result_with(answers=oracle[2:]), oracle) == (1.0, 0.25)
 
     def test_degenerate_denominators(self):
-        assert score(self._r(set()), mask_of({1})) == (1.0, 0.0)
-        assert score(self._r({1}), mask_of(set())) == (0.0, 1.0)
+        assert score(self._r(set()), peer_set({1})) == (1.0, 0.0)
+        assert score(self._r(set()), peer_set(set())) == (1.0, 1.0)
 
 
 class TestIdentityShortcut:
-    """A result whose answering mask is the oracle object itself, or whose
+    """A result whose answers are the oracle object itself, or whose
     answering set is its searched set itself, scores as an equal copy does."""
 
     SEARCHED = frozenset({0, 1, 2})
 
+    @staticmethod
+    def _copy(peers):
+        return tuple(int(str(entry)) for entry in peers)
+
     @pytest.mark.parametrize("peers", [set(), {3}, {1, 300, 4999}, set(range(0, 600, 7))])
     def test_score_of_the_oracle_itself_equals_score_of_a_copy(self, peers):
-        mask = mask_of(peers)
-        copy = int(str(mask))
-        if mask > 256:  # CPython shares the small ints
-            assert copy is not mask
-        result = result_with(answering_mask=mask)
-        assert score(result, mask) == score(result, copy) == (1.0, 1.0)
-        assert score(result_with(answering_mask=copy), mask) == (1.0, 1.0)
+        oracle = peer_set(peers)
+        copy = self._copy(oracle)
+        if oracle:  # the empty tuple is one object
+            assert copy is not oracle
+        result = result_with(answers=oracle)
+        assert score(result, oracle) == score(result, copy) == (1.0, 1.0)
+        assert score(result_with(answers=copy), oracle) == (1.0, 1.0)
 
     @pytest.mark.parametrize("peers", [set(), {3}, {1, 300, 4999}])
     @pytest.mark.parametrize("answering", ["itself", "copy", {0}, set()])
     def test_query_metrics_of_shared_values_equal_those_of_copies(self, peers, answering):
-        mask = mask_of(peers)
+        oracle = peer_set(peers)
         searched = self.SEARCHED
         shared = searched if answering == "itself" else (
             frozenset(sorted(searched)) if answering == "copy" else frozenset(answering))
         assert (shared is searched) == (answering == "itself")
         query = Query(id="e0", origin_peer=0, components=("a.b",))
-        rows = [query_metrics(query, result_with(answering_mask=m, answering_sps=a,
+        rows = [query_metrics(query, result_with(answers=answers, answering_sps=a,
                                                  searched_sps=searched, response_time=2.5,
                                                  mapping_ops=7, hops=2, tree_visits=3), oracle)
-                for m, a, oracle in [(mask, shared, mask),
-                                     (int(str(mask)), frozenset(sorted(shared)), mask)]]
+                for answers, a in [(oracle, shared),
+                                   (self._copy(oracle), frozenset(sorted(shared)))]]
         assert rows[0] == rows[1]
         assert rows[0] == QueryMetrics("e0", 2.5, 1.0, 1.0, len(shared) / 3, 7, 2, 3)
 
@@ -223,7 +242,7 @@ class TestRelevanceSharing:
 
     def test_baseline_epoch_rejects_misaligned_relevance(self):
         config, net, workload, relevant = self._network_and_workload()
-        for wrong in (relevant[:-1], relevant + [0]):
+        for wrong in (relevant[:-1], relevant + [()]):
             with pytest.raises(ValueError):
                 run_baseline_epoch(net, workload, wrong, config.eps_acc, COSTS)
 
@@ -232,7 +251,7 @@ class TestRelevanceSharing:
         log, _ = run_baseline_epoch(net, workload, relevant, config.eps_acc, COSTS)
         overlay = train_indices(form_groups(net, config.tau_trust), log)
         replay = [dataclasses.replace(q, id=f"e{i}") for i, q in enumerate(workload)]
-        for wrong in (relevant[:-1], relevant + [0]):
+        for wrong in (relevant[:-1], relevant + [()]):
             with pytest.raises(ValueError):
                 run_kb_epoch(net, overlay, replay, wrong, COSTS)
 
@@ -260,9 +279,9 @@ class TestSharedRecords:
     def test_a_result_answering_its_whole_relevant_mask_holds_that_mask(self, run):
         artifacts, masks = run
         for results in (artifacts.baseline_results, artifacts.kb_results):
-            whole = [(r, m) for r, m in zip(results, masks, strict=True) if r.answering_mask == m]
+            whole = [(r, m) for r, m in zip(results, masks, strict=True) if r.answers == m]
             assert len(whole) > len(results) // 2
-            assert all(r.answering_mask is m for r, m in whole)
+            assert all(r.answers is m for r, m in whole)
 
     def test_a_result_every_searched_community_answered_holds_one_set(self, run):
         artifacts, _ = run
@@ -292,16 +311,18 @@ class TestSharedRecords:
         assert len({id(leaf) for leaf in leaves}) == len(distinct) < len(leaves)
 
     def test_equal_partial_answering_masks_are_one_object(self, run):
+        """A partial answer holds the relevant set's own entries, so the
+        answers of one query hold one object per community."""
         artifacts, masks = run
-        held: dict[int, set[int]] = {}
+        partial = 0
         for results in (artifacts.baseline_results, artifacts.kb_results):
             for result, mask in zip(results, masks, strict=True):
-                if result.answering_mask != mask:
-                    held.setdefault(result.answering_mask, set()).add(id(result.answering_mask))
-        assert all(len(ids) == 1 for ids in held.values())
-        both = [(b, k) for b, k, mask in zip(artifacts.baseline_results, artifacts.kb_results, masks)
-                if b.answering_mask == k.answering_mask != mask]
-        assert both and all(b.answering_mask is k.answering_mask for b, k in both)
+                if result.answers != mask:
+                    partial += 1
+                    entries = dict(zip(mask[::2], mask[1::2]))
+                    assert all(entries[c] is m
+                               for c, m in zip(result.answers[::2], result.answers[1::2]))
+        assert partial
 
     def test_ratios_equal_to_one_are_one_float(self, run):
         artifacts, _ = run
@@ -337,6 +358,22 @@ def test_a_run_stays_within_its_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 10 * 2**20
+
+
+@pytest.mark.parametrize("np_, nsp", [(1000, 20), (4000, 40)])
+def test_relevant_sets_stay_within_their_memory_budget(np_, nsp):
+    """The relevant sets of a seed-9 replay run stay within one budget of
+    bytes per query at 1000/20 and at 4000/40 (`sys.getsizeof` of each set
+    and of every int in it; 170 and 178 when the budget was set), so the
+    bytes a run holds for them grow with the query count alone, and no int
+    in one has more bits than a community has members."""
+    config = Config(np=np_, nsp=nsp, seed=9)
+    net = build_son(config)
+    workload = make_workload(net, config, "workload-baseline", "t")
+    held = [relevant_mask(net, query, config.eps_acc) for query in workload]
+    size = sum(sys.getsizeof(peers) + sum(map(sys.getsizeof, peers)) for peers in held)
+    assert size / len(held) <= 180
+    assert max(entry.bit_length() for peers in held for entry in peers) <= math.ceil(np_ / nsp)
 
 
 @pytest.mark.parametrize("changes, budget", [

@@ -15,9 +15,9 @@ from sonsim.model import (
     capacity,
     element,
     is_relevant,
-    mask_of,
     oracle_relevant_peers,
     parse_element,
+    peers_of,
     relevant_mask,
 )
 from sonsim.netgen import Network, Peer, SuperPeer, build_son
@@ -153,8 +153,8 @@ class TestOracle:
             for k in range(n + 1):
                 for eps in (math.nextafter(k / n, 0.0), k / n, math.nextafter(k / n, 1.0)):
                     if 0.0 <= eps <= 1.0:
-                        assert relevant_mask(net, query, eps) == \
-                            mask_of(oracle_relevant_peers(net, query, eps))
+                        assert set(peers_of(relevant_mask(net, query, eps), 1)) == \
+                            oracle_relevant_peers(net, query, eps)
 
     def test_hits_needed_is_the_fewest_hits_at_the_threshold(self):
         """The cached helper gives what a scan over k gives, for n 1-16, at
@@ -172,8 +172,8 @@ class TestOracle:
         net = build_son(Config(np=300, nsp=10, seed=9))
         first = relevant_mask(net, Q(*sorted(net.peers[0].expertise)[:2], qid="a"), 0.0)
         second = relevant_mask(net, Q(E("zz", "zz"), qid="b"), 0.0)
-        assert first is second
-        assert first == mask_of(net.peers)
+        assert first is second is net.every_peer
+        assert sorted(peers_of(first, 10)) == sorted(net.peers)
 
     def test_empty_query_never_reaches_the_kernel(self, monkeypatch):
         config = Config(np=40, nsp=4, seed=21, queries_per_peer=1)

@@ -1,10 +1,10 @@
 """`run_pipeline` against a plain reference built from its public pieces.
 
-The reference takes each relevant mask from the exhaustive oracle, routes
+The reference takes each relevant set from the exhaustive oracle, routes
 every query alone with `route_baseline` or `route_kb` (no memo of plans),
 retrains the indices from scratch at each refresh, and scores each row by
 set arithmetic on the answering peers. It covers the joins `run_pipeline`
-makes between those pieces: which masks serve which workload in replay of a
+makes between those pieces: which relevant sets serve which workload in replay of a
 generated log, replay of an external log and fresh mode, the hop limit a
 config's -1 stands for, and which results feed each strategy's rows.
 """
@@ -15,7 +15,7 @@ from sonsim.baseline import LogRecord, QueryLog, route_baseline
 from sonsim.config import Config
 from sonsim.engine import BASELINE, KSP, make_workload, run_pipeline
 from sonsim.ksp import form_groups, route_kb, train_indices
-from sonsim.model import Query, mask_of, oracle_relevant_peers
+from sonsim.model import Query, oracle_relevant_peers, peer_set_of
 from sonsim.netgen import build_son
 
 
@@ -58,7 +58,8 @@ def reference_run(config, external_log):
         for query in workload:
             origin_sp = net.peers[query.origin_peer].super_peer
             oracle = oracle_relevant_peers(net, query, eps)
-            result = route_baseline(net, query, origin_sp, mask_of(oracle), eps, costs, max_hops)
+            result = route_baseline(net, query, origin_sp, peer_set_of(oracle, config.nsp), eps,
+                                    costs, max_hops)
             routes.append((query, origin_sp, oracle, result))
         return routes
 
@@ -81,7 +82,7 @@ def reference_run(config, external_log):
     routed = []
     kb_rows = []
     for query, origin_sp, oracle, _ in routes:
-        result = route_kb(net, overlay, query, origin_sp, mask_of(oracle), costs)
+        result = route_kb(net, overlay, query, origin_sp, peer_set_of(oracle, config.nsp), costs)
         kb_rows.append(_row(query, result, oracle))
         routed.append(LogRecord.routed(query, origin_sp, result))
         if config.refresh_every and len(routed) % config.refresh_every == 0:
@@ -93,14 +94,14 @@ def reference_run(config, external_log):
 
 def external_log(config):
     """A log routed over the run's network from a workload drawn on a stream
-    the run does not use, so its queries and masks are not the run's own."""
+    the run does not use, so its queries and relevant sets are not the run's own."""
     net = build_son(config)
     workload = make_workload(net, config, "external", "x")
     eps = config.eps_acc
     records = []
     for query in workload:
         origin_sp = net.peers[query.origin_peer].super_peer
-        relevant = mask_of(oracle_relevant_peers(net, query, eps))
+        relevant = peer_set_of(oracle_relevant_peers(net, query, eps), config.nsp)
         result = route_baseline(net, query, origin_sp, relevant, eps,
                                 (config.c_hop, config.c_map, config.c_tree), None)
         records.append(LogRecord.routed(query, origin_sp, result))

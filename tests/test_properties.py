@@ -3,9 +3,9 @@
 The six acceptance-gated property suites live in test_acceptance; these cover
 the remaining invariants: capacity ranges, relevance boundaries, the
 network and workloads drawn as a plain reference draws them, the
-relevance kernel's peer mask agreeing with the exhaustive oracle, popcount
-scoring agreeing with the set formula, both routers agreeing with a plain
-relevance scan of the communities they search, their message and mapping
+relevance kernel's peer set agreeing with the exhaustive oracle, also on
+communities of unequal size, scoring agreeing with the set formula, both
+routers agreeing with a plain relevance scan of the communities they search, their message and mapping
 counts agreeing with where they searched, each epoch's results, routed
 through one memo of plans, equal to each query routed alone, routing
 monotonicity in the threshold, distribution normalization, tree induction
@@ -50,8 +50,8 @@ from sonsim.model import (
     capacity,
     element,
     is_relevant,
-    mask_of,
     oracle_relevant_peers,
+    peer_set_of,
     peers_of,
     relevant_mask,
 )
@@ -91,9 +91,17 @@ net_keys = st.tuples(
 )
 
 
-def draw_net(key, peers_per_sp=4):
+def draw_net(key, extra=0):
+    """The network of `key`: four peers per community, and a fifth in each
+    of the first `extra % nsp` communities, so communities can differ in
+    size and a peer's bit `p // nsp` in its community's masks is tested
+    past the last full round of the round-robin."""
     nsp, friends, dup, seed = key
-    return cached_net(nsp * peers_per_sp, nsp, min(friends, nsp - 1), dup, seed)
+    return cached_net(nsp * 4 + extra % nsp, nsp, min(friends, nsp - 1), dup, seed)
+
+
+# The `extra` of draw_net: 0 <= extra % nsp < nsp peers beyond four per community.
+extra_peers = st.integers(min_value=0, max_value=5)
 
 
 def peer_query(net, seed, n=4):
@@ -240,32 +248,42 @@ def fraction_edges(n):
     return sorted(edges)
 
 
-@given(key=net_keys, drawn=router_queries, data=st.data(),
+@given(key=net_keys, extra=extra_peers, drawn=router_queries, data=st.data(),
        cut=st.integers(min_value=0, max_value=6), unheld=st.integers(min_value=0, max_value=2))
 @settings(deadline=None)
-def test_indexed_relevance_matches_oracle(key, drawn, data, cut, unheld):
+def test_indexed_relevance_matches_oracle(key, extra, drawn, data, cut, unheld):
     """The kernel every router relies on, decoded, equals the exhaustive scan
-    at any threshold, also on the float edges of k/n, for repeated components
-    and for components that no peer holds."""
-    net = draw_net(key)
+    at any threshold, also on the float edges of k/n, for repeated components,
+    for components that no peer holds and for communities of unequal size;
+    its communities ascend and each mask is nonzero."""
+    net = draw_net(key, extra)
     q = router_query(net, drawn)
     nowhere = element("unheld", "element")
-    assert nowhere not in net.element_masks
+    assert nowhere not in net.element_communities
     components = q.components[:cut] + (nowhere,) * unheld
     assume(1 <= len(components) <= 6)
     q = dataclasses.replace(q, components=components)
     eps = data.draw(st.one_of(st.floats(min_value=0.0, max_value=1.0),
                               st.sampled_from(fraction_edges(len(components)))))
-    assert set(peers_of(relevant_mask(net, q, eps))) == oracle_relevant_peers(net, q, eps)
+    relevant = relevant_mask(net, q, eps)
+    nsp = len(net.super_peers)
+    assert set(peers_of(relevant, nsp)) == oracle_relevant_peers(net, q, eps)
+    assert list(relevant[::2]) == sorted(set(relevant[::2])) and all(relevant[1::2])
 
 
-@given(retrieved=st.integers(min_value=0, max_value=2**80),
-       oracle=st.integers(min_value=0, max_value=2**80))
-def test_score_counts_bits_as_the_set_formula(retrieved, oracle):
-    """Popcount scoring equals precision and recall over decoded peer sets."""
-    got, truth = set(peers_of(retrieved)), set(peers_of(oracle))
-    assert mask_of(got) == retrieved
-    result = RoutingResult(retrieved, frozenset(), frozenset({0}), 0.0, 0, 0, 0)
+@given(nsp=st.integers(min_value=1, max_value=6),
+       truth=st.frozensets(st.integers(min_value=0, max_value=80)), data=st.data())
+def test_score_counts_bits_as_the_set_formula(nsp, truth, data):
+    """Scoring answers that are entries of the oracle set, as a route's
+    are, equals precision and recall over the decoded peer sets."""
+    oracle = peer_set_of(truth, nsp)
+    assert set(peers_of(oracle, nsp)) == truth
+    kept = data.draw(st.lists(st.booleans(), min_size=len(oracle) // 2,
+                              max_size=len(oracle) // 2))
+    answers = tuple(entry for i, keep in enumerate(kept) if keep
+                    for entry in oracle[2 * i:2 * i + 2])
+    got = {pid for pid in truth if kept[oracle[::2].index(pid % nsp)]}
+    result = RoutingResult(answers, frozenset(), frozenset({0}), 0.0, 0, 0, 0, nsp)
     hits = len(got & truth)
     assert result.answering_peers == got
     assert score(result, oracle) == (hits / len(got) if got else 1.0,
@@ -344,10 +362,10 @@ def test_baseline_counts_one_message_per_forward_and_one_mapping_per_probe(
 
 
 @lru_cache(maxsize=256)
-def flooded_log(key, n_components):
+def flooded_log(key, n_components, extra=0):
     """A baseline log routed with unbounded forwarding, so records name
     answering super-peers in foreign groups."""
-    net = draw_net(key)
+    net = draw_net(key, extra)
     rng = substream(7, "train")
     workload = [q for pid in sorted(net.peers)
                 for q in generate_queries(net.peers[pid], 2, n_components, rng, id_prefix="t")]
@@ -356,18 +374,19 @@ def flooded_log(key, n_components):
 
 
 @lru_cache(maxsize=256)
-def cached_overlay(key, tau, n_components):
+def cached_overlay(key, tau, n_components, extra=0):
     """Indices trained on a flooded baseline log, so trees name super-peers
     in foreign groups and routing exercises two-hop relays. A tree only
     classifies queries of the length it was trained on."""
-    return train_indices(form_groups(draw_net(key), tau), flooded_log(key, n_components))
+    return train_indices(form_groups(draw_net(key, extra), tau),
+                         flooded_log(key, n_components, extra))
 
 
-@given(key=net_keys, drawn=router_queries, eps=thresholds,
+@given(key=net_keys, extra=extra_peers, drawn=router_queries, eps=thresholds,
        max_hops=st.sampled_from([0, 1, None]))
 @settings(deadline=None)
-def test_baseline_answers_match_plain_scan(key, drawn, eps, max_hops):
-    net = draw_net(key)
+def test_baseline_answers_match_plain_scan(key, extra, drawn, eps, max_hops):
+    net = draw_net(key, extra)
     q = router_query(net, drawn)
     sp = net.peers[q.origin_peer].super_peer
     result = route_baseline(net, q, sp, relevant=relevant_mask(net, q, eps),
@@ -375,12 +394,13 @@ def test_baseline_answers_match_plain_scan(key, drawn, eps, max_hops):
     assert_answers_match_plain_scan(net, q, eps, result)
 
 
-@given(key=net_keys, drawn=router_queries, eps=thresholds, tau=st.sampled_from([3, 4]))
+@given(key=net_keys, extra=extra_peers, drawn=router_queries, eps=thresholds,
+       tau=st.sampled_from([3, 4]))
 @settings(deadline=None)
-def test_kb_answers_match_plain_scan(key, drawn, eps, tau):
-    net = draw_net(key)
+def test_kb_answers_match_plain_scan(key, extra, drawn, eps, tau):
+    net = draw_net(key, extra)
     q = router_query(net, drawn)
-    overlay = cached_overlay(key, tau, len(q.components))
+    overlay = cached_overlay(key, tau, len(q.components), extra)
     assume(len(overlay.groups) > 1)
     sp = net.peers[q.origin_peer].super_peer
     result = route_kb(net, overlay, q, sp, relevant=relevant_mask(net, q, eps), costs=COSTS)
